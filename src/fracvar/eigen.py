@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .energy import raw_energy, raw_gateaux_vector, stiffness_matrix
+from .energy import _phi, raw_energy, raw_gateaux_vector, stiffness_matrix
 from .errors import ConvergenceError, DomainError
 from .grid import GridFunction, KernelTable, same_grid
 
@@ -104,10 +104,6 @@ class EigenResult:
     constraint_gap: float
 
 
-def _phi(t, p):
-    return np.sign(t) * np.abs(t) ** (p - 1.0)
-
-
 def _mass(vals, wvals, p, m):
     return float((wvals * np.abs(vals) ** p).sum() * m)
 
@@ -168,15 +164,15 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
     pair_vecs = [wvals * _phi(uk, p) * m for uk, _mu in deflate]
     mus = [mu for _uk, mu in deflate]
 
-    def objective(vals):
-        f = raw_energy(vals, kt)
+    def objective(vals, f):
+        # f is E(vals); the penalties are added to it
         for b, mu in zip(pair_vecs, mus):
             f += mu * float(b @ vals) ** 2
         return f
 
     u = _normalize(np.asarray(u0, dtype=float), wvals, p, m)
     energy = raw_energy(u, kt)
-    obj = objective(u)
+    obj = objective(u, energy)
     step = opts.initial_step
     prev = None
 
@@ -214,7 +210,8 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
             cand = u - eta * residual_vec
             if _mass(cand, wvals, p, m) > 0:
                 cand = _normalize(cand, wvals, p, m)
-                cand_obj = objective(cand)
+                cand_energy = raw_energy(cand, kt)
+                cand_obj = objective(cand, cand_energy)
                 if cand_obj <= obj - opts.armijo * eta * norm2:
                     accepted = True
                     break
@@ -226,7 +223,7 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
             )
         u = cand
         obj = cand_obj
-        energy = raw_energy(u, kt)
+        energy = cand_energy
         step = eta
 
     raise ConvergenceError(

@@ -19,6 +19,15 @@ Everything else here is a derivative of E:
 * ``gateaux``               the bilinear-in-v form (1/p) d/dt E(u + t v)|_0;
 * ``frac_p_laplacian_apply``the weak residual density gateaux(u, e_i)/m;
 * ``rayleigh_quotient``     E(u) divided by the weighted p-mass.
+
+All pair sums come from one private pass, ``_pair_sums``, that visits each
+unordered pair once and forms no M x M temporary.  It walks row blocks
+[a, b) against the columns [a, M); the block height is
+max(1, 256 KiB // (8 M)) rows, so one block's float64 temporary stays near
+256 KiB whatever the grid.  Grids of up to 181 cells fit in one block.
+The energy, the per-cell densities of ``nonlocal_gradient`` and the Gateaux
+vector all read their sums from it, and ``gateaux(u, v)`` is
+v . gateaux_vector(u).
 """
 
 from __future__ import annotations
@@ -50,34 +59,87 @@ def _phi(t: np.ndarray, p: float) -> np.ndarray:
     return np.sign(t) * np.abs(t) ** (p - 1.0)
 
 
-def raw_energy(vals: np.ndarray, kt: KernelTable) -> float:
-    """E(u) on a bare value array; no validation, used by inner solver loops."""
+# Height of a row block in ``_pair_sums`` is chosen so that one (rows x M)
+# float64 temporary stays near this size and the block's working set in cache.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _pair_sums(vals: np.ndarray, kt: KernelTable, kind: str):
+    """One pass over the unordered pairs i <= j of g(u_i - u_j) K[i,j].
+
+    ``kind`` selects the output:
+
+    * ``"energy"``   the sum over ordered pairs of |u_i - u_j|^p K[i,j];
+    * ``"density"``  its row sums, sum_j |u_i - u_j|^p K[i,j] for each i;
+    * ``"flux"``     the row sums sum_j phi(u_i - u_j) K[i,j].
+
+    Row block [a, b) meets columns [a, M).  On the square [a, b) x [a, b)
+    both orders of every pair are present; each pair to its right appears
+    once and stands for its mirror too, which equals it for the even
+    |t|^p and is its negative for the odd phi(t).  So the right part is
+    counted twice in the energy, and its column sums are added to
+    (density) or subtracted from (flux) the rows [b, M).  A grid that fits
+    in one block gives the same sums, bit for bit, as a dense M x M sum.
+    """
+    p = kt.params.p
+    kern = kt.pair_kernel
+    size = vals.shape[0]
+    height = max(1, _BLOCK_BYTES // (8 * size))
+    total = 0.0
+    rows = np.zeros(size)
+    for a in range(0, size, height):
+        b = min(a + height, size)
+        # d = u_i - u_j; filling, then subtracting in place, runs faster
+        # than numpy's two-way broadcast subtraction
+        g = np.empty((b - a, size - a))
+        g[:] = vals[a:b, None]
+        g -= vals[a:]
+        # at p = 2, |t|^p is t*t and phi(t) is t itself
+        if kind == "flux":
+            if p != 2.0:
+                np.copysign(np.abs(g) ** (p - 1.0), g, out=g)
+        elif p == 2.0:
+            np.square(g, out=g)
+        else:
+            np.abs(g, out=g)
+            g **= p
+        g *= kern[a:b, a:]
+        if kind == "energy":
+            # twice the block, less the square that already holds both orders
+            total += 2.0 * g.sum() - g[:, :b - a].sum()
+        else:
+            rows[a:b] += g.sum(axis=1)
+            mirror = g[:, b - a:].sum(axis=0)
+            rows[b:] += mirror if kind == "density" else -mirror
+    return total if kind == "energy" else rows
+
+
+def _energy_parts(vals: np.ndarray, kt: KernelTable) -> tuple[float, float]:
     p = kt.params.p
     m = kt.cell_measure
-    diff = vals[:, None] - vals[None, :]
-    interior = (np.abs(diff) ** p * kt.pair_kernel).sum() * m * m
-    boundary = 2.0 * (np.abs(vals) ** p * kt.exterior_mass).sum() * m
-    return float(interior + boundary)
+    interior = float(_pair_sums(vals, kt, "energy") * m * m)
+    boundary = float(2.0 * (np.abs(vals) ** p * kt.exterior_mass).sum() * m)
+    return interior, boundary
+
+
+def raw_energy(vals: np.ndarray, kt: KernelTable) -> float:
+    """E(u) on a bare value array; no validation, used by inner solver loops."""
+    interior, boundary = _energy_parts(vals, kt)
+    return interior + boundary
 
 
 def raw_gateaux_vector(vals: np.ndarray, kt: KernelTable) -> np.ndarray:
     """gateaux(u, e_i) on a bare value array; equals (1/p) grad E(u)."""
     p = kt.params.p
     m = kt.cell_measure
-    diff = vals[:, None] - vals[None, :]
-    row = (_phi(diff, p) * kt.pair_kernel).sum(axis=1)
+    row = _pair_sums(vals, kt, "flux")
     return 2.0 * row * m * m + 2.0 * _phi(vals, p) * kt.exterior_mass * m
 
 
 def seminorm_p(u: GridFunction, kt: KernelTable) -> SeminormValue:
     """Evaluate E(u), split into interior and boundary parts."""
     _check(u, kt)
-    p = kt.params.p
-    m = kt.cell_measure
-    vals = u.values
-    diff = vals[:, None] - vals[None, :]
-    interior = float((np.abs(diff) ** p * kt.pair_kernel).sum() * m * m)
-    boundary = float(2.0 * (np.abs(vals) ** p * kt.exterior_mass).sum() * m)
+    interior, boundary = _energy_parts(u.values, kt)
     return SeminormValue(value=interior + boundary,
                          interior_part=interior,
                          boundary_part=boundary)
@@ -87,10 +149,8 @@ def nonlocal_gradient(u: GridFunction, kt: KernelTable) -> GridFunction:
     """The field |Du|(x_i), the p-th root of the per-cell energy density."""
     _check(u, kt)
     p = kt.params.p
-    m = kt.cell_measure
     vals = u.values
-    diff = vals[:, None] - vals[None, :]
-    dens = (np.abs(diff) ** p * kt.pair_kernel).sum(axis=1) * m
+    dens = _pair_sums(vals, kt, "density") * kt.cell_measure
     dens = dens + np.abs(vals) ** p * kt.exterior_mass
     return GridFunction(u.grid, dens ** (1.0 / p))
 
@@ -106,16 +166,15 @@ def gateaux_vector(u: GridFunction, kt: KernelTable) -> np.ndarray:
 
 
 def gateaux(u: GridFunction, v: GridFunction, kt: KernelTable) -> float:
-    """(1/p) d/dt E(u + t v) at t = 0."""
+    """(1/p) d/dt E(u + t v) at t = 0.
+
+    The pair term sum_{i,j} phi(u_i - u_j) (v_i - v_j) K[i,j] folds to
+    2 sum_i v_i sum_j phi(u_i - u_j) K[i,j] because phi(u_i - u_j) K[i,j] is
+    antisymmetric, so the form is v . gateaux_vector(u).
+    """
     _check(u, kt)
     same_grid(u, v)
-    p = kt.params.p
-    m = kt.cell_measure
-    du = u.values[:, None] - u.values[None, :]
-    dv = v.values[:, None] - v.values[None, :]
-    interior = float((_phi(du, p) * dv * kt.pair_kernel).sum() * m * m)
-    boundary = float(2.0 * (_phi(u.values, p) * v.values * kt.exterior_mass).sum() * m)
-    return interior + boundary
+    return float(v.values @ raw_gateaux_vector(u.values, kt))
 
 
 def frac_p_laplacian_apply(u: GridFunction, kt: KernelTable) -> GridFunction:

@@ -23,6 +23,7 @@ are reproducible run to run.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -310,14 +311,37 @@ class KernelTable:
         return self.grid.cell_measure
 
 
-def _pairwise_kernel(centers: np.ndarray, exponent: float) -> np.ndarray:
-    diff = centers[:, None, :] - centers[None, :, :]
+# Row chunks of the exterior-ring sum are sized so that their distance
+# temporaries stay near this many bytes, whatever the ring size.
+_RING_BYTES = 32 * 1024 * 1024
+
+
+def _distance_power(a: np.ndarray, b: np.ndarray, exponent: float) -> np.ndarray:
+    """|a_i - b_j|^(-exponent) for every pair of points (inf at distance 0).
+
+    Peak memory is (2*dim + 1) doubles per pair, see ``_pair_doubles``.
+    """
+    diff = a[:, None, :] - b[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=-1))
-    m = dist.shape[0]
     with np.errstate(divide="ignore"):
-        kern = np.power(dist, -exponent)
+        return np.power(dist, -exponent)
+
+
+def _pair_doubles(dim: int) -> int:
+    # the difference tensor and its square (dim each) plus their sum
+    return 2 * dim + 1
+
+
+def _pairwise_kernel(centers: np.ndarray, exponent: float) -> np.ndarray:
+    kern = _distance_power(centers, centers, exponent)
+    m = kern.shape[0]
     kern[np.arange(m), np.arange(m)] = 0.0
     return kern
+
+
+def _ring_layers(grid: Grid, ext_radius: float) -> int:
+    """Number of cell layers the exterior ring adds on each side of the box."""
+    return int(math.ceil((ext_radius - grid.half_width) / grid.spacing - 1e-12))
 
 
 def _ring_centers(grid: Grid, ext_radius: float) -> tuple[np.ndarray, float]:
@@ -327,7 +351,7 @@ def _ring_centers(grid: Grid, ext_radius: float) -> tuple[np.ndarray, float]:
     a whole number of cells so quadrature and tail meet exactly.
     """
     L, h, n = grid.half_width, grid.spacing, grid.cells_per_dim
-    m = int(math.ceil((ext_radius - L) / h - 1e-12))
+    m = _ring_layers(grid, ext_radius)
     outer = L + m * h
     ext_axis = _axis_centers(outer, n + 2 * m)
     if grid.dim == 1:
@@ -339,11 +363,34 @@ def _ring_centers(grid: Grid, ext_radius: float) -> tuple[np.ndarray, float]:
     return all_pts[~inside], outer
 
 
-def tail_mass(dim: int, sp: float, radius: float) -> float:
-    """Closed-form integral of |z|^(-(dim+sp)) over {|z| > radius}."""
-    if radius <= 0:
-        raise DomainError(f"tail radius must be positive, got {radius}")
-    return SPHERE_SURFACE[dim] * radius ** (-sp) / sp
+def tail_mass(dim: int, sp: float, radius):
+    """Closed-form integral of |z|^(-(dim+sp)) over {|z| > radius}.
+
+    ``radius`` may be a number or an array of radii; the result has its shape.
+    """
+    r = np.asarray(radius, dtype=float)
+    if np.any(r <= 0):
+        raise DomainError(f"tail radius must be positive, got {r.min()}")
+    out = SPHERE_SURFACE[dim] * r ** (-sp) / sp
+    return float(out) if out.ndim == 0 else out
+
+
+def _check_build_fits(grid: Grid, ext_radius: float) -> None:
+    """Raise before allocating when the build's peak exceeds physical memory.
+
+    The peak is the dense pair-kernel construction, (2*dim + 1) doubles per
+    pair, plus the ring's centers and one ring chunk.
+    """
+    cells = grid.n_cells
+    side = grid.cells_per_dim + 2 * _ring_layers(grid, ext_radius)
+    ring_cells = side**grid.dim - cells
+    need = 8 * (_pair_doubles(grid.dim) * cells * cells + grid.dim * ring_cells) + _RING_BYTES
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise DomainError(
+            f"a kernel table for {cells} cells needs about {need / 2**30:.1f} GiB, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
+        )
 
 
 def build_kernel_table(grid: Grid, fp: FracParams, ext_radius: float) -> KernelTable:
@@ -359,24 +406,24 @@ def build_kernel_table(grid: Grid, fp: FracParams, ext_radius: float) -> KernelT
             f"ext_radius {ext_radius} must be at least twice the half-width "
             f"{grid.half_width}"
         )
+    _check_build_fits(grid, ext_radius)
     exponent = grid.dim + fp.sp
     kern = _pairwise_kernel(grid.centers, exponent)
     kern.setflags(write=False)
 
     ring, outer = _ring_centers(grid, ext_radius)
-    diff = grid.centers[:, None, :] - ring[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    # per-row sorted accumulation: cells related by a grid symmetry see the
-    # same value multiset, so their masses come out bitwise equal
-    ring_sum = np.sort(np.power(dist, -exponent), axis=1).sum(axis=1) * grid.cell_measure
+    centers = grid.centers
+    rows = max(1, _RING_BYTES // (8 * _pair_doubles(grid.dim) * ring.shape[0]))
+    ring_sum = np.empty(grid.n_cells)
+    for a in range(0, grid.n_cells, rows):
+        # per-row sorted accumulation: cells related by a grid symmetry see
+        # the same value multiset, so their masses come out bitwise equal
+        # (and each row's sum is independent of the chunking)
+        chunk = _distance_power(centers[a:a + rows], ring, exponent)
+        ring_sum[a:a + rows] = np.sort(chunk, axis=1).sum(axis=1)
+    ring_sum *= grid.cell_measure
 
-    center_norms = grid.radii()
-    tail_radii = outer - center_norms
-    if np.any(tail_radii <= 0):
-        raise DomainError("ext_radius leaves a non-positive tail radius for some cell")
-    tails = SPHERE_SURFACE[grid.dim] * tail_radii ** (-fp.sp) / fp.sp
-
-    rho = ring_sum + tails
+    rho = ring_sum + tail_mass(grid.dim, fp.sp, outer - grid.radii())
     rho.setflags(write=False)
     return KernelTable(
         grid=grid,

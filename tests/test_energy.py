@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fracvar as fv
+import fracvar.energy as energy_mod
 from fracvar.energy import stiffness_matrix
 from fracvar.errors import DomainError
 
@@ -26,6 +27,70 @@ def brute_force_seminorm(u, kt):
     boundary = 2.0 * sum(abs(v) ** p * r * m
                          for v, r in zip(u.values, kt.exterior_mass))
     return total, boundary
+
+
+def brute_force_rows(u, v, kt):
+    """Independent oracle for the per-cell sums, from the cell centers.
+
+    Returns sum_j |u_i-u_j|^p K_ij and sum_j phi(u_i-u_j) K_ij for each i,
+    and the unfolded pair term sum_{i,j} phi(u_i-u_j) (v_i-v_j) K_ij.
+    """
+    grid = u.grid
+    p = kt.params.p
+    exponent = grid.dim + kt.params.sp
+    dens = np.zeros(grid.n_cells)
+    flux = np.zeros(grid.n_cells)
+    cross = 0.0
+    for i in range(grid.n_cells):
+        for j in range(grid.n_cells):
+            if i == j:
+                continue
+            k = np.linalg.norm(grid.centers[i] - grid.centers[j]) ** -exponent
+            d = u.values[i] - u.values[j]
+            dens[i] += abs(d) ** p * k
+            flux[i] += np.sign(d) * abs(d) ** (p - 1) * k
+            cross += np.sign(d) * abs(d) ** (p - 1) * (v.values[i] - v.values[j]) * k
+    return dens, flux, cross
+
+
+class TestBlockedPass:
+    """Tiny byte budgets force many row blocks: one row each (budget 1), or
+    6 rows on the line and 3 on the plane with a shorter last block."""
+
+    @pytest.mark.parametrize("budget", [1, 1600])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("grid_name", ["line_grid", "plane_grid"])
+    def test_multi_block_matches_brute_force(self, monkeypatch, request, rng,
+                                             grid_name, p, budget):
+        grid = request.getfixturevalue(grid_name)
+        kt = fv.build_kernel_table(grid, fv.FracParams(0.3, p), 4.0)
+        assert max(1, budget // (8 * grid.n_cells)) < grid.n_cells
+        monkeypatch.setattr(energy_mod, "_BLOCK_BYTES", budget)
+        u = fv.GridFunction(grid, rng.standard_normal(grid.n_cells))
+        v = fv.GridFunction(grid, rng.standard_normal(grid.n_cells))
+        m = kt.cell_measure
+        rho = kt.exterior_mass
+        dens, flux, cross = brute_force_rows(u, v, kt)
+
+        sn = fv.seminorm_p(u, kt)
+        interior, boundary = brute_force_seminorm(u, kt)
+        assert sn.interior_part == pytest.approx(interior, rel=1e-12)
+        assert sn.boundary_part == pytest.approx(boundary, rel=1e-12)
+
+        grad = (dens * m + np.abs(u.values) ** p * rho) ** (1.0 / p)
+        np.testing.assert_allclose(fv.nonlocal_gradient(u, kt).values, grad,
+                                   rtol=1e-12)
+
+        phi_u = np.sign(u.values) * np.abs(u.values) ** (p - 1)
+        gate = 2.0 * flux * m * m + 2.0 * phi_u * rho * m
+        ours = fv.gateaux_vector(u, kt)
+        np.testing.assert_allclose(ours, gate, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(gate)))
+
+        form = fv.gateaux(u, v, kt)
+        assert form == pytest.approx(v.values @ ours, rel=1e-13)
+        unfolded = cross * m * m + 2.0 * (phi_u * v.values * rho).sum() * m
+        assert form == pytest.approx(unfolded, rel=1e-12)
 
 
 class TestSeminorm:

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import fracvar as fv
+import fracvar.grid as grid_mod
 from fracvar.errors import DomainError
 
 
@@ -85,6 +87,11 @@ class TestKernelTable:
         assert fv.tail_mass(1, 0.8, 10.0) == pytest.approx(oracle, rel=1e-10)
         assert fv.tail_mass(1, 0.8, 10.0) == pytest.approx(0.39622329811527834,
                                                            rel=1e-12)
+        radii = np.array([10.0, 2.5])
+        np.testing.assert_array_equal(fv.tail_mass(1, 0.8, radii),
+                                      [fv.tail_mass(1, 0.8, r) for r in radii])
+        with pytest.raises(DomainError):
+            fv.tail_mass(2, 0.8, np.array([1.0, 0.0]))
 
     def test_exterior_mass_against_quadrature(self):
         # full oracle for rho: adaptive quadrature over the complement
@@ -117,6 +124,28 @@ class TestKernelTable:
         old_tails = np.array([fv.tail_mass(1, fp.sp, kt1.ext_radius - abs(x))
                               for x in g.centers[:, 0]])
         assert np.all(np.abs(kt2.exterior_mass - kt1.exterior_mass) <= old_tails)
+
+    def test_chunked_exterior_mass_is_bitwise_equal(self, monkeypatch, line_grid,
+                                                    plane_grid):
+        # one cell per chunk against the default budget, one chunk here
+        fp = fv.FracParams(0.3, 3.0)
+        whole = [fv.build_kernel_table(g, fp, 4.0).exterior_mass
+                 for g in (line_grid, plane_grid)]
+        monkeypatch.setattr(grid_mod, "_RING_BYTES", 1)
+        for g, rho in zip((line_grid, plane_grid), whole):
+            assert np.array_equal(fv.build_kernel_table(g, fp, 4.0).exterior_mass, rho)
+
+    def test_rejects_grid_beyond_physical_memory(self):
+        # plane n=512 would need terabytes: refused before anything is allocated
+        g = fv.build_grid(2, 1.0, 512)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="physical memory"):
+                fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
 
     def test_rejects_small_ext_radius(self, line_grid):
         with pytest.raises(DomainError):
