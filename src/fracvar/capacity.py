@@ -78,10 +78,6 @@ class CellSet:
     def empty(grid: Grid) -> "CellSet":
         return CellSet(grid, np.zeros(grid.n_cells, dtype=bool))
 
-    @staticmethod
-    def full(grid: Grid) -> "CellSet":
-        return CellSet(grid, np.ones(grid.n_cells, dtype=bool))
-
 
 @dataclass(frozen=True)
 class CapacityOptions:
@@ -306,10 +302,6 @@ class HardyNormResult:
     value: float
     argmax: CellSet
     sweep: tuple  # (label, ratio) per candidate, in family order
-
-    def __iter__(self):
-        # unpacks like the (estimate, argmax) pair
-        return iter((self.value, self.argmax))
 
 
 def _best_ratio(absw: np.ndarray, m: float, candidates, caps) -> HardyNormResult:

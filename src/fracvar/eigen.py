@@ -32,7 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .energy import _phi, raw_energy, raw_gateaux_vector, stiffness_matrix
+from .energy import (_phi, raw_energy, raw_gateaux_vector, raw_weighted_mass,
+                     stiffness_matrix)
 from .errors import ConvergenceError, DomainError
 from .grid import GridFunction, KernelTable, same_grid
 
@@ -104,17 +105,6 @@ class EigenResult:
     constraint_gap: float
 
 
-def _mass(vals, wvals, p, m):
-    return float((wvals * np.abs(vals) ** p).sum() * m)
-
-
-def _normalize(vals, wvals, p, m):
-    mass = _mass(vals, wvals, p, m)
-    if mass <= 0.0:
-        raise DomainError("weighted p-mass is non-positive; iterate left the cone")
-    return vals / mass ** (1.0 / p)
-
-
 def default_start(wt: Weight, kt: KernelTable) -> np.ndarray:
     """A bump at the peak of w1, narrowed until the weighted mass is positive."""
     grid = kt.grid
@@ -126,7 +116,7 @@ def default_start(wt: Weight, kt: KernelTable) -> np.ndarray:
     for sigma in widths:
         d2 = ((grid.centers - x0) ** 2).sum(axis=1)
         vals = np.exp(-d2 / (2.0 * sigma**2))
-        if _mass(vals, wvals, p, m) > 0:
+        if raw_weighted_mass(vals, wvals, p, m) > 0:
             return vals
     i = int(np.argmax(wvals))
     if wvals[i] > 0:
@@ -145,7 +135,7 @@ def seeded_start(wt: Weight, kt: KernelTable, rng: np.random.Generator) -> np.nd
     amp = 0.75
     for _ in range(40):
         cand = base + amp * noise * float(np.max(np.abs(base)))
-        if _mass(cand, wvals, p, m) > 0:
+        if raw_weighted_mass(cand, wvals, p, m) > 0:
             return cand
         amp *= 0.5
     return base
@@ -170,7 +160,11 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
             f += mu * float(b @ vals) ** 2
         return f
 
-    u = _normalize(np.asarray(u0, dtype=float), wvals, p, m)
+    u = np.asarray(u0, dtype=float)
+    mass = raw_weighted_mass(u, wvals, p, m)
+    if mass <= 0.0:
+        raise DomainError("weighted p-mass is non-positive; iterate left the cone")
+    u = u / mass ** (1.0 / p)
     energy = raw_energy(u, kt)
     obj = objective(u, energy)
     step = opts.initial_step
@@ -208,8 +202,9 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
         accepted = False
         for _ in range(70):
             cand = u - eta * residual_vec
-            if _mass(cand, wvals, p, m) > 0:
-                cand = _normalize(cand, wvals, p, m)
+            mass = raw_weighted_mass(cand, wvals, p, m)
+            if mass > 0:
+                cand = cand / mass ** (1.0 / p)
                 cand_energy = raw_energy(cand, kt)
                 cand_obj = objective(cand, cand_energy)
                 if cand_obj <= obj - opts.armijo * eta * norm2:
@@ -234,7 +229,7 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
 
 
 def _result_from(u, lam, residual, iterations, wt, kt) -> EigenResult:
-    gap = abs(_mass(u, wt.combined.values, kt.params.p, kt.cell_measure) - 1.0)
+    gap = abs(raw_weighted_mass(u, wt.combined.values, kt.params.p, kt.cell_measure) - 1.0)
     return EigenResult(lam=lam, u=GridFunction(kt.grid, u), residual=residual,
                        iterations=iterations, constraint_gap=gap)
 
@@ -307,7 +302,7 @@ def deflated_start(wt: Weight, kt: KernelTable, previous, level: int,
         cand = base * pattern + 0.3 * rng.standard_normal(grid.n_cells)
         for res in previous:
             cand = cand - _pairing(res.u.values, cand, wvals, p, m) * res.u.values
-        if _mass(cand, wvals, p, m) > 0:
+        if raw_weighted_mass(cand, wvals, p, m) > 0:
             return cand
         pattern = rng.standard_normal(grid.n_cells)
     raise DomainError("could not seed a deflated start with positive mass")
@@ -484,7 +479,7 @@ def simplicity_probe(wt: Weight, kt: KernelTable, restarts: int,
     midpoint = ((phi1**p + phi2**p) / 2.0) ** (1.0 / p)
     j_mid = raw_energy(midpoint, kt)
     mean_energy = 0.5 * (raw_energy(phi1, kt) + raw_energy(phi2, kt))
-    w_mid = _mass(midpoint, wvals, p, m)
+    w_mid = raw_weighted_mass(midpoint, wvals, p, m)
     lam1 = float(lams.min())
     return SimplicityReport(
         lambdas=tuple(float(x) for x in lams),

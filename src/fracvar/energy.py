@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .grid import GridFunction, KernelTable, same_grid
+from .grid import GridFunction, KernelTable, _check_fits, same_grid
 
 
 @dataclass(frozen=True)
@@ -182,11 +182,16 @@ def frac_p_laplacian_apply(u: GridFunction, kt: KernelTable) -> GridFunction:
     return GridFunction(u.grid, gateaux_vector(u, kt) / kt.cell_measure)
 
 
+def raw_weighted_mass(vals: np.ndarray, wvals: np.ndarray, p: float, m: float) -> float:
+    """W(u) = sum_i w_i |u_i|^p m on bare value arrays; no validation."""
+    return float((wvals * np.abs(vals) ** p).sum() * m)
+
+
 def weighted_mass(u: GridFunction, w: GridFunction, kt: KernelTable) -> float:
     """W(u) = sum_i w_i |u_i|^p m."""
     _check(u, kt)
     same_grid(u, w)
-    return float((w.values * np.abs(u.values) ** kt.params.p).sum() * kt.cell_measure)
+    return raw_weighted_mass(u.values, w.values, kt.params.p, kt.cell_measure)
 
 
 def rayleigh_quotient(u: GridFunction, w: GridFunction, kt: KernelTable) -> float:
@@ -197,10 +202,21 @@ def rayleigh_quotient(u: GridFunction, w: GridFunction, kt: KernelTable) -> floa
     return seminorm_p(u, kt).value / wu
 
 
+# Peak float64 M x M arrays of the dense p = 2 oracle: this matrix, the
+# diagonal mass matrix, eigh's copies of both and its 2 M^2 workspace.
+_ORACLE_SQUARES = 6
+
+
 def stiffness_matrix(kt: KernelTable) -> np.ndarray:
-    """Dense symmetric matrix A with u^T A u = E(u) when p = 2."""
+    """Dense symmetric matrix A with u^T A u = E(u) when p = 2.
+
+    Refused before any allocation when the dense oracle built on it would
+    not fit in physical memory.
+    """
     if kt.params.p != 2.0:
         raise DomainError("the quadratic stiffness matrix exists only for p = 2")
+    cells = kt.grid.n_cells
+    _check_fits(8 * _ORACLE_SQUARES * cells**2, f"a dense oracle for {cells} cells")
     m = kt.cell_measure
     kern = kt.pair_kernel
     row_sums = kern.sum(axis=1)

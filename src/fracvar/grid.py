@@ -8,12 +8,17 @@ The kernel table precomputes the pairwise interaction
 ``K[i, j] = |x_i - x_j|^(-(dim + s*p))`` between cell centers together
 with the per-cell exterior mass ``rho[i] = integral over box^c of
 |x_i - y|^(-(dim + s*p)) dy``, which accounts for the zero extension.
-The exterior mass combines midpoint quadrature over a ring of cells
-(same spacing, out to ``ext_radius``) with the closed-form radial tail
+Both read one stencil of distinct values ``T[|a|, |b|] = (h sqrt(a^2 +
+b^2))^(-(dim + s*p))`` over integer cell offsets: ``K`` is gathered from it
+(Toeplitz on the line, BTTB on the plane), and the exterior mass gathers it
+over a ring of cells (same spacing, out to ``ext_radius``, kept as lattice
+coordinates) and adds the closed-form radial tail
 
     integral_{|z| > R} |z|^(-(dim + s*p)) dz = sigma_{dim-1} * R^(-s*p) / (s*p)
 
-evaluated at ``R = ext_radius - |x_i|`` (sigma_0 = 2, sigma_1 = 2*pi).
+at ``R = ext_radius - |x_i|`` (sigma_0 = 2, sigma_1 = 2*pi).  Ring sums are
+computed for half the line or an octant of the plane and mirrored, so cells
+related by a reflection or a transpose have bitwise-equal masses.
 
 All types are immutable after construction; value arrays are marked
 read-only.  Sums use numpy's fixed-order pairwise reduction, so results
@@ -25,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -84,13 +89,6 @@ class Grid:
         """Euclidean distance of each cell center from the origin."""
         return np.sqrt((self.centers**2).sum(axis=1))
 
-    def index_nearest(self, point: Sequence[float]) -> int:
-        pt = np.asarray(point, dtype=float).reshape(1, -1)
-        if pt.shape[1] != self.dim:
-            raise DomainError(f"point has {pt.shape[1]} coordinates, grid is {self.dim}-d")
-        d2 = ((self.centers - pt) ** 2).sum(axis=1)
-        return int(np.argmin(d2))
-
 
 def _axis_centers(half_width: float, n: int) -> np.ndarray:
     # (k - (n-1)/2) * h equals -L + (k + 1/2) h but is exactly sign-symmetric
@@ -146,9 +144,6 @@ class GridFunction:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.grid, values)
 
     def __neg__(self) -> "GridFunction":
         return GridFunction(self.grid, -self.values)
@@ -311,32 +306,11 @@ class KernelTable:
         return self.grid.cell_measure
 
 
-# Row chunks of the exterior-ring sum are sized so that their distance
-# temporaries stay near this many bytes, whatever the ring size.
-_RING_BYTES = 32 * 1024 * 1024
-
-
-def _distance_power(a: np.ndarray, b: np.ndarray, exponent: float) -> np.ndarray:
-    """|a_i - b_j|^(-exponent) for every pair of points (inf at distance 0).
-
-    Peak memory is (2*dim + 1) doubles per pair, see ``_pair_doubles``.
-    """
-    diff = a[:, None, :] - b[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    with np.errstate(divide="ignore"):
-        return np.power(dist, -exponent)
-
-
-def _pair_doubles(dim: int) -> int:
-    # the difference tensor and its square (dim each) plus their sum
-    return 2 * dim + 1
-
-
-def _pairwise_kernel(centers: np.ndarray, exponent: float) -> np.ndarray:
-    kern = _distance_power(centers, centers, exponent)
-    m = kern.shape[0]
-    kern[np.arange(m), np.arange(m)] = 0.0
-    return kern
+# Row chunks of the exterior-ring gather hold about this many bytes of
+# temporaries, 16 per cell-to-ring pair (the flat stencil index plus one axis
+# offset or the gathered value); a chunk this small stays in cache.
+_RING_BYTES = 1024 * 1024
+_PAIR_BYTES = 16
 
 
 def _ring_layers(grid: Grid, ext_radius: float) -> int:
@@ -344,23 +318,34 @@ def _ring_layers(grid: Grid, ext_radius: float) -> int:
     return int(math.ceil((ext_radius - grid.half_width) / grid.spacing - 1e-12))
 
 
-def _ring_centers(grid: Grid, ext_radius: float) -> tuple[np.ndarray, float]:
-    """Cell centers of the exterior ring, plus the realized outer radius.
+def _ring_sums(stencil: np.ndarray, n: int, layers: int, cells: np.ndarray) -> np.ndarray:
+    """sum_r T[|c - r|] over the ring cells r for each lattice cell c, a row of ``cells``.
 
-    The ring reuses the grid spacing; the requested radius is rounded up to
-    a whole number of cells so quadrature and tail meet exactly.
+    Box cells sit at 0..n-1 along each axis and the ring's ``layers`` cells
+    beyond them are kept as integer lattice coordinates.
     """
-    L, h, n = grid.half_width, grid.spacing, grid.cells_per_dim
-    m = _ring_layers(grid, ext_radius)
-    outer = L + m * h
-    ext_axis = _axis_centers(outer, n + 2 * m)
-    if grid.dim == 1:
-        all_pts = ext_axis.reshape(-1, 1)
-    else:
-        xx, yy = np.meshgrid(ext_axis, ext_axis, indexing="ij")
-        all_pts = np.column_stack([xx.ravel(), yy.ravel()])
-    inside = np.all(np.abs(all_pts) < L, axis=1)
-    return all_pts[~inside], outer
+    dim = cells.shape[1]
+    axis = np.arange(-layers, n + layers)
+    ring = np.stack(np.meshgrid(*[axis] * dim, indexing="ij")).reshape(dim, -1)
+    ring = ring[:, ~np.all((ring >= 0) & (ring < n), axis=0)]
+    rows = max(1, _RING_BYTES // (_PAIR_BYTES * ring.shape[1]))
+    out = np.empty(cells.shape[0])
+    for a in range(0, cells.shape[0], rows):
+        # the flat stencil index, built in place axis by axis
+        chunk = cells[a:a + rows]
+        idx = np.zeros((chunk.shape[0], ring.shape[1]), dtype=np.intp)
+        for coord, c in zip(ring, chunk.T):
+            d = coord - c[:, None]
+            idx *= stencil.shape[0]
+            idx += np.abs(d, out=d)
+            del d
+        vals = stencil.ravel().take(idx)
+        # each row is summed in ascending order, small far-ring terms first,
+        # so a sum depends neither on the ring's enumeration nor on the chunking
+        vals.sort(axis=1)
+        out[a:a + rows] = vals.sum(axis=1)
+        del idx, vals  # so the next chunk's arrays do not coexist with these
+    return out
 
 
 def tail_mass(dim: int, sp: float, radius):
@@ -375,22 +360,27 @@ def tail_mass(dim: int, sp: float, radius):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_build_fits(grid: Grid, ext_radius: float) -> None:
-    """Raise before allocating when the build's peak exceeds physical memory.
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
-    The peak is the dense pair-kernel construction, (2*dim + 1) doubles per
-    pair, plus the ring's centers and one ring chunk.
-    """
-    cells = grid.n_cells
-    side = grid.cells_per_dim + 2 * _ring_layers(grid, ext_radius)
-    ring_cells = side**grid.dim - cells
-    need = 8 * (_pair_doubles(grid.dim) * cells * cells + grid.dim * ring_cells) + _RING_BYTES
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+def _check_fits(need: int, what: str) -> None:
+    """Raise ``DomainError`` when ``need`` bytes exceed physical memory."""
+    have = _physical_memory()
     if need > have:
         raise DomainError(
-            f"a kernel table for {cells} cells needs about {need / 2**30:.1f} GiB, "
+            f"{what} needs about {need / 2**30:.1f} GiB, "
             f"more than the {have / 2**30:.1f} GiB of physical memory"
         )
+
+
+def _build_bytes(grid: Grid, layers: int) -> int:
+    """Peak bytes of a build: the dense kernel, the stencil, the ring's
+    integer coordinates and one gather chunk."""
+    side = grid.cells_per_dim + 2 * layers
+    ring_cells = side**grid.dim - grid.n_cells
+    chunk = max(_RING_BYTES, _PAIR_BYTES * ring_cells)
+    return 8 * (grid.n_cells**2 + side**grid.dim + grid.dim * ring_cells) + chunk
 
 
 def build_kernel_table(grid: Grid, fp: FracParams, ext_radius: float) -> KernelTable:
@@ -406,23 +396,29 @@ def build_kernel_table(grid: Grid, fp: FracParams, ext_radius: float) -> KernelT
             f"ext_radius {ext_radius} must be at least twice the half-width "
             f"{grid.half_width}"
         )
-    _check_build_fits(grid, ext_radius)
-    exponent = grid.dim + fp.sp
-    kern = _pairwise_kernel(grid.centers, exponent)
+    n, dim = grid.cells_per_dim, grid.dim
+    layers = _ring_layers(grid, ext_radius)
+    _check_fits(_build_bytes(grid, layers), f"a kernel table for {grid.n_cells} cells")
+    # the stencil holds the only powers taken; offset 0 gives the zero diagonal
+    sq = np.arange(n + 2 * layers) ** 2
+    stencil = grid.spacing * np.sqrt((sq if dim == 1 else sq[:, None] + sq).astype(float))
+    stencil.flat[0] = np.inf
+    stencil **= -(dim + fp.sp)
+    # per-axis offsets |i - j| as a strided view of |1-n..n-1|, broadcast on
+    # the plane, so that the output is the only M x M array
+    off = np.lib.stride_tricks.sliding_window_view(np.abs(np.arange(1 - n, n)), n)[::-1]
+    if dim == 2:
+        off = (off[:, None, :, None], off[None, :, None, :])
+    kern = stencil[off].reshape(grid.n_cells, grid.n_cells)
     kern.setflags(write=False)
 
-    ring, outer = _ring_centers(grid, ext_radius)
-    centers = grid.centers
-    rows = max(1, _RING_BYTES // (8 * _pair_doubles(grid.dim) * ring.shape[0]))
-    ring_sum = np.empty(grid.n_cells)
-    for a in range(0, grid.n_cells, rows):
-        # per-row sorted accumulation: cells related by a grid symmetry see
-        # the same value multiset, so their masses come out bitwise equal
-        # (and each row's sum is independent of the chunking)
-        chunk = _distance_power(centers[a:a + rows], ring, exponent)
-        ring_sum[a:a + rows] = np.sort(chunk, axis=1).sum(axis=1)
-    ring_sum *= grid.cell_measure
-
+    # one ring sum per symmetry class: the cell with folded, sorted lattice
+    # coordinates stands for all its reflections and transposes
+    lattice = np.indices((n,) * dim).reshape(dim, -1).T
+    folded = np.sort(np.minimum(lattice, n - 1 - lattice), axis=1)
+    cells, owner = np.unique(folded, axis=0, return_inverse=True)
+    ring_sum = _ring_sums(stencil, n, layers, cells)[owner] * grid.cell_measure
+    outer = grid.half_width + layers * grid.spacing
     rho = ring_sum + tail_mass(grid.dim, fp.sp, outer - grid.radii())
     rho.setflags(write=False)
     return KernelTable(

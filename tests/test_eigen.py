@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import fracvar as fv
+import fracvar.grid as grid_mod
 from fracvar.eigen import default_start
-from fracvar.energy import raw_energy
+from fracvar.energy import raw_energy, stiffness_matrix
 from fracvar.errors import DomainError
 
 from conftest import bump
@@ -104,6 +107,23 @@ class TestLinearOracle:
         kt = fv.build_kernel_table(line_grid, fv.FracParams(0.3, 3.0), 4.0)
         with pytest.raises(DomainError):
             fv.linear_oracle(fv.Weight.constant(line_grid), kt)
+
+    def test_refuses_oracle_beyond_physical_memory(self, monkeypatch):
+        # the oracle's 6 M^2 doubles (12 MiB at M = 512) against 4 MiB of
+        # memory: refused before the first 2 MiB M x M array is allocated
+        g = fv.build_grid(1, 1.0, 512)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
+        monkeypatch.setattr(grid_mod, "_physical_memory", lambda: 4 * 1024 * 1024)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="physical memory"):
+                stiffness_matrix(kt)
+            with pytest.raises(DomainError, match="physical memory"):
+                fv.linear_oracle(fv.Weight.constant(g), kt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
 
     def test_sign_changing_weight_has_positive_principal_pair(self, signed_setup):
         _g, kt, wt = signed_setup

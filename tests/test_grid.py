@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -58,7 +59,44 @@ class TestFracParams:
         fv.FracParams(0.8, 2.0).validate_for_dim(2)
 
 
+def brute_force_table(grid, fp, ext_radius):
+    """Kernel and exterior mass one pair at a time, with float center differences.
+
+    The ring is every cell of the grid extended (same spacing) out to
+    ext_radius rounded up to whole cells, less the box; the tail is the
+    closed-form radial integral beyond that radius.
+    """
+    dim, h, half, n = grid.dim, grid.spacing, grid.half_width, grid.cells_per_dim
+    exponent = dim + fp.sp
+    layers = math.ceil((ext_radius - half) / h - 1e-12)
+    outer = half + layers * h
+    axis = [(k - (n + 2 * layers - 1) / 2.0) * h for k in range(n + 2 * layers)]
+    ring = [y for y in itertools.product(axis, repeat=dim) if max(map(abs, y)) > half]
+    centers = [tuple(x) for x in grid.centers]
+    kern = np.zeros((len(centers), len(centers)))
+    rho = np.zeros(len(centers))
+    for i, x in enumerate(centers):
+        for j, y in enumerate(centers):
+            if i != j:
+                kern[i, j] = math.dist(x, y) ** -exponent
+        ring_sum = math.fsum(math.dist(x, y) ** -exponent for y in ring)
+        tail = (2.0 if dim == 1 else 2.0 * math.pi) * (outer - math.hypot(*x)) ** -fp.sp / fp.sp
+        rho[i] = ring_sum * grid.cell_measure + tail
+    return kern, rho
+
+
 class TestKernelTable:
+    @pytest.mark.parametrize("dim,n", [(1, 7), (1, 8), (2, 5), (2, 6)])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_stencil_build_matches_brute_force(self, dim, n, p):
+        # odd n puts a row of cells on each mirror axis
+        g = fv.build_grid(dim, 1.0, n)
+        fp = fv.FracParams(0.3, p)
+        kt = fv.build_kernel_table(g, fp, 3.0)
+        kern, rho = brute_force_table(g, fp, 3.0)
+        np.testing.assert_allclose(kt.pair_kernel, kern, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(kt.exterior_mass, rho, rtol=1e-13, atol=0.0)
+
     def test_unit_distance_pair_value(self):
         # centers one unit apart, exponent 1 + 0.8
         g = fv.build_grid(1, 1.0, 2)
@@ -109,6 +147,16 @@ class TestKernelTable:
         assert np.array_equal(r, r[::-1, :])
         assert np.array_equal(r, r[:, ::-1])
         assert np.array_equal(r, r.T)
+        # odd n puts cells on the mirror axes; the line has one reflection
+        fp = fv.FracParams(0.3, 3.0)
+        r = fv.build_kernel_table(fv.build_grid(2, 1.0, 9), fp, 4.0).exterior_mass
+        r = r.reshape(9, 9)
+        assert np.array_equal(r, r[::-1, :])
+        assert np.array_equal(r, r[:, ::-1])
+        assert np.array_equal(r, r.T)
+        for n in (32, 33):
+            r = fv.build_kernel_table(fv.build_grid(1, 1.0, n), fp, 4.0).exterior_mass
+            assert np.array_equal(r, r[::-1])
 
     def test_exterior_mass_larger_near_boundary(self, line_kt):
         rho = line_kt.exterior_mass
@@ -146,6 +194,28 @@ class TestKernelTable:
         finally:
             tracemalloc.stop()
         assert peak < 1024 * 1024
+
+    def test_build_peak_is_the_kernel_plus_one_chunk(self):
+        # the dense kernel is the only M x M array: the stencil, the ring
+        # coordinates and numpy's ufunc buffers add well under 512 KiB here,
+        # where a pairwise difference tensor would add 4 M^2 doubles (10 MB);
+        # the memory guard's estimate covers the peak up to those buffers
+        g = fv.build_grid(2, 1.0, 24)
+        bound = 8 * g.n_cells**2 + grid_mod._RING_BYTES + 512 * 1024
+        estimate = grid_mod._build_bytes(g, grid_mod._ring_layers(g, 4.0))
+        assert estimate <= bound
+        tracemalloc.start()
+        try:
+            fv.build_kernel_table(g, fv.FracParams(0.5, 3.0), 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+        assert peak <= estimate + 256 * 1024
+
+    def test_plane_64_build_estimate_under_one_gib(self):
+        g = fv.build_grid(2, 1.0, 64)
+        assert grid_mod._build_bytes(g, grid_mod._ring_layers(g, 4.0)) < 2**30
 
     def test_rejects_small_ext_radius(self, line_grid):
         with pytest.raises(DomainError):
