@@ -3,8 +3,9 @@
 The capacity of a cell set F is the minimum of the nonlocal p-energy over
 fields equal to 1 on F, confined to [0, 1] elsewhere, and (for relative
 capacities) pinned to 0 outside a prescribed subdomain.  The problem is
-convex, so a projected-gradient method with backtracking reaches the value
-to solver tolerance from any start.
+convex, so spectral projected-gradient descent (``descent.spectral_descent``,
+with the box clip as its projection) reaches the value to solver tolerance
+from any start.
 
 The weight norm
 
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .descent import spectral_descent
 from .energy import raw_energy, raw_gateaux_vector
 from .errors import ConvergenceError, DomainError
 from .grid import (Ball, FracParams, Grid, GridFunction, KernelTable,
@@ -83,9 +85,6 @@ class CellSet:
 class CapacityOptions:
     tol_factor: float = 1e-8       # stop when ||u - proj(u - dE)|| <= tol_factor * max(1, E)
     max_iter: int = 20000
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    initial_step: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -129,49 +128,32 @@ def capacity(F: CellSet, kt: KernelTable, opts: CapacityOptions | None = None,
         return out
 
     p = kt.params.p
-    u = project(np.zeros(grid.n_cells) if start is None else np.asarray(start, float).copy())
-    energy = raw_energy(u, kt)
-    grad = p * raw_gateaux_vector(u, kt)
-    step = opts.initial_step
-    prev_u = None
-    prev_grad = None
     grad_norm = np.inf
 
-    for it in range(1, opts.max_iter + 1):
-        residual = u - project(u - grad)
-        grad_norm = float(np.linalg.norm(residual))
-        if grad_norm <= opts.tol_factor * max(1.0, energy):
-            return CapacityResult(energy, GridFunction(grid, u), it - 1, grad_norm)
-        if prev_u is not None:
-            du = u - prev_u
-            dg = grad - prev_grad
-            denom = float(du @ dg)
-            if denom > 0:
-                step = float(du @ du) / denom
-        step = float(np.clip(step, 1e-14, 1e14))
-        accepted = False
-        trial_step = step
-        for _ in range(60):
-            cand = project(u - trial_step * grad)
-            cand_energy = raw_energy(cand, kt)
-            decrease = float(grad @ (cand - u))
-            if cand_energy <= energy + opts.armijo * decrease:
-                accepted = True
-                break
-            trial_step *= opts.shrink
-        if not accepted:
-            break
-        prev_u, prev_grad = u, grad
-        u, energy = cand, cand_energy
+    def direction(u, energy, _aux):
+        nonlocal grad_norm
         grad = p * raw_gateaux_vector(u, kt)
-        step = trial_step
+        grad_norm = float(np.linalg.norm(u - project(u - grad)))
+        return grad, grad_norm <= opts.tol_factor * max(1.0, energy)
 
-    result = CapacityResult(energy, GridFunction(grid, u), opts.max_iter, grad_norm)
-    raise ConvergenceError(
-        f"capacity solve stalled at projected-gradient norm {grad_norm:.3e} "
-        f"(target {opts.tol_factor * max(1.0, energy):.3e})",
-        result=result,
-    )
+    def trial(u, grad, t):
+        cand = project(u - t * grad)
+        return cand, raw_energy(cand, kt), float(grad @ (cand - u)), None
+
+    u = project(np.zeros(grid.n_cells) if start is None else np.asarray(start, float).copy())
+    u, energy, _aux, status, its = spectral_descent(u, raw_energy(u, kt), None,
+                                                    direction, trial, opts.max_iter)
+    result = CapacityResult(energy, GridFunction(grid, u), its, grad_norm)
+    if status == "converged":
+        return result
+    target = f"target {opts.tol_factor * max(1.0, energy):.3e}"
+    if status == "stalled":
+        message = (f"capacity solve stagnated at projected-gradient norm "
+                   f"{grad_norm:.3e} ({target})")
+    else:
+        message = (f"capacity solve: no convergence within {opts.max_iter} iterations "
+                   f"(projected-gradient norm {grad_norm:.3e}, {target})")
+    raise ConvergenceError(message, result=result)
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,6 @@ class RunConfig:
         return eig.EigenOptions(
             tol=float(s.get("tol", 1e-6)),
             max_iter=int(s.get("max_iter", 50000)),
-            initial_step=float(s.get("initial_step", 1.0)),
             penalty_growth=float(s.get("penalty_growth", 10.0)),
             seed=self.seed,
         )

@@ -2,15 +2,17 @@
 
 The first eigenvalue is the minimum of the energy E(u) over the constraint
 set { W(u) = sum_i w_i |u_i|^p m = 1 } with a sign-changing weight
-w = w1 - w2 (w1, w2 >= 0, w1 not identically zero).  The solver performs
-plain descent with backtracking:
+w = w1 - w2 (w1, w2 >= 0, w1 not identically zero).  The solver is the
+spectral descent shared with the capacity solve (``descent.spectral_descent``)
+along the tangent residual
 
-    g_i = gateaux(u, e_i) - lam * w_i |u_i|^(p-2) u_i * m,   lam = E(u),
+    g_i = gateaux(u, e_i) - lam * w_i |u_i|^(p-2) u_i * m,   lam = E(u):
 
-steps u <- u - eta g, shrinks eta until the weighted mass stays positive
-and the renormalized energy decreases, then rescales u so W(u) = 1 exactly
-(the constraint is p-homogeneous, so radial rescaling is exact and cheap).
-Note g is tangent to the constraint at u, since <g, u> = E(u) - lam = 0.
+each trial steps u <- u - eta g and rescales it so W(u) = 1 exactly (the
+constraint is p-homogeneous, so radial rescaling is exact and cheap), and
+eta is halved until the weighted mass stays positive and the Armijo test
+on the energy holds.  Note g is tangent to the constraint at u, since
+<g, u> = E(u) - lam = 0.
 
 Higher eigenvalues come from deflation: previously found eigenfunctions
 u_k enter through the pairing pi_k(u) = sum_i w_i |u_k,i|^(p-2) u_k,i u_i m
@@ -27,11 +29,12 @@ directions of positive weighted mass.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from .descent import spectral_descent
 from .energy import (_phi, raw_energy, raw_gateaux_vector, raw_weighted_mass,
                      stiffness_matrix)
 from .errors import ConvergenceError, DomainError
@@ -84,15 +87,11 @@ class Weight:
 class EigenOptions:
     tol: float = 1e-6              # relative weak residual
     max_iter: int = 50000
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    initial_step: float = 1.0
     penalty_init: float = 10.0     # times max(1, lam of previous level)
     penalty_growth: float = 10.0
     penalty_max: float = 1e12
     orth_tol: float = 1e-7         # |pairing with previous levels| at exit
     collapse_alignment: float = 0.99
-    negative_mode: bool = False    # solve against -w (swapped weight parts)
     seed: int = 0
 
 
@@ -143,7 +142,7 @@ def seeded_start(wt: Weight, kt: KernelTable, rng: np.random.Generator) -> np.nd
 
 def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
              deflate: tuple = ()) -> tuple[np.ndarray, float, float, int]:
-    """Monotone backtracking descent of the (optionally penalized) energy.
+    """Spectral descent of the (optionally penalized) energy on unit mass.
 
     Returns (u, lam, residual, iterations); raises ConvergenceError on
     stagnation or iteration exhaustion, carrying the last iterate.
@@ -151,14 +150,37 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
     p = kt.params.p
     m = kt.cell_measure
     wvals = wt.combined.values
-    pair_vecs = [wvals * _phi(uk, p) * m for uk, _mu in deflate]
-    mus = [mu for _uk, mu in deflate]
+    penalties = [(wvals * _phi(uk, p) * m, mu) for uk, mu in deflate]
+    residual = np.inf
 
     def objective(vals, f):
         # f is E(vals); the penalties are added to it
-        for b, mu in zip(pair_vecs, mus):
+        for b, mu in penalties:
             f += mu * float(b @ vals) ** 2
         return f
+
+    def direction(u, _obj, energy):
+        # the tangent residual of the penalized problem; aux is the bare energy
+        nonlocal residual
+        grad = raw_gateaux_vector(u, kt)
+        lam_hat = energy
+        for b, mu in penalties:
+            pi = float(b @ u)
+            grad += (2.0 * mu / p) * pi * b
+            lam_hat += (2.0 * mu / p) * pi * pi
+        residual_vec = grad - lam_hat * wvals * _phi(u, p) * m
+        residual = float(np.max(np.abs(residual_vec))) / max(energy, 1e-300)
+        return residual_vec, residual <= opts.tol
+
+    def trial(u, residual_vec, eta):
+        cand = u - eta * residual_vec
+        mass = raw_weighted_mass(cand, wvals, p, m)
+        if mass <= 0:
+            return None
+        cand = cand / mass ** (1.0 / p)
+        energy = raw_energy(cand, kt)
+        return (cand, objective(cand, energy),
+                -eta * float(residual_vec @ residual_vec), energy)
 
     u = np.asarray(u0, dtype=float)
     mass = raw_weighted_mass(u, wvals, p, m)
@@ -166,66 +188,16 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
         raise DomainError("weighted p-mass is non-positive; iterate left the cone")
     u = u / mass ** (1.0 / p)
     energy = raw_energy(u, kt)
-    obj = objective(u, energy)
-    step = opts.initial_step
-    prev = None
-
-    for it in range(1, opts.max_iter + 1):
-        gate = raw_gateaux_vector(u, kt)
-        grad = gate.copy()
-        pis = []
-        for b, mu in zip(pair_vecs, mus):
-            pi = float(b @ u)
-            pis.append(pi)
-            grad += (2.0 * mu / p) * pi * b
-        lam_hat = energy
-        for pi, mu in zip(pis, mus):
-            lam_hat += (2.0 * mu / p) * pi * pi
-        residual_vec = grad - lam_hat * wvals * _phi(u, p) * m
-        residual = float(np.max(np.abs(residual_vec))) / max(energy, 1e-300)
-        if residual <= opts.tol:
-            return u, energy, residual, it - 1
-
-        if prev is not None:
-            du = u - prev[0]
-            dg = residual_vec - prev[1]
-            denom = float(du @ dg)
-            if denom > 0:
-                step = float(du @ du) / denom
-            else:
-                step = min(step * 2.0, 1e8)
-        step = float(np.clip(step, 1e-16, 1e8))
-        prev = (u.copy(), residual_vec.copy())
-
-        norm2 = float(residual_vec @ residual_vec)
-        eta = step
-        accepted = False
-        for _ in range(70):
-            cand = u - eta * residual_vec
-            mass = raw_weighted_mass(cand, wvals, p, m)
-            if mass > 0:
-                cand = cand / mass ** (1.0 / p)
-                cand_energy = raw_energy(cand, kt)
-                cand_obj = objective(cand, cand_energy)
-                if cand_obj <= obj - opts.armijo * eta * norm2:
-                    accepted = True
-                    break
-            eta *= opts.shrink
-        if not accepted:
-            raise ConvergenceError(
-                f"descent stagnated at residual {residual:.3e} (target {opts.tol:.1e})",
-                result=_result_from(u, energy, residual, it, wt, kt),
-            )
-        u = cand
-        obj = cand_obj
-        energy = cand_energy
-        step = eta
-
-    raise ConvergenceError(
-        f"no convergence within {opts.max_iter} iterations "
-        f"(residual {residual:.3e}, target {opts.tol:.1e})",
-        result=_result_from(u, energy, residual, opts.max_iter, wt, kt),
-    )
+    u, _obj, energy, status, its = spectral_descent(u, objective(u, energy), energy,
+                                                    direction, trial, opts.max_iter)
+    if status == "converged":
+        return u, energy, residual, its
+    if status == "stalled":
+        message = f"descent stagnated at residual {residual:.3e} (target {opts.tol:.1e})"
+    else:
+        message = (f"no convergence within {opts.max_iter} iterations "
+                   f"(residual {residual:.3e}, target {opts.tol:.1e})")
+    raise ConvergenceError(message, result=_result_from(u, energy, residual, its, wt, kt))
 
 
 def _result_from(u, lam, residual, iterations, wt, kt) -> EigenResult:
@@ -240,13 +212,10 @@ def first_eigenpair(wt: Weight, kt: KernelTable, opts: EigenOptions | None = Non
 
     The output is sign-normalized to be non-negative; a converged first
     eigenfunction has one sign, so only a global flip is ever applied.
-    With ``opts.negative_mode`` the solve runs against the swapped weight
-    -w; the returned level mu is then the eigenvalue -mu of the original
-    problem.
+    Pass ``wt.swapped()`` for the negative spectrum: the returned level mu
+    is then the eigenvalue -mu of the original problem.
     """
     opts = opts or EigenOptions()
-    if opts.negative_mode:
-        wt = wt.swapped()
     u0 = default_start(wt, kt) if start is None else start
     u, lam, residual, its = _descend(wt, kt, u0, opts)
     if u.sum() < 0:
@@ -271,8 +240,10 @@ def linear_oracle(wt: Weight, kt: KernelTable) -> list[tuple[float, GridFunction
         raise DomainError("the dense oracle applies only to p = 2")
     a = stiffness_matrix(kt)
     wvals = wt.combined.values
-    mmat = np.diag(wvals * kt.cell_measure)
-    mus, vecs = scipy.linalg.eigh(mmat, a)
+    # both matrices are symmetric, so their Fortran-ordered transposes are
+    # the same matrices, and eigh overwrites them in place instead of copying
+    mmat = np.diag(wvals * kt.cell_measure).T
+    mus, vecs = scipy.linalg.eigh(mmat, a.T, overwrite_a=True, overwrite_b=True)
     out = []
     cutoff = 1e-12 * max(1.0, float(np.max(np.abs(mus))))
     for mu, v in zip(mus[::-1], vecs[:, ::-1].T):
@@ -347,9 +318,6 @@ def second_eigenpair(wt: Weight, kt: KernelTable, first: EigenResult,
                      opts: EigenOptions | None = None) -> EigenResult:
     """Next energy level, constrained away from the first eigenfunction."""
     opts = opts or EigenOptions()
-    if opts.negative_mode:
-        wt = wt.swapped()
-        opts = replace(opts, negative_mode=False)
     rng = np.random.default_rng(opts.seed)
     start = deflated_start(wt, kt, [first], 2, rng)
     res = _deflated_solve(wt, kt, [first], opts, start)

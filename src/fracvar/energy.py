@@ -203,8 +203,8 @@ def rayleigh_quotient(u: GridFunction, w: GridFunction, kt: KernelTable) -> floa
 
 
 # Peak float64 M x M arrays of the dense p = 2 oracle: this matrix, the
-# diagonal mass matrix, eigh's copies of both and its 2 M^2 workspace.
-_ORACLE_SQUARES = 6
+# diagonal mass matrix (eigh overwrites both in place) and its 2 M^2 workspace.
+_ORACLE_SQUARES = 4
 
 
 def stiffness_matrix(kt: KernelTable) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 
 import fracvar as fv
 from fracvar.energy import stiffness_matrix
-from fracvar.errors import DomainError
+from fracvar.errors import ConvergenceError, DomainError
 
 
 def qp_capacity_oracle(mask, kt):
@@ -89,6 +89,15 @@ class TestCapacity:
         domain = fv.CellSet.ball(line_grid, (0.0,), 0.3)
         with pytest.raises(DomainError):
             fv.capacity(target, line_kt, domain=domain)
+
+    def test_budget_exhaustion_is_reported_as_such(self):
+        g = fv.build_grid(1, 1.0, 16)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
+        target = fv.CellSet.ball(g, (0.0,), 0.3)
+        opts = fv.CapacityOptions(tol_factor=0.0, max_iter=5)
+        with pytest.raises(ConvergenceError, match="no convergence within 5 iterations") as err:
+            fv.capacity(target, kt, opts)
+        assert err.value.result.iterations == 5
 
 
 class TestBallScaling:

@@ -109,7 +109,7 @@ class TestLinearOracle:
             fv.linear_oracle(fv.Weight.constant(line_grid), kt)
 
     def test_refuses_oracle_beyond_physical_memory(self, monkeypatch):
-        # the oracle's 6 M^2 doubles (12 MiB at M = 512) against 4 MiB of
+        # the oracle's 4 M^2 doubles (8 MiB at M = 512) against 4 MiB of
         # memory: refused before the first 2 MiB M x M array is allocated
         g = fv.build_grid(1, 1.0, 512)
         kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
@@ -124,6 +124,19 @@ class TestLinearOracle:
         finally:
             tracemalloc.stop()
         assert peak < 1024 * 1024
+
+    def test_peak_memory_is_four_squares(self):
+        # the stiffness matrix, the diagonal mass matrix and eigh's 2 M^2
+        # workspace; eigh overwrites the two matrices instead of copying them
+        g = fv.build_grid(1, 1.0, 256)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
+        tracemalloc.start()
+        try:
+            fv.linear_oracle(fv.Weight.constant(g), kt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.1 * 8 * g.n_cells**2
 
     def test_sign_changing_weight_has_positive_principal_pair(self, signed_setup):
         _g, kt, wt = signed_setup
@@ -172,6 +185,15 @@ class TestDeflation:
         assert seq[0].lam == pytest.approx(oracle[0][0], rel=1e-6)
         assert seq[1].lam == pytest.approx(oracle[1][0], rel=1e-4)
         assert fv.sign_structure(seq[1].u) == "sign_changing"
+
+    def test_swapped_weight_gives_the_negative_spectrum(self):
+        g = fv.build_grid(1, 1.0, 32)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
+        w = fv.GridFunction(g, np.cos(2.5 * g.centers[:, 0]) + 0.2)
+        swapped = fv.Weight.from_function(w).swapped()
+        np.testing.assert_array_equal(swapped.combined.values, -w.values)
+        res = fv.first_eigenpair(swapped, kt)
+        assert res.lam == pytest.approx(fv.linear_oracle(swapped, kt)[0][0], rel=1e-6)
 
     def test_rejects_bad_level_count(self, flat_setup):
         _g, kt, wt = flat_setup
