@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descent import spectral_descent
-from .energy import raw_energy, raw_gateaux_vector
+from .energy import raw_energy
 from .errors import ConvergenceError, DomainError
 from .grid import (Ball, FracParams, Grid, GridFunction, KernelTable,
                    build_grid, build_kernel_table)
@@ -130,19 +130,23 @@ def capacity(F: CellSet, kt: KernelTable, opts: CapacityOptions | None = None,
     p = kt.params.p
     grad_norm = np.inf
 
-    def direction(u, energy, _aux):
+    # each trial's pair pass also yields its Gateaux vector, handed on as the
+    # descent's aux, so the direction at an accepted point needs no pass
+    def direction(u, energy, gvec):
         nonlocal grad_norm
-        grad = p * raw_gateaux_vector(u, kt)
+        grad = p * gvec
         grad_norm = float(np.linalg.norm(u - project(u - grad)))
         return grad, grad_norm <= opts.tol_factor * max(1.0, energy)
 
     def trial(u, grad, t):
         cand = project(u - t * grad)
-        return cand, raw_energy(cand, kt), float(grad @ (cand - u)), None
+        energy, gvec = raw_energy(cand, kt, with_gateaux=True)
+        return cand, energy, float(grad @ (cand - u)), gvec
 
     u = project(np.zeros(grid.n_cells) if start is None else np.asarray(start, float).copy())
-    u, energy, _aux, status, its = spectral_descent(u, raw_energy(u, kt), None,
-                                                    direction, trial, opts.max_iter)
+    energy, gvec = raw_energy(u, kt, with_gateaux=True)
+    u, energy, _gvec, status, its = spectral_descent(u, energy, gvec, direction, trial,
+                                                     opts.max_iter)
     result = CapacityResult(energy, GridFunction(grid, u), its, grad_norm)
     if status == "converged":
         return result

@@ -350,9 +350,9 @@ def residual_check(lam: float, u: GridFunction, wt: Weight, kt: KernelTable) -> 
     if not np.any(u.values):
         raise DomainError("residual check requires a nonzero function")
     p, m = kt.params.p, kt.cell_measure
-    gate = raw_gateaux_vector(u.values, kt)
+    energy, gate = raw_energy(u.values, kt, with_gateaux=True)
     rhs = lam * wt.combined.values * _phi(u.values, p) * m
-    return float(np.max(np.abs(gate - rhs))) / raw_energy(u.values, kt)
+    return float(np.max(np.abs(gate - rhs))) / energy
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,15 @@ unordered pair once and forms no M x M temporary.  It walks row blocks
 [a, b) against the columns [a, M); the block height is
 max(1, 256 KiB // (8 M)) rows, so one block's float64 temporary stays near
 256 KiB whatever the grid.  Grids of up to 181 cells fit in one block.
-The energy, the per-cell densities of ``nonlocal_gradient`` and the Gateaux
-vector all read their sums from it, and ``gateaux(u, v)`` is
+Its kinds are the pair energy, the per-cell densities of
+``nonlocal_gradient``, the flux behind the Gateaux vector, and energy and
+flux together ("both"), which ``raw_energy(..., with_gateaux=True)``
+returns for the capacity solve's trials.  ``gateaux(u, v)`` is
 v . gateaux_vector(u).
+
+Each pair takes a single power, q = |u_i - u_j|^(p-1); the energy term
+|d|^p is q |d| and the flux phi(d) is copysign(q, d).  At p = 2 none is
+taken (q = d), so the p = 2 sums are those of d*d and d.
 """
 
 from __future__ import annotations
@@ -71,7 +77,12 @@ def _pair_sums(vals: np.ndarray, kt: KernelTable, kind: str):
 
     * ``"energy"``   the sum over ordered pairs of |u_i - u_j|^p K[i,j];
     * ``"density"``  its row sums, sum_j |u_i - u_j|^p K[i,j] for each i;
-    * ``"flux"``     the row sums sum_j phi(u_i - u_j) K[i,j].
+    * ``"flux"``     the row sums sum_j phi(u_i - u_j) K[i,j];
+    * ``"both"``     the pair (energy, flux), from the same blocks.
+
+    Each pair takes one power, q = |d|^(p-1) of d = u_i - u_j, and the
+    rest is derived from it: |d|^p = q |d| and phi(d) = copysign(q, d).
+    At p = 2 no power is taken: |d|^p is d*d and phi(d) is d itself.
 
     Row block [a, b) meets columns [a, M).  On the square [a, b) x [a, b)
     both orders of every pair are present; each pair to its right appears
@@ -85,61 +96,85 @@ def _pair_sums(vals: np.ndarray, kt: KernelTable, kind: str):
     kern = kt.pair_kernel
     size = vals.shape[0]
     height = max(1, _BLOCK_BYTES // (8 * size))
+    even = kind != "flux"
+    odd = kind in ("flux", "both")
     total = 0.0
     rows = np.zeros(size)
     for a in range(0, size, height):
         b = min(a + height, size)
         # d = u_i - u_j; filling, then subtracting in place, runs faster
         # than numpy's two-way broadcast subtraction
-        g = np.empty((b - a, size - a))
-        g[:] = vals[a:b, None]
-        g -= vals[a:]
-        # at p = 2, |t|^p is t*t and phi(t) is t itself
-        if kind == "flux":
-            if p != 2.0:
-                np.copysign(np.abs(g) ** (p - 1.0), g, out=g)
-        elif p == 2.0:
-            np.square(g, out=g)
+        d = np.empty((b - a, size - a))
+        d[:] = vals[a:b, None]
+        d -= vals[a:]
+        if p == 2.0:
+            q = d
+            if even:
+                power = np.square(d, out=None if odd else d)
         else:
-            np.abs(g, out=g)
-            g **= p
-        g *= kern[a:b, a:]
-        if kind == "energy":
-            # twice the block, less the square that already holds both orders
-            total += 2.0 * g.sum() - g[:, :b - a].sum()
-        else:
-            rows[a:b] += g.sum(axis=1)
-            mirror = g[:, b - a:].sum(axis=0)
-            rows[b:] += mirror if kind == "density" else -mirror
-    return total if kind == "energy" else rows
+            mag = np.abs(d, out=None if odd else d)
+            q = mag ** (p - 1.0)
+            if even:
+                power = np.multiply(q, mag, out=mag)
+            if odd:
+                np.copysign(q, d, out=q)
+        block = kern[a:b, a:]
+        if even:
+            power *= block
+            if kind == "density":
+                rows[a:b] += power.sum(axis=1)
+                rows[b:] += power[:, b - a:].sum(axis=0)
+            else:
+                # twice the block, less the square that already holds both orders
+                total += 2.0 * power.sum() - power[:, :b - a].sum()
+        if odd:
+            # q is now phi(d)
+            q *= block
+            rows[a:b] += q.sum(axis=1)
+            rows[b:] -= q[:, b - a:].sum(axis=0)
+    if kind == "energy":
+        return total
+    return (total, rows) if kind == "both" else rows
 
 
-def _energy_parts(vals: np.ndarray, kt: KernelTable) -> tuple[float, float]:
+def _energy_parts(vals: np.ndarray, kt: KernelTable, pairs: float) -> tuple[float, float]:
+    """Interior and boundary parts of E(u), given the pair sum of _pair_sums."""
     p = kt.params.p
     m = kt.cell_measure
-    interior = float(_pair_sums(vals, kt, "energy") * m * m)
+    interior = float(pairs * m * m)
     boundary = float(2.0 * (np.abs(vals) ** p * kt.exterior_mass).sum() * m)
     return interior, boundary
 
 
-def raw_energy(vals: np.ndarray, kt: KernelTable) -> float:
-    """E(u) on a bare value array; no validation, used by inner solver loops."""
-    interior, boundary = _energy_parts(vals, kt)
-    return interior + boundary
+def _gateaux_from_flux(vals: np.ndarray, kt: KernelTable, flux: np.ndarray) -> np.ndarray:
+    p = kt.params.p
+    m = kt.cell_measure
+    return 2.0 * flux * m * m + 2.0 * _phi(vals, p) * kt.exterior_mass * m
+
+
+def raw_energy(vals: np.ndarray, kt: KernelTable, with_gateaux: bool = False):
+    """E(u) on a bare value array; no validation, used by inner solver loops.
+
+    With ``with_gateaux`` it returns (E(u), raw_gateaux_vector(u)), both
+    from one pair pass.
+    """
+    if not with_gateaux:
+        interior, boundary = _energy_parts(vals, kt, _pair_sums(vals, kt, "energy"))
+        return interior + boundary
+    pairs, flux = _pair_sums(vals, kt, "both")
+    interior, boundary = _energy_parts(vals, kt, pairs)
+    return interior + boundary, _gateaux_from_flux(vals, kt, flux)
 
 
 def raw_gateaux_vector(vals: np.ndarray, kt: KernelTable) -> np.ndarray:
     """gateaux(u, e_i) on a bare value array; equals (1/p) grad E(u)."""
-    p = kt.params.p
-    m = kt.cell_measure
-    row = _pair_sums(vals, kt, "flux")
-    return 2.0 * row * m * m + 2.0 * _phi(vals, p) * kt.exterior_mass * m
+    return _gateaux_from_flux(vals, kt, _pair_sums(vals, kt, "flux"))
 
 
 def seminorm_p(u: GridFunction, kt: KernelTable) -> SeminormValue:
     """Evaluate E(u), split into interior and boundary parts."""
     _check(u, kt)
-    interior, boundary = _energy_parts(u.values, kt)
+    interior, boundary = _energy_parts(u.values, kt, _pair_sums(u.values, kt, "energy"))
     return SeminormValue(value=interior + boundary,
                          interior_part=interior,
                          boundary_part=boundary)

@@ -1,9 +1,15 @@
+import importlib
+
 import numpy as np
 import pytest
 
 import fracvar as fv
+import fracvar.energy as energy_mod
 from fracvar.energy import stiffness_matrix
 from fracvar.errors import ConvergenceError, DomainError
+
+# the package attribute ``fracvar.capacity`` is the function, not the module
+capacity_mod = importlib.import_module("fracvar.capacity")
 
 
 def qp_capacity_oracle(mask, kt):
@@ -59,6 +65,38 @@ class TestCapacity:
         b = fv.capacity(target, line_kt,
                         start=rng.uniform(0, 1, line_grid.n_cells))
         assert a.value == pytest.approx(b.value, rel=1e-6)
+
+    @pytest.mark.parametrize("kt_name", ["line_kt", "line_kt_p3"])
+    def test_one_pair_pass_per_trial(self, monkeypatch, request, line_grid, kt_name):
+        # each trial's pass also gives the gradient at the point it accepts
+        kt = request.getfixturevalue(kt_name)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the capacity solve made a separate gradient pass")
+
+        monkeypatch.setattr(energy_mod, "raw_gateaux_vector", forbidden)
+        monkeypatch.setattr(capacity_mod, "raw_gateaux_vector", forbidden, raising=False)
+        counts = {"pairs": 0, "trials": 0}
+        pair_sums = energy_mod._pair_sums
+
+        def counted_pair_sums(*args):
+            counts["pairs"] += 1
+            return pair_sums(*args)
+
+        descend = capacity_mod.spectral_descent
+
+        def counted_descent(x, f, aux, direction, trial, max_iter):
+            def counted_trial(*args):
+                counts["trials"] += 1
+                return trial(*args)
+            return descend(x, f, aux, direction, counted_trial, max_iter)
+
+        monkeypatch.setattr(energy_mod, "_pair_sums", counted_pair_sums)
+        monkeypatch.setattr(capacity_mod, "spectral_descent", counted_descent)
+        res = fv.capacity(fv.CellSet.ball(line_grid, (0.0,), 0.2), kt)
+        assert res.iterations > 1
+        assert counts["trials"] >= res.iterations
+        assert counts["pairs"] == counts["trials"] + 1
 
     def test_subadditive_on_disjoint_union(self, line_kt, line_grid):
         left = fv.CellSet.ball(line_grid, (-0.6,), 0.15)

@@ -93,6 +93,35 @@ class TestBlockedPass:
         assert form == pytest.approx(unfolded, rel=1e-12)
 
 
+class TestFusedPass:
+    """raw_energy(..., with_gateaux=True) takes the energy and the Gateaux
+    vector from one pair pass, in one block or in several."""
+
+    @pytest.mark.parametrize("budget", [None, 1600])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("grid_name", ["line_grid", "plane_grid"])
+    def test_matches_separate_passes_and_brute_force(self, monkeypatch, request, rng,
+                                                     grid_name, p, budget):
+        grid = request.getfixturevalue(grid_name)
+        kt = fv.build_kernel_table(grid, fv.FracParams(0.3, p), 4.0)
+        if budget is None:
+            assert energy_mod._BLOCK_BYTES // (8 * grid.n_cells) >= grid.n_cells
+        else:
+            monkeypatch.setattr(energy_mod, "_BLOCK_BYTES", budget)
+        u = fv.GridFunction(grid, rng.standard_normal(grid.n_cells))
+        energy, gate = energy_mod.raw_energy(u.values, kt, with_gateaux=True)
+        assert energy == energy_mod.raw_energy(u.values, kt)
+        assert np.array_equal(gate, energy_mod.raw_gateaux_vector(u.values, kt))
+
+        interior, boundary = brute_force_seminorm(u, kt)
+        assert energy == pytest.approx(interior + boundary, rel=1e-14)
+        dens, _flux, _cross = brute_force_rows(u, u, kt)
+        m = kt.cell_measure
+        grad = (dens * m + np.abs(u.values) ** p * kt.exterior_mass) ** (1.0 / p)
+        np.testing.assert_allclose(fv.nonlocal_gradient(u, kt).values, grad,
+                                   rtol=1e-14)
+
+
 class TestSeminorm:
     def test_zero_function(self, line_kt, line_grid):
         u = fv.GridFunction(line_grid, np.zeros(line_grid.n_cells))
