@@ -2,16 +2,15 @@
 weighted nonlocal eigenproblems on truncated uniform grids."""
 
 from .capacity import (BallScalingFit, CandidateFamily, CapacityOptions,
-                       CapacityResult, CellSet, CompactnessTolerances,
-                       CompactnessVerdict, ConcentrationProfile,
-                       HardyNormResult, ball_table_builder, capacity,
-                       capacity_ball_scaling, compactness_diagnostic,
-                       concentration_at, concentration_at_infinity,
-                       hardy_norm_estimate)
+                       CapacityResult, CellSet, CompactnessVerdict,
+                       ConcentrationProfile, HardyNormResult,
+                       ball_table_builder, capacity, capacity_ball_scaling,
+                       compactness_diagnostic, concentration_at,
+                       concentration_at_infinity, hardy_norm_estimate)
 from .eigen import (EigenOptions, EigenResult, PiconeResult, SimplicityReport,
                     Weight, eigen_sequence, first_eigenpair, linear_oracle,
-                    picone_gap, residual_check, second_eigenpair,
-                    sign_structure, simplicity_probe)
+                    picone_gap, residual_check, sign_structure,
+                    simplicity_probe)
 from .energy import (SeminormValue, frac_p_laplacian_apply, gateaux,
                      gateaux_vector, nonlocal_gradient, rayleigh_quotient,
                      seminorm_p, stiffness_matrix, weighted_mass)

@@ -21,7 +21,10 @@ Concentration profiles track the estimated norm of w restricted to
 shrinking balls around a point (or to the complements of growing balls),
 the computable stand-ins for the local and at-infinity concentration
 functions whose joint vanishing signals that the weighted p-mass is a
-compact perturbation of the energy.
+compact perturbation of the energy.  ``compactness_diagnostic`` runs the
+weight-norm sweep and every profile against one capacity cache keyed by
+the candidate's cell mask, so a cell set shared by several sweeps is solved
+once.  The sweeps run serially.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .energy import raw_energy
 from .errors import ConvergenceError, DomainError
 from .grid import (Ball, FracParams, Grid, GridFunction, KernelTable,
                    build_grid, build_kernel_table)
-from .runtime import ordered_map, thread_count
 
 
 @dataclass(frozen=True)
@@ -167,14 +169,15 @@ class BallScalingFit:
     values: tuple
 
 
-def ball_table_builder(fp: FracParams, dim: int, cells_per_dim: int = 32,
-                       box_factor: float = 2.0, ext_factor: float = 2.0):
-    """Builder mapping a ball radius to a proportionally scaled kernel table."""
+def ball_table_builder(fp: FracParams, dim: int, cells_per_dim: int = 32):
+    """Builder mapping a ball radius to a proportionally scaled kernel table:
+    the box half-width is twice the radius and the exterior radius twice the
+    box width."""
 
     def build(radius: float) -> KernelTable:
-        half_width = box_factor * radius
+        half_width = 2.0 * radius
         grid = build_grid(dim, half_width, cells_per_dim)
-        return build_kernel_table(grid, fp, ext_factor * 2.0 * half_width)
+        return build_kernel_table(grid, fp, 4.0 * half_width)
 
     return build
 
@@ -222,9 +225,14 @@ class CandidateFamily:
         return CandidateFamily(ball_radii=radii or (L,), center_stride=stride)
 
 
-def _family_candidates(w: GridFunction, family: CandidateFamily) -> list:
-    """(label, CellSet) candidates, deterministically ordered and deduplicated."""
-    grid = w.grid
+def _family_candidates(grid: Grid, weights, family: CandidateFamily | None) -> list:
+    """(label, CellSet) candidates for every |w| array in ``weights``.
+
+    The lattice balls come first, then each weight's super-level sets in
+    turn; a cell set already in the list is dropped, so the order is
+    deterministic and every set appears once.
+    """
+    family = family or CandidateFamily.default(grid)
     out = []
     seen = set()
 
@@ -247,40 +255,32 @@ def _family_candidates(w: GridFunction, family: CandidateFamily) -> list:
         for ri, r in enumerate(family.ball_radii):
             push(f"ball[c{ci},r{ri}]", CellSet.ball(grid, c, r))
 
-    absw = np.abs(w.values)
-    positive = absw[absw > 0]
-    if positive.size and family.n_quantiles > 0:
-        qs = np.linspace(0.05, 0.95, family.n_quantiles)
-        for qi, q in enumerate(qs):
-            t = float(np.quantile(positive, q))
-            push(f"level[q{qi}]", CellSet(grid, absw > t))
-        push("support", CellSet(grid, absw > 0))
+    for absw in weights:
+        positive = absw[absw > 0]
+        if positive.size and family.n_quantiles > 0:
+            qs = np.linspace(0.05, 0.95, family.n_quantiles)
+            for qi, q in enumerate(qs):
+                t = float(np.quantile(positive, q))
+                push(f"level[q{qi}]", CellSet(grid, absw > t))
+            push("support", CellSet(grid, absw > 0))
     return out
 
 
 def _candidate_capacities(candidates, kt: KernelTable,
-                          opts: CapacityOptions | None,
-                          cache: dict | None,
-                          workers: int | None) -> list:
+                          opts: CapacityOptions | None, cache: dict) -> list:
     """Capacity per candidate set; the cache is keyed by the membership mask,
-    so repeated sets across sweeps are solved once."""
-    cache = cache if cache is not None else {}
-    todo = []
+    so a set shared by several sweeps is solved once."""
+    caps = []
     for label, cs in candidates:
-        if cs.mask.tobytes() not in cache:
-            todo.append((label, cs))
-
-    def solve(item):
-        label, cs = item
-        try:
-            return capacity(cs, kt, opts).value
-        except ConvergenceError as err:
-            warnings.warn(f"candidate {label} skipped: {err}")
-            return None
-
-    for (label, cs), value in zip(todo, ordered_map(solve, todo, thread_count(workers))):
-        cache[cs.mask.tobytes()] = value
-    return [cache[cs.mask.tobytes()] for _label, cs in candidates]
+        key = cs.mask.tobytes()
+        if key not in cache:
+            try:
+                cache[key] = capacity(cs, kt, opts).value
+            except ConvergenceError as err:
+                warnings.warn(f"candidate {label} skipped: {err}")
+                cache[key] = None
+        caps.append(cache[key])
+    return caps
 
 
 @dataclass(frozen=True)
@@ -308,20 +308,23 @@ def _best_ratio(absw: np.ndarray, m: float, candidates, caps) -> HardyNormResult
     return HardyNormResult(best_val, best_set, tuple(clean))
 
 
-def hardy_norm_estimate(w: GridFunction, kt: KernelTable,
-                        family: CandidateFamily | None = None,
-                        opts: CapacityOptions | None = None,
-                        workers: int | None = None,
-                        cap_cache: dict | None = None) -> HardyNormResult:
-    """Lower bound for the capacitary weight norm by a finite-family sweep."""
-    family = family or CandidateFamily.default(w.grid)
-    candidates = _family_candidates(w, family)
+def _hardy(w: GridFunction, kt: KernelTable, family: CandidateFamily | None,
+           opts: CapacityOptions | None, cache: dict) -> HardyNormResult:
+    absw = np.abs(w.values)
+    candidates = _family_candidates(w.grid, [absw], family)
     if not candidates:
-        if not np.any(w.values):
+        if not np.any(absw):
             return HardyNormResult(0.0, CellSet.empty(w.grid), ())
         raise DomainError("candidate family is empty")
-    caps = _candidate_capacities(candidates, kt, opts, cap_cache, workers)
-    return _best_ratio(np.abs(w.values), w.grid.cell_measure, candidates, caps)
+    caps = _candidate_capacities(candidates, kt, opts, cache)
+    return _best_ratio(absw, w.grid.cell_measure, candidates, caps)
+
+
+def hardy_norm_estimate(w: GridFunction, kt: KernelTable,
+                        family: CandidateFamily | None = None,
+                        opts: CapacityOptions | None = None) -> HardyNormResult:
+    """Lower bound for the capacitary weight norm by a finite-family sweep."""
+    return _hardy(w, kt, family, opts, {})
 
 
 # ---------------------------------------------------------------------------
@@ -335,92 +338,69 @@ class ConcentrationProfile:
     extrapolated_limit: float
 
 
-def _restrict(w: GridFunction, mask: np.ndarray) -> GridFunction:
-    vals = np.where(mask, w.values, 0.0)
-    return GridFunction(w.grid, vals)
-
-
-def _profile(w: GridFunction, masks, kt: KernelTable,
+def _profile(w: GridFunction, radii, masks, kt: KernelTable,
              family: CandidateFamily | None, opts: CapacityOptions | None,
-             cap_cache: dict | None) -> list[float]:
+             cache: dict) -> ConcentrationProfile:
     """Norm estimates for a nested sequence of restrictions of w.
 
     All restrictions share one candidate family (the union of the families
     each restriction would generate on its own).  Sharing makes the profile
     exactly monotone in the restriction and lets one capacity solve serve
-    every radius.
+    every radius.  The limit is the value at the last radius.
     """
-    family = family or CandidateFamily.default(w.grid)
-    restricted = [_restrict(w, mask) for mask in masks]
-    candidates = []
-    seen = set()
-    for wr in restricted:
-        for label, cs in _family_candidates(wr, family):
-            key = cs.mask.tobytes()
-            if key not in seen:
-                seen.add(key)
-                candidates.append((label, cs))
+    restricted = [np.abs(np.where(mask, w.values, 0.0)) for mask in masks]
+    candidates = _family_candidates(w.grid, restricted, family)
+    caps = _candidate_capacities(candidates, kt, opts, cache)
     m = w.grid.cell_measure
-    estimates = []
-    caps = _candidate_capacities(candidates, kt, opts, cap_cache, None) if candidates else []
-    for wr in restricted:
-        if not candidates or not np.any(wr.values):
-            estimates.append(0.0)
-            continue
-        estimates.append(_best_ratio(np.abs(wr.values), m, candidates, caps).value)
-    return estimates
+    estimates = [_best_ratio(absw, m, candidates, caps).value
+                 if candidates and np.any(absw) else 0.0 for absw in restricted]
+    return ConcentrationProfile(tuple(radii), tuple(estimates), estimates[-1])
 
 
-def concentration_at(w: GridFunction, x, radii, kt: KernelTable,
-                     family: CandidateFamily | None = None,
-                     opts: CapacityOptions | None = None,
-                     cap_cache: dict | None = None) -> ConcentrationProfile:
-    """Estimated weight norm of w restricted to shrinking balls around x.
-
-    The reported limit is the value at the smallest radius, the tightest
-    computable bound; the whole (monotone) profile is kept for inspection.
-    """
+def _ball_masks(grid: Grid, x, radii) -> tuple[list, list]:
+    """Radii, checked strictly decreasing, and the balls around x as masks."""
     radii = [float(r) for r in radii]
     if len(radii) == 0 or np.any(np.diff(radii) >= 0):
         raise DomainError("radii must be strictly decreasing")
     pt = np.asarray(x, dtype=float)
-    d2 = ((w.grid.centers - pt) ** 2).sum(axis=1)
+    d2 = ((grid.centers - pt) ** 2).sum(axis=1)
     masks = []
     for r in radii:
         mask = d2 <= r**2
         if not np.any(mask):
             raise DomainError(f"ball of radius {r} around {tuple(pt)} contains no cells")
         masks.append(mask)
-    estimates = _profile(w, masks, kt, family, opts, cap_cache)
-    return ConcentrationProfile(tuple(radii), tuple(estimates), estimates[-1])
+    return radii, masks
+
+
+def _exterior_masks(grid: Grid, radii) -> tuple[list, list]:
+    """Radii, checked strictly increasing, and the complements of the
+    origin-centered balls as masks."""
+    radii = [float(r) for r in radii]
+    if len(radii) == 0 or np.any(np.diff(radii) <= 0):
+        raise DomainError("radii must be strictly increasing")
+    r2 = (grid.centers**2).sum(axis=1)
+    return radii, [r2 > r**2 for r in radii]
+
+
+def concentration_at(w: GridFunction, x, radii, kt: KernelTable,
+                     family: CandidateFamily | None = None,
+                     opts: CapacityOptions | None = None) -> ConcentrationProfile:
+    """Estimated weight norm of w restricted to shrinking balls around x.
+
+    The reported limit is the value at the smallest radius, the tightest
+    computable bound; the whole (monotone) profile is kept for inspection.
+    """
+    radii, masks = _ball_masks(w.grid, x, radii)
+    return _profile(w, radii, masks, kt, family, opts, {})
 
 
 def concentration_at_infinity(w: GridFunction, radii, kt: KernelTable,
                               family: CandidateFamily | None = None,
-                              opts: CapacityOptions | None = None,
-                              cap_cache: dict | None = None) -> ConcentrationProfile:
+                              opts: CapacityOptions | None = None) -> ConcentrationProfile:
     """Estimated weight norm of w outside growing origin-centered balls."""
-    radii = [float(r) for r in radii]
-    if len(radii) == 0 or np.any(np.diff(radii) <= 0):
-        raise DomainError("radii must be strictly increasing")
-    r2 = (w.grid.centers**2).sum(axis=1)
-    masks = [r2 > r**2 for r in radii]
-    estimates = _profile(w, masks, kt, family, opts, cap_cache)
-    return ConcentrationProfile(tuple(radii), tuple(estimates), estimates[-1])
-
-
-@dataclass(frozen=True)
-class CompactnessTolerances:
-    """Threshold below which the concentration limits count as vanishing.
-
-    The default is relative to the weight's own norm estimate: at cell
-    width h the profile of a genuinely compact-class weight is still of
-    size O(h^sp), so the cutoff scales with the weight rather than sitting
-    at an absolute value a coarse grid could never reach.
-    """
-
-    absolute: float | None = None
-    relative: float | None = 0.5
+    radii, masks = _exterior_masks(w.grid, radii)
+    return _profile(w, radii, masks, kt, family, opts, {})
 
 
 @dataclass(frozen=True)
@@ -435,7 +415,7 @@ class CompactnessVerdict:
     weight_norm: float
 
 
-def _candidate_points(w: GridFunction, special_points, max_maxima: int = 8) -> list:
+def _candidate_points(w: GridFunction, max_maxima: int = 8) -> list:
     grid = w.grid
     pts = []
     L = grid.half_width
@@ -444,7 +424,6 @@ def _candidate_points(w: GridFunction, special_points, max_maxima: int = 8) -> l
         pts.extend((x,) for x in lattice)
     else:
         pts.extend((x, y) for x in lattice for y in lattice)
-    pts.extend(tuple(np.atleast_1d(p)) for p in special_points)
 
     absw = np.abs(w.values)
     n = grid.cells_per_dim
@@ -469,40 +448,32 @@ def _candidate_points(w: GridFunction, special_points, max_maxima: int = 8) -> l
 
 
 def compactness_diagnostic(w: GridFunction, kt: KernelTable,
-                           tolerances: CompactnessTolerances | None = None,
-                           special_points=(),
                            family: CandidateFamily | None = None,
-                           opts: CapacityOptions | None = None,
-                           radii=None, radii_inf=None) -> CompactnessVerdict:
+                           opts: CapacityOptions | None = None) -> CompactnessVerdict:
     """Joint local/at-infinity concentration check.
 
     Verdict is compact-indicating iff both the worst local limit over the
-    candidate points and the at-infinity limit fall below the tolerance.
-    Candidate points combine a coarse lattice, the strongest local maxima
-    of |w|, and any caller-supplied singular points.
+    candidate points and the at-infinity limit fall below the tolerance,
+    half the weight's own norm estimate.  The cutoff is relative because at
+    cell width h the profile of a genuinely compact-class weight is still of
+    size O(h^sp), which an absolute cutoff on a coarse grid could never
+    reach.  Candidate points combine a coarse lattice and the strongest
+    local maxima of |w|.  The local radii halve from L/2 down to the cell
+    width; the radii at infinity run from L/2 to 7L/8.
     """
-    tolerances = tolerances or CompactnessTolerances()
     grid = w.grid
     L, h = grid.half_width, grid.spacing
-    if radii is None:
-        radii = [L / 2**k for k in range(1, 7) if L / 2**k >= h] or [L / 2]
-    if radii_inf is None:
-        radii_inf = [L / 2, 5 * L / 8, 3 * L / 4, 7 * L / 8]
+    radii = [L / 2**k for k in range(1, 7) if L / 2**k >= h] or [L / 2]
+    outer_radii = [L / 2, 5 * L / 8, 3 * L / 4, 7 * L / 8]
 
-    cap_cache: dict = {}
-    weight_norm = hardy_norm_estimate(w, kt, family, opts, cap_cache=cap_cache).value
-    tol = 0.0
-    if tolerances.absolute is not None:
-        tol = tolerances.absolute
-    if tolerances.relative is not None:
-        tol = max(tol, tolerances.relative * weight_norm)
-
-    points = _candidate_points(w, special_points)
-    profiles = [concentration_at(w, p, radii, kt, family, opts, cap_cache=cap_cache)
-                for p in points]
+    cache: dict = {}
+    weight_norm = _hardy(w, kt, family, opts, cache).value
+    tol = 0.5 * weight_norm
+    points = _candidate_points(w)
+    profiles = [_profile(w, *_ball_masks(grid, x, radii), kt, family, opts, cache)
+                for x in points]
     c_star = max((pr.extrapolated_limit for pr in profiles), default=0.0)
-    inf_profile = concentration_at_infinity(w, radii_inf, kt, family, opts,
-                                            cap_cache=cap_cache)
+    inf_profile = _profile(w, *_exterior_masks(grid, outer_radii), kt, family, opts, cache)
     c_inf = inf_profile.extrapolated_limit
     return CompactnessVerdict(
         compact_indicating=bool(c_star <= tol and c_inf <= tol),

@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -148,15 +148,9 @@ class RunConfig:
 
     def family(self) -> CandidateFamily:
         h = self.raw.get("hardy", {})
-        if not h:
-            return CandidateFamily.default(self.grid)
-        return CandidateFamily(
-            ball_radii=tuple(h.get("ball_radii",
-                                   CandidateFamily.default(self.grid).ball_radii)),
-            center_stride=int(h.get("center_stride",
-                                    max(1, self.grid.cells_per_dim // 4))),
-            n_quantiles=int(h.get("n_quantiles", 8)),
-        )
+        casts = {"ball_radii": tuple, "center_stride": int, "n_quantiles": int}
+        return replace(CandidateFamily.default(self.grid),
+                       **{key: cast(h[key]) for key, cast in casts.items() if key in h})
 
 
 def _out_path(cfg: RunConfig, out_flag, name: str) -> str:

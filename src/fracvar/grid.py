@@ -265,14 +265,9 @@ def _sample_spec(grid: Grid, spec) -> np.ndarray:
             raise DomainError("difference parts must sample to non-negative fields")
         return v1 - v2
     if isinstance(spec, FromFile):
-        from .io import read_grid_function_values
+        from .io import read_grid_function
 
-        vals = read_grid_function_values(spec.path)
-        if vals.shape != (grid.n_cells,):
-            raise DomainError(
-                f"file {spec.path!r} holds {vals.shape[0]} values, grid has {grid.n_cells} cells"
-            )
-        return vals
+        return read_grid_function(grid, spec.path).values
     if callable(spec):
         vals = np.array([float(spec(*xy)) for xy in pts])
         return vals

@@ -38,20 +38,15 @@ def write_grid_function(gf: GridFunction, path) -> None:
             fh.write(",".join(_fmt(c) for c in center) + "," + _fmt(val) + "\n")
 
 
-def read_grid_function_values(path) -> np.ndarray:
-    """Value column of a grid-function CSV (coordinates are ignored)."""
+def read_grid_function(grid: Grid, path) -> GridFunction:
+    """Grid function from the value column of a CSV (coordinates are ignored)."""
     try:
         raw = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float)
     except OSError as err:
         raise DomainError(f"cannot read grid-function file {path!r}: {err}") from err
     if raw.size == 0:
         raise DomainError(f"grid-function file {path!r} is empty")
-    raw = np.atleast_2d(raw)
-    return raw[:, -1].copy()
-
-
-def read_grid_function(grid: Grid, path) -> GridFunction:
-    vals = read_grid_function_values(path)
+    vals = np.atleast_2d(raw)[:, -1]
     if vals.shape != (grid.n_cells,):
         raise DomainError(
             f"file {path!r} holds {vals.shape[0]} values, grid has {grid.n_cells} cells"

@@ -1,4 +1,5 @@
 import importlib
+import threading
 
 import numpy as np
 import pytest
@@ -269,3 +270,41 @@ class TestCompactnessDiagnostic:
         verdict = fv.compactness_diagnostic(w, line_kt)
         assert verdict.compact_indicating
         assert verdict.c_star == 0.0
+
+
+class TestSweepRuntime:
+    def test_diagnostic_solves_each_candidate_set_once(self, line_kt, line_grid,
+                                                       monkeypatch):
+        w = fv.sample(line_grid, fv.PowerLaw(alpha=0.8))
+        solved = []
+        solve = capacity_mod.capacity
+
+        def counting(F, kt, opts=None):
+            solved.append(F.mask.tobytes())
+            return solve(F, kt, opts)
+
+        monkeypatch.setattr(capacity_mod, "capacity", counting)
+        verdict = fv.compactness_diagnostic(w, line_kt)
+        shared = list(solved)
+        # the public functions each solve their whole family on their own
+        solved.clear()
+        fv.hardy_norm_estimate(w, line_kt)
+        for x, prof in zip(verdict.points, verdict.profiles):
+            fv.concentration_at(w, x, prof.radii, line_kt)
+        fv.concentration_at_infinity(w, verdict.infinity_profile.radii, line_kt)
+        assert len(solved) > len(shared)
+        assert shared == list(dict.fromkeys(solved))
+
+    def test_sweep_starts_no_thread(self, line_kt, line_grid, monkeypatch):
+        monkeypatch.setenv("FRACSPEC_THREADS", "4")
+        started = []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        w = fv.sample(line_grid, fv.PowerLaw(alpha=0.8))
+        assert fv.hardy_norm_estimate(w, line_kt).value > 0
+        assert started == []

@@ -155,8 +155,7 @@ class TestLinearOracle:
 class TestDeflation:
     def test_second_matches_oracle_and_changes_sign(self, flat_setup):
         _g, kt, wt = flat_setup
-        first = fv.first_eigenpair(wt, kt)
-        second = fv.second_eigenpair(wt, kt, first)
+        first, second = fv.eigen_sequence(wt, kt, 2)
         oracle = fv.linear_oracle(wt, kt)
         assert second.lam == pytest.approx(oracle[1][0], rel=1e-4)
         assert fv.sign_structure(second.u) == "sign_changing"
@@ -259,6 +258,22 @@ class TestPicone:
                 line_grid, np.abs(rng.standard_normal(line_grid.n_cells)) + 0.05)
             p = float(rng.uniform(1.1, 4.0))
             assert fv.picone_gap(u, v, p).min_value >= -1e-12
+
+    def test_refuses_sizes_beyond_physical_memory(self, monkeypatch):
+        # the term's 6 M^2 doubles (12 MiB at M = 512) against 4 MiB of
+        # memory: refused before the first 2 MiB M x M array is allocated
+        g = fv.build_grid(1, 1.0, 512)
+        u = fv.GridFunction(g, np.ones(g.n_cells))
+        v = fv.GridFunction(g, np.full(g.n_cells, 2.0))
+        monkeypatch.setattr(grid_mod, "_physical_memory", lambda: 4 * 1024 * 1024)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="physical memory"):
+                fv.picone_gap(u, v, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
 
     def test_rejects_invalid_arguments(self, line_grid):
         u = fv.GridFunction(line_grid, -np.ones(line_grid.n_cells))

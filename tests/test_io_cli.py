@@ -6,7 +6,7 @@ import pytest
 
 import fracvar as fv
 import fracvar.io as fio
-from fracvar.cli import dispatch
+from fracvar.cli import RunConfig, dispatch
 from fracvar.errors import DomainError
 
 
@@ -112,6 +112,23 @@ class TestDispatch:
         cfg = write_config(tmp_path, lorentz={"p": 0.5, "q": 2.0})
         assert dispatch(["lorentz", "--config", cfg]) == 1
         capsys.readouterr()
+
+    def test_non_finite_file_value_exits_1(self, tmp_path, capsys):
+        weight = tmp_path / "w.csv"
+        rows = ["x,value"] + [f"{i},1.0" for i in range(31)] + ["31,nan"]
+        weight.write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, function={"kind": "from_file",
+                                               "path": str(weight)})
+        assert dispatch(["seminorm", "--config", cfg]) == 1
+        assert "domain error" in capsys.readouterr().err
+
+    def test_family_keeps_the_defaults_of_unset_keys(self, tmp_path):
+        cfg = RunConfig.load(write_config(tmp_path, hardy={"n_quantiles": 3}))
+        default = fv.CandidateFamily.default(cfg.grid)
+        family = cfg.family()
+        assert family.n_quantiles == 3
+        assert family.ball_radii == default.ball_radii
+        assert family.center_stride == default.center_stride
 
     def test_seminorm_writes_result(self, tmp_path):
         cfg = write_config(tmp_path)
