@@ -1,9 +1,13 @@
 """One-command property harness: every testable inequality at desk scale.
 
-Each registered check draws seeded inputs, computes a worst-case margin,
-and passes iff the margin stays below its tolerance.  Margins follow one
-convention: pass == (worst_margin <= tolerance), so a violated inequality
-or an out-of-range slope shows up as a positive margin.
+Each registered check draws seeded inputs and returns a worst-case margin
+with its details; the registry gives it its name, statement, default
+sample count and tolerance.  One runner turns that into the check's
+record, so margins follow one convention: pass == (worst_margin <=
+tolerance), and a violated inequality or an out-of-range slope shows up as
+a positive margin.  A check whose solve fails (``ConvergenceError`` or
+``DomainError``) gets a FAIL record with margin +inf and the error text in
+its details, and the suite carries on with the other checks.
 
 Exactly-discrete inequalities (rearrangement pairing, the pairwise
 comparison identity, homogeneity) run at 1e-12; statements with
@@ -29,11 +33,14 @@ from . import energy as en
 from . import rearrange as rr
 from .capacity import (ball_table_builder, capacity_ball_scaling,
                        hardy_norm_estimate)
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError, DomainError
 from .grid import (Ball, FracParams, GaussianBump, GridFunction, Indicator,
                    PowerLaw, build_grid, build_kernel_table, sample)
 from .io import result_json_bytes
 from .runtime import ordered_map, thread_count
+
+# the failures a check may meet on valid input; any other exception is a bug
+_SOLVE_ERRORS = (ConvergenceError, DomainError)
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,8 @@ class PropertyReport:
 
 class _Context:
     """Lazy, memoized shared inputs; every entry is a pure function of the
-    config, so concurrent construction is harmless."""
+    config, so concurrent construction is harmless.  A build that fails with
+    a solve error is memoized too, and raised again to every reader."""
 
     def __init__(self, config: VerifyConfig):
         self.config = config
@@ -114,8 +122,14 @@ class _Context:
 
     def get(self, key: str, builder: Callable):
         if key not in self._memo:
-            self._memo[key] = builder()
-        return self._memo[key]
+            try:
+                self._memo[key] = (builder(), None)
+            except _SOLVE_ERRORS as err:
+                self._memo[key] = (None, err)
+        value, err = self._memo[key]
+        if err is not None:
+            raise err
+        return value
 
     def base_kt(self):
         def build():
@@ -160,10 +174,10 @@ def _rough_field(grid, rng) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# individual checks: fn(ctx, n, tol, rng) -> CheckRecord
+# individual checks: check(ctx, n, rng) -> (margin, details)
 # ---------------------------------------------------------------------------
 
-def _chk_homogeneity(ctx, n, tol, rng):
+def _chk_homogeneity(ctx, n, rng):
     kt = ctx.base_kt()
     g = kt.grid
     p = kt.params.p
@@ -174,11 +188,10 @@ def _chk_homogeneity(ctx, n, tol, rng):
         base = en.seminorm_p(u, kt).value
         scaled = en.seminorm_p(GridFunction(g, t * u.values), kt).value
         worst = max(worst, abs(scaled - abs(t) ** p * base) / max(base, 1e-300))
-    return CheckRecord("homogeneity", "E(t u) = |t|^p E(u)", n, worst, tol,
-                       worst <= tol, {})
+    return worst, {}
 
 
-def _chk_hardy_littlewood(ctx, n, tol, rng):
+def _chk_hardy_littlewood(ctx, n, rng):
     kt = ctx.base_kt()
     g = kt.grid
     m = g.cell_measure
@@ -191,19 +204,16 @@ def _chk_hardy_littlewood(ctx, n, tol, rng):
         hs = np.sort(h)[::-1]
         rhs = float((fs * hs).sum() * m)
         worst = max(worst, (lhs - rhs) / max(abs(rhs), 1e-300))
-    return CheckRecord(
-        "hardy_littlewood",
-        "sum f g <= integral of the sorted product (Hardy-Littlewood pairing)",
-        n, worst, tol, worst <= tol, {})
+    return worst, {}
 
 
-def _chk_picone(ctx, n, tol, rng):
+def _chk_picone(ctx, n, rng):
     kt = ctx.base_kt()
     g = kt.grid
     p = float(rng.uniform(1.2, 3.5))
     worst = -math.inf
     equality_worst = 0.0
-    for k in range(n):
+    for _ in range(n):
         u = GridFunction(g, np.abs(_smooth_bump_field(g, rng)))
         v = GridFunction(g, np.abs(_smooth_bump_field(g, rng)) + 0.05)
         res = eig.picone_gap(u, v, p)
@@ -211,15 +221,11 @@ def _chk_picone(ctx, n, tol, rng):
         c = float(rng.uniform(0.2, 5.0))
         res_eq = eig.picone_gap(GridFunction(g, c * v.values), v, p)
         equality_worst = max(equality_worst, abs(res_eq.min_value))
-    margin = max(worst, equality_worst)
-    return CheckRecord(
-        "picone",
-        "pairwise comparison term K(u, v) >= 0 with equality on u = c v",
-        n, margin, tol, margin <= tol,
-        {"worst_negative": worst, "worst_equality_defect": equality_worst, "p": p})
+    return max(worst, equality_worst), {
+        "worst_negative": worst, "worst_equality_defect": equality_worst, "p": p}
 
 
-def _chk_gateaux_fd(ctx, n, tol, rng):
+def _chk_gateaux_fd(ctx, n, rng):
     cfg = ctx.config
     g = build_grid(cfg.dim, cfg.half_width, max(16, cfg.cells_per_dim // 4))
     kt = build_kernel_table(g, FracParams(0.3, 3.0), cfg.ext_radius)
@@ -238,14 +244,10 @@ def _chk_gateaux_fd(ctx, n, tol, rng):
         slope = float(np.polyfit(np.log(steps), np.log(errs), 1)[0])
         slopes.append(slope)
         worst = max(worst, abs(slope - 2.0))
-    return CheckRecord(
-        "gateaux_fd",
-        "directional derivative vs central differences: log-log slope 2",
-        n, worst, tol, worst <= tol,
-        {"slopes_minmax": [min(slopes), max(slopes)]})
+    return worst, {"slopes_minmax": [min(slopes), max(slopes)]}
 
 
-def _chk_polya_szego(ctx, n, tol, rng):
+def _chk_polya_szego(ctx, n, rng):
     cfg = ctx.config
 
     def margin_on(dim, cells, count):
@@ -264,20 +266,14 @@ def _chk_polya_szego(ctx, n, tol, rng):
     line = margin_on(1, max(64, cfg.cells_per_dim), n)
     coarse = margin_on(2, 16, max(4, n // 4))
     fine = margin_on(2, 32, max(4, n // 4))
-    worst = max(line, coarse)
     trend_ok = fine <= max(coarse, 0.0) + 0.005
-    passed = worst <= tol and trend_ok
-    return CheckRecord(
-        "polya_szego",
-        "symmetric decreasing rearrangement does not increase the energy "
-        "(up to discretization), improving under refinement",
-        n, worst, tol, passed,
-        {"line_margin": line, "plane_margin": coarse,
-         "plane_refined_margin": fine, "trend_ok": trend_ok})
+    # a margin that grows under refinement fails at any tolerance
+    worst = max(line, coarse) if trend_ok else math.inf
+    return worst, {"line_margin": line, "plane_margin": coarse,
+                   "plane_refined_margin": fine, "trend_ok": trend_ok}
 
 
-def _chk_capacity_scaling(ctx, n, tol, rng):
-    del rng
+def _chk_capacity_scaling(ctx, n, rng):
     fits = {}
     worst = 0.0
     for dim, s, cells in ((1, 0.4, 32), (2, 0.5, 10)):
@@ -288,13 +284,10 @@ def _chk_capacity_scaling(ctx, n, tol, rng):
         expected = dim - s * 2.0
         fits[f"dim{dim}"] = {"slope": fit.slope, "expected": expected}
         worst = max(worst, abs(fit.slope - expected))
-    return CheckRecord(
-        "capacity_scaling",
-        "capacity of balls scales like radius^(dim - s p)",
-        n, worst, tol, worst <= tol, fits)
+    return worst, fits
 
 
-def _chk_ds_scaling(ctx, n, tol, rng):
+def _chk_ds_scaling(ctx, n, rng):
     cfg = ctx.config
     g1 = build_grid(1, 1.0, max(32, cfg.cells_per_dim // 2))
     fp = FracParams(cfg.s, cfg.p)
@@ -309,14 +302,10 @@ def _chk_ds_scaling(ctx, n, tol, rng):
             dil = en.nonlocal_gradient(GridFunction(g2, vals), kt2).values ** kt1.params.p
             rel = np.max(np.abs(dil - base * r ** (-fp.sp)) / np.maximum(base, 1e-300))
             worst = max(worst, float(rel))
-    return CheckRecord(
-        "ds_scaling",
-        "|D u_r|^p of the r-dilated field equals r^(-s p) |D u|^p",
-        n, worst, tol, worst <= tol, {})
+    return worst, {}
 
 
-def _chk_ds_decay(ctx, n, tol, rng):
-    del rng
+def _chk_ds_decay(ctx, n, rng):
     cfg = ctx.config
     g = build_grid(1, 4.0, 128)
     fp = FracParams(cfg.s, cfg.p)
@@ -329,44 +318,28 @@ def _chk_ds_decay(ctx, n, tol, rng):
     envelope = np.minimum(1.0, radii ** (-(g.dim + fp.sp)))
     ratio = dens / envelope
     c_inner = float(ratio[radii <= 2.0].max())
-    worst = float(ratio.max() / c_inner - 1.0)
-    return CheckRecord(
-        "ds_decay",
-        "|D u|^p of a compactly supported bump sits under "
-        "C min{1, |x|^-(dim+s p)} with C fitted on |x| <= 2",
-        n, worst, tol, worst <= tol, {"fitted_constant": c_inner})
+    return float(ratio.max() / c_inner - 1.0), {"fitted_constant": c_inner}
 
 
-def _chk_eigen_oracle_first(ctx, n, tol, rng):
-    del rng
+def _chk_eigen_oracle_first(ctx, n, rng):
     kt = ctx.base_kt()
     wt, seq = ctx.eigen_results("flat")
     oracle = eig.linear_oracle(wt, kt)
-    margin = abs(seq[0].lam / oracle[0][0] - 1.0)
-    return CheckRecord(
-        "eigen_oracle_first",
-        "descent eigenvalue matches the dense generalized solver (p = 2)",
-        n, margin, tol, margin <= tol,
-        {"lam": seq[0].lam, "oracle": oracle[0][0]})
+    return abs(seq[0].lam / oracle[0][0] - 1.0), {"lam": seq[0].lam,
+                                                  "oracle": oracle[0][0]}
 
 
-def _chk_eigen_oracle_levels(ctx, n, tol, rng):
-    del rng
+def _chk_eigen_oracle_levels(ctx, n, rng):
     kt = ctx.base_kt()
     wt, _ = ctx.eigen_results("flat")
     opts = eig.EigenOptions(tol=1e-8, seed=ctx.config.seed)
     seq = eig.eigen_sequence(wt, kt, 4, opts)
     oracle = eig.linear_oracle(wt, kt)
     margin = max(abs(r.lam / o[0] - 1.0) for r, o in zip(seq, oracle))
-    return CheckRecord(
-        "eigen_oracle_levels",
-        "first deflated levels match the dense spectrum (p = 2)",
-        n, margin, tol, margin <= tol,
-        {"lams": [r.lam for r in seq], "oracle": [o[0] for o in oracle[:4]]})
+    return margin, {"lams": [r.lam for r in seq], "oracle": [o[0] for o in oracle[:4]]}
 
 
-def _chk_eigen_positivity(ctx, n, tol, rng):
-    del rng
+def _chk_eigen_positivity(ctx, n, rng):
     worst = -math.inf
     details = {}
     for tag in ("flat", "signed"):
@@ -375,14 +348,11 @@ def _chk_eigen_positivity(ctx, n, tol, rng):
         margin = -float(u.min()) / float(np.abs(u).max())
         details[tag] = {"min_over_max": -margin}
         worst = max(worst, margin)
-    return CheckRecord(
-        "eigen_positivity",
-        "the ground state has one strict sign after normalization",
-        n, worst, tol, worst < 0.0 if tol == 0.0 else worst <= tol, details)
+    # a minimum of exactly zero is no strict sign, even at tolerance 0
+    return (math.inf if worst == 0.0 else worst), details
 
 
-def _chk_eigen_sign_change(ctx, n, tol, rng):
-    del rng
+def _chk_eigen_sign_change(ctx, n, rng):
     worst = 0.0
     details = {}
     for tag in ("flat", "signed"):
@@ -390,14 +360,10 @@ def _chk_eigen_sign_change(ctx, n, tol, rng):
         tagged = eig.sign_structure(seq[1].u)
         details[tag] = tagged
         worst = max(worst, 0.0 if tagged == "sign_changing" else 1.0)
-    return CheckRecord(
-        "eigen_sign_change",
-        "every level above the ground state changes sign",
-        n, worst, tol, worst <= tol, details)
+    return worst, details
 
 
-def _chk_eigen_gap(ctx, n, tol, rng):
-    del rng
+def _chk_eigen_gap(ctx, n, rng):
     worst = -math.inf
     details = {}
     for tag in ("flat", "signed"):
@@ -405,31 +371,22 @@ def _chk_eigen_gap(ctx, n, tol, rng):
         gap = seq[1].lam - seq[0].lam
         details[tag] = gap
         worst = max(worst, 1e-6 - gap)
-    return CheckRecord(
-        "eigen_gap",
-        "the first spectral gap is strictly positive",
-        n, worst, tol, worst <= tol, details)
+    return worst, details
 
 
-def _chk_eigen_simplicity(ctx, n, tol, rng):
-    del rng
+def _chk_eigen_simplicity(ctx, n, rng):
     kt = ctx.base_kt()
     wt, _ = ctx.eigen_results("flat")
     opts = eig.EigenOptions(tol=1e-8, seed=ctx.config.seed)
-    rep = eig.simplicity_probe(wt, kt, restarts=max(2, n), opts=opts)
+    rep = eig.simplicity_probe(wt, kt, restarts=n, opts=opts)
     margin = max(rep.lambda_spread / 1e-6, rep.function_spread / 1e-4,
                  -rep.rayleigh_lower_gap / 1e-6)
-    return CheckRecord(
-        "eigen_simplicity",
-        "independent restarts land on one eigenvalue and one ray; energy of "
-        "p-th power midpoints stays above the ground level",
-        max(2, n), margin, tol, margin <= tol,
-        {"lambda_spread": rep.lambda_spread,
-         "function_spread": rep.function_spread,
-         "midpoint_energy_gap": rep.midpoint_energy_gap})
+    return margin, {"lambda_spread": rep.lambda_spread,
+                    "function_spread": rep.function_spread,
+                    "midpoint_energy_gap": rep.midpoint_energy_gap}
 
 
-def _chk_best_constant(ctx, n, tol, rng):
+def _chk_best_constant(ctx, n, rng):
     cfg = ctx.config
     kt = ctx.base_kt()
     g = kt.grid
@@ -441,14 +398,10 @@ def _chk_best_constant(ctx, n, tol, rng):
         u = GridFunction(g, _smooth_bump_field(g, rng) + 0.2 * _rough_field(g, rng))
         mass = en.weighted_mass(u, w, kt)
         worst = max(worst, mass * lam1 / en.seminorm_p(u, kt).value - 1.0)
-    return CheckRecord(
-        "best_constant",
-        "weighted p-mass <= (1/lam1) energy for every test field "
-        "(the inverse ground level is the best constant)",
-        n, worst, tol, worst <= tol, {"lam1": lam1})
+    return worst, {"lam1": lam1}
 
 
-def _chk_hardy_ratio(ctx, n, tol, rng):
+def _chk_hardy_ratio(ctx, n, rng):
     kt = ctx.base_kt()
     g = kt.grid
     w = sample(g, PowerLaw(alpha=kt.params.sp))
@@ -458,20 +411,16 @@ def _chk_hardy_ratio(ctx, n, tol, rng):
         u = GridFunction(g, _smooth_bump_field(g, rng) + 0.2 * _rough_field(g, rng))
         ratio = en.weighted_mass(u, w, kt) / (norm_est * en.seminorm_p(u, kt).value)
         worst = max(worst, ratio)
-    return CheckRecord(
-        "hardy_ratio",
-        "weighted mass / (norm estimate * energy) stays bounded: the "
-        "capacitary norm controls the weighted inequality",
-        n, worst, tol, worst <= tol, {"norm_estimate": norm_est})
+    return worst, {"norm_estimate": norm_est}
 
 
-def _chk_lorentz_embedding(ctx, n, tol, rng):
+def _chk_lorentz_embedding(ctx, n, rng):
     kt = ctx.base_kt()
     g = kt.grid
     sp = kt.params.sp
     weights = [sample(g, PowerLaw(alpha=sp)),
-               sample(g, GaussianBump(sigma=0.3 * g.half_width))]
-    for _ in range(max(1, n - 2)):
+               sample(g, GaussianBump(sigma=0.3 * g.half_width))][:n]
+    for _ in range(n - len(weights)):
         weights.append(GridFunction(g, np.abs(_smooth_bump_field(g, rng))))
     worst = -math.inf
     ratios = []
@@ -481,15 +430,10 @@ def _chk_lorentz_embedding(ctx, n, tol, rng):
             continue
         ratios.append(hardy_norm_estimate(w, kt).value / lz)
         worst = max(worst, ratios[-1])
-    return CheckRecord(
-        "lorentz_embedding",
-        "the weak-Lorentz norm with first index dim/(s p) dominates the "
-        "capacitary norm estimate up to a bounded constant",
-        len(weights), worst, tol, worst <= tol,
-        {"ratios_minmax": [min(ratios), max(ratios)]})
+    return worst, {"ratios_minmax": [min(ratios), max(ratios)]}
 
 
-def _chk_q_scale_invariance(ctx, n, tol, rng):
+def _chk_q_scale_invariance(ctx, n, rng):
     cfg = ctx.config
     kt = ctx.base_kt()
     wt, _ = ctx.eigen_results("flat")
@@ -501,31 +445,52 @@ def _chk_q_scale_invariance(ctx, n, tol, rng):
         t = float(rng.uniform(0.05, 20.0))
         lam = eig.first_eigenpair(wt, kt, opts, start=t * base_start).lam
         worst = max(worst, abs(lam / lam0 - 1.0))
-    return CheckRecord(
-        "q_scale_invariance",
-        "the converged eigenvalue ignores the scale of the initial iterate",
-        n, worst, tol, worst <= tol, {"lam": lam0})
+    return worst, {"lam": lam0}
 
 
+# (name, check, default samples, default tolerance, statement)
 _REGISTRY = (
-    ("homogeneity", _chk_homogeneity, 200, 1e-12),
-    ("hardy_littlewood", _chk_hardy_littlewood, 500, 1e-12),
-    ("picone", _chk_picone, 500, 1e-12),
-    ("gateaux_fd", _chk_gateaux_fd, 20, 0.1),
-    ("polya_szego", _chk_polya_szego, 40, 0.05),
-    ("capacity_scaling", _chk_capacity_scaling, 1, 0.05),
-    ("ds_scaling", _chk_ds_scaling, 5, 0.01),
-    ("ds_decay", _chk_ds_decay, 1, 1e-9),
-    ("eigen_oracle_first", _chk_eigen_oracle_first, 1, 1e-6),
-    ("eigen_oracle_levels", _chk_eigen_oracle_levels, 1, 1e-4),
-    ("eigen_positivity", _chk_eigen_positivity, 1, 0.0),
-    ("eigen_sign_change", _chk_eigen_sign_change, 1, 0.0),
-    ("eigen_gap", _chk_eigen_gap, 1, 0.0),
-    ("eigen_simplicity", _chk_eigen_simplicity, 10, 1.0),
-    ("best_constant", _chk_best_constant, 200, 1e-8),
-    ("hardy_ratio", _chk_hardy_ratio, 100, 10.0),
-    ("lorentz_embedding", _chk_lorentz_embedding, 12, 5.0),
-    ("q_scale_invariance", _chk_q_scale_invariance, 5, 1e-10),
+    ("homogeneity", _chk_homogeneity, 200, 1e-12, "E(t u) = |t|^p E(u)"),
+    ("hardy_littlewood", _chk_hardy_littlewood, 500, 1e-12,
+     "sum f g <= integral of the sorted product (Hardy-Littlewood pairing)"),
+    ("picone", _chk_picone, 500, 1e-12,
+     "pairwise comparison term K(u, v) >= 0 with equality on u = c v"),
+    ("gateaux_fd", _chk_gateaux_fd, 20, 0.1,
+     "directional derivative vs central differences: log-log slope 2"),
+    ("polya_szego", _chk_polya_szego, 40, 0.05,
+     "symmetric decreasing rearrangement does not increase the energy "
+     "(up to discretization), improving under refinement"),
+    ("capacity_scaling", _chk_capacity_scaling, 1, 0.05,
+     "capacity of balls scales like radius^(dim - s p)"),
+    ("ds_scaling", _chk_ds_scaling, 5, 0.01,
+     "|D u_r|^p of the r-dilated field equals r^(-s p) |D u|^p"),
+    ("ds_decay", _chk_ds_decay, 1, 1e-9,
+     "|D u|^p of a compactly supported bump sits under "
+     "C min{1, |x|^-(dim+s p)} with C fitted on |x| <= 2"),
+    ("eigen_oracle_first", _chk_eigen_oracle_first, 1, 1e-6,
+     "descent eigenvalue matches the dense generalized solver (p = 2)"),
+    ("eigen_oracle_levels", _chk_eigen_oracle_levels, 1, 1e-4,
+     "first deflated levels match the dense spectrum (p = 2)"),
+    ("eigen_positivity", _chk_eigen_positivity, 1, 0.0,
+     "the ground state has one strict sign after normalization"),
+    ("eigen_sign_change", _chk_eigen_sign_change, 1, 0.0,
+     "every level above the ground state changes sign"),
+    ("eigen_gap", _chk_eigen_gap, 1, 0.0,
+     "the first spectral gap is strictly positive"),
+    ("eigen_simplicity", _chk_eigen_simplicity, 10, 1.0,
+     "independent restarts land on one eigenvalue and one ray; energy of "
+     "p-th power midpoints stays above the ground level"),
+    ("best_constant", _chk_best_constant, 200, 1e-8,
+     "weighted p-mass <= (1/lam1) energy for every test field "
+     "(the inverse ground level is the best constant)"),
+    ("hardy_ratio", _chk_hardy_ratio, 100, 10.0,
+     "weighted mass / (norm estimate * energy) stays bounded: the "
+     "capacitary norm controls the weighted inequality"),
+    ("lorentz_embedding", _chk_lorentz_embedding, 12, 5.0,
+     "the weak-Lorentz norm with first index dim/(s p) dominates the "
+     "capacitary norm estimate up to a bounded constant"),
+    ("q_scale_invariance", _chk_q_scale_invariance, 5, 1e-10,
+     "the converged eigenvalue ignores the scale of the initial iterate"),
 )
 
 CHECK_NAMES = tuple(name for name, *_ in _REGISTRY)
@@ -533,20 +498,24 @@ CHECK_NAMES = tuple(name for name, *_ in _REGISTRY)
 
 def run_check(name: str, config: VerifyConfig | None = None) -> CheckRecord:
     """Run a single named check; every check is independently runnable."""
-    config = config or VerifyConfig()
-    ctx = _Context(config)
-    for idx, (nm, fn, default_n, default_tol) in enumerate(_REGISTRY):
-        if nm == name:
-            return _run_one(ctx, idx, nm, fn, default_n, default_tol)
+    ctx = _Context(config or VerifyConfig())
+    for idx, row in enumerate(_REGISTRY):
+        if row[0] == name:
+            return _run_one(ctx, idx, *row)
     raise ConfigError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
 
 
-def _run_one(ctx, idx, name, fn, default_n, default_tol) -> CheckRecord:
+def _run_one(ctx, idx, name, check, samples, tolerance, statement) -> CheckRecord:
+    """The one place a record is built; a failed solve becomes a FAIL record."""
     cfg = ctx.config
-    n = int(cfg.samples.get(name, default_n))
-    tol = float(cfg.tolerances.get(name, default_tol))
+    n = int(cfg.samples.get(name, samples))
+    tol = float(cfg.tolerances.get(name, tolerance))
     rng = np.random.default_rng([cfg.seed, idx])
-    return fn(ctx, n, tol, rng)
+    try:
+        margin, details = check(ctx, n, rng)
+    except _SOLVE_ERRORS as err:
+        margin, details = math.inf, {"error": f"{type(err).__name__}: {err}"}
+    return CheckRecord(name, statement, n, margin, tol, margin <= tol, details)
 
 
 def run_suite(config: VerifyConfig | None = None) -> PropertyReport:
@@ -557,22 +526,24 @@ def run_suite(config: VerifyConfig | None = None) -> PropertyReport:
     records are merged in registration order.
     """
     config = config or VerifyConfig()
-    for name, _fn, default_n, _tol in _REGISTRY:
-        if int(config.samples.get(name, default_n)) < 1:
+    for name, _check, samples, *_ in _REGISTRY:
+        if int(config.samples.get(name, samples)) < 1:
             raise ConfigError(f"check {name!r} needs at least one sample")
     FracParams(config.s, config.p).validate_for_dim(config.dim)
     ctx = _Context(config)
-    # warm the shared eigen results serially so worker threads only read
-    ctx.base_kt()
-    ctx.eigen_results("flat")
-    ctx.eigen_results("signed")
+    # warm the shared eigen results serially so worker threads only read; a
+    # failed solve is kept and fails each check that reads it
+    for tag in ("flat", "signed"):
+        try:
+            ctx.eigen_results(tag)
+        except _SOLVE_ERRORS:
+            pass
 
     def run(item):
-        idx, (name, fn, default_n, default_tol) = item
-        return _run_one(ctx, idx, name, fn, default_n, default_tol)
+        idx, row = item
+        return _run_one(ctx, idx, *row)
 
-    items = list(enumerate(_REGISTRY))
-    records = ordered_map(run, items, thread_count(config.threads))
+    records = ordered_map(run, list(enumerate(_REGISTRY)), thread_count(config.threads))
     grid_spec = {
         "dim": config.dim,
         "cells_per_dim": config.cells_per_dim,

@@ -142,7 +142,6 @@ class RunConfig:
         return eig.EigenOptions(
             tol=float(s.get("tol", 1e-6)),
             max_iter=int(s.get("max_iter", 50000)),
-            penalty_growth=float(s.get("penalty_growth", 10.0)),
             seed=self.seed,
         )
 
@@ -187,7 +186,6 @@ def _cmd_gradient(cfg: RunConfig, out, args) -> int:
 def _cmd_rearrange(cfg: RunConfig, out, args) -> int:
     u = cfg.function()
     fstar = rr.decreasing_rearrangement(u)
-    fio.write_step_function(fstar, _out_path(cfg, out, "rearrangement.csv"))
     fio.write_step_function(rr.maximal_function(fstar),
                             _out_path(cfg, out, "maximal.csv"))
     fio.write_grid_function(rr.schwarz_symmetrization(u),
@@ -221,7 +219,6 @@ def _cmd_capacity(cfg: RunConfig, out, args) -> int:
                            "grad_norm": res.grad_norm,
                            "degenerate": res.degenerate},
                           _out_path(cfg, out, "capacity.json"))
-    fio.write_grid_function(res.minimizer, _out_path(cfg, out, "minimizer.csv"))
     fio.emit_plot(res.minimizer, _out_path(cfg, out, "minimizer.svg"))
     return 0
 
@@ -272,9 +269,6 @@ def _cmd_concentration(cfg: RunConfig, out, args) -> int:
             "radii", [cfg.grid.half_width / 2**k for k in range(1, 5)])]
         prof = concentration_at(w, point, radii, kt, family, opts)
         name = "concentration"
-    fio.write_series(prof.radii, prof.norm_estimates,
-                     _out_path(cfg, out, name + ".csv"),
-                     header=("radius", "estimate"))
     fio.emit_plot((np.asarray(prof.radii), np.asarray(prof.norm_estimates)),
                   _out_path(cfg, out, name + ".svg"))
     fio.write_result_json({"radii": list(prof.radii),
@@ -307,7 +301,6 @@ def _cmd_eigen(cfg: RunConfig, out, args) -> int:
             abs(r.lam / lam - 1.0) for r, (lam, _) in zip(seq, oracle)]
     fio.write_result_json(payload, _out_path(cfg, out, "eigen.json"))
     for idx, res in enumerate(seq, start=1):
-        fio.write_grid_function(res.u, _out_path(cfg, out, f"eigen_u{idx}.csv"))
         fio.emit_plot(res.u, _out_path(cfg, out, f"eigen_u{idx}.svg"))
     return 0
 

@@ -35,10 +35,10 @@ import numpy as np
 import scipy.linalg
 
 from .descent import spectral_descent
-from .energy import (_phi, raw_energy, raw_gateaux_vector, raw_weighted_mass,
-                     stiffness_matrix)
+from .energy import (_BLOCK_BYTES, _phi, raw_energy, raw_gateaux_vector,
+                     raw_weighted_mass, stiffness_matrix)
 from .errors import ConvergenceError, DomainError
-from .grid import GridFunction, KernelTable, _check_fits, same_grid
+from .grid import GridFunction, KernelTable, same_grid
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,6 @@ class Weight:
 class EigenOptions:
     tol: float = 1e-6              # relative weak residual
     max_iter: int = 50000
-    penalty_growth: float = 10.0
     seed: int = 0
 
 
@@ -216,12 +215,11 @@ def first_eigenpair(wt: Weight, kt: KernelTable, opts: EigenOptions | None = Non
     u, lam, residual, its = _descend(wt, kt, u0, opts)
     if u.sum() < 0:
         u = -u
-    if np.any(u < 0) and np.any(u > 0):
-        tol = 1e-8 * float(np.max(np.abs(u)))
-        if (u < -tol).any() and (u > tol).any():
-            warnings.warn("first eigenfunction changes sign beyond tolerance; "
-                          "the iterate may be a higher critical point")
-    return _result_from(u, lam, residual, its, wt, kt)
+    res = _result_from(u, lam, residual, its, wt, kt)
+    if sign_structure(res.u) == "sign_changing":
+        warnings.warn("first eigenfunction changes sign beyond tolerance; "
+                      "the iterate may be a higher critical point")
+    return res
 
 
 def linear_oracle(wt: Weight, kt: KernelTable) -> list[tuple[float, GridFunction]]:
@@ -279,10 +277,10 @@ def _deflated_solve(wt: Weight, kt: KernelTable, previous, opts: EigenOptions,
                     start: np.ndarray) -> EigenResult:
     """Penalty continuation: solve, tighten the penalty, warm-restart.
 
-    The penalty starts at 10 max(1, lam of the previous levels) and grows by
-    ``opts.penalty_growth`` until every pairing with a previous level is at
-    most 1e-7; past 1e12 the solve gives up.  A result whose cosine with a
-    previous eigenfunction exceeds 0.99 has collapsed onto it.
+    The penalty starts at 10 max(1, lam of the previous levels) and grows
+    x10 until every pairing with a previous level is at most 1e-7; past
+    1e12 the solve gives up.  A result whose cosine with a previous
+    eigenfunction exceeds 0.99 has collapsed onto it.
     """
     p, m = kt.params.p, kt.cell_measure
     wvals = wt.combined.values
@@ -297,7 +295,7 @@ def _deflated_solve(wt: Weight, kt: KernelTable, previous, opts: EigenOptions,
         orth = max(abs(_pairing(res.u.values, u, wvals, p, m)) for res in previous)
         if orth <= 1e-7:
             break
-        mu *= opts.penalty_growth
+        mu *= 10.0
         if mu > 1e12:
             raise ConvergenceError(
                 f"deflation pairing stuck at {orth:.3e} despite penalty {mu:.1e}",
@@ -341,11 +339,6 @@ def residual_check(lam: float, u: GridFunction, wt: Weight, kt: KernelTable) -> 
     return float(np.max(np.abs(gate - rhs))) / energy
 
 
-# Peak float64 M x M arrays of ``picone_gap``: tracemalloc measures 6.0 M^2
-# at p = 2 and p = 3 on the line at M = 256 and 512 (5.1-5.3 M^2 at p = 1.5).
-_PICONE_SQUARES = 6
-
-
 @dataclass(frozen=True)
 class PiconeResult:
     per_cell_min: GridFunction
@@ -362,9 +355,8 @@ def picone_gap(u: GridFunction, v: GridFunction, p: float,
 
     non-negative over all pairs for u >= 0, v > 0, vanishing exactly on the
     ray u = c v.  Returns the per-cell minimum over partners and the global
-    minimum (the diagonal contributes zeros).  The term is formed densely
-    over all M x M pairs, so a size whose arrays cannot fit in physical
-    memory is refused before any of them is allocated.
+    minimum (the diagonal contributes zeros).  The term is formed in row
+    blocks of about ``_BLOCK_BYTES``, so no M x M array is ever allocated.
     """
     same_grid(u, v)
     if np.any(u.values < 0):
@@ -372,16 +364,28 @@ def picone_gap(u: GridFunction, v: GridFunction, p: float,
     if np.any(v.values < eps):
         raise DomainError(f"the comparison term requires v >= {eps} cellwise")
     cells = u.grid.n_cells
-    _check_fits(8 * _PICONE_SQUARES * cells**2, f"the comparison term for {cells} cells")
     uv = u.values
     vv = v.values
     # u^p / v^(p-1) computed as u (u/v)^(p-1): exact on the ray u = v
     ratio = uv * (uv / vv) ** (p - 1.0)
-    dv = vv[:, None] - vv[None, :]
-    du = uv[:, None] - uv[None, :]
-    k = np.abs(du) ** p - _phi(dv, p) * (ratio[:, None] - ratio[None, :])
-    per_cell = k.min(axis=1)
-    return PiconeResult(GridFunction(u.grid, per_cell), float(k.min()))
+    per_cell = np.empty(cells)
+    height = max(1, _BLOCK_BYTES // (8 * cells))
+    for a in range(0, cells, height):
+        b = min(a + height, cells)
+        # two block temporaries, updated in place: phi(v_i - v_j) is
+        # copysign(|v_i - v_j|^(p-1), v_i - v_j), as in ``_phi``
+        d = vv[a:b, None] - vv
+        cross = np.abs(d)
+        cross **= p - 1.0
+        np.copysign(cross, d, out=cross)
+        np.subtract(ratio[a:b, None], ratio, out=d)
+        cross *= d
+        np.subtract(uv[a:b, None], uv, out=d)
+        np.abs(d, out=d)
+        d **= p
+        d -= cross
+        per_cell[a:b] = d.min(axis=1)
+    return PiconeResult(GridFunction(u.grid, per_cell), float(per_cell.min()))
 
 
 def sign_structure(u: GridFunction, tol: float = 1e-8) -> str:

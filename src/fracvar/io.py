@@ -61,12 +61,11 @@ def write_step_function(sf: StepFunction, path) -> None:
             fh.write(_fmt(t) + "," + _fmt(lv) + "\n")
 
 
-def write_series(x: Sequence[float], y: Sequence[float], path,
-                 header=("x", "y")) -> None:
+def write_series(x: Sequence[float], y: Sequence[float], path) -> None:
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write("x,y\n")
         for a, b in zip(x, y):
             fh.write(_fmt(a) + "," + _fmt(b) + "\n")
 

@@ -6,7 +6,7 @@ import pytest
 import fracvar as fv
 import fracvar.grid as grid_mod
 from fracvar.eigen import default_start
-from fracvar.energy import raw_energy, stiffness_matrix
+from fracvar.energy import _phi, raw_energy, stiffness_matrix
 from fracvar.errors import DomainError
 
 from conftest import bump
@@ -259,21 +259,27 @@ class TestPicone:
             p = float(rng.uniform(1.1, 4.0))
             assert fv.picone_gap(u, v, p).min_value >= -1e-12
 
-    def test_refuses_sizes_beyond_physical_memory(self, monkeypatch):
-        # the term's 6 M^2 doubles (12 MiB at M = 512) against 4 MiB of
-        # memory: refused before the first 2 MiB M x M array is allocated
+    def test_blocked_term_fits_small_memory(self, monkeypatch, rng):
+        # the dense term would take 6 M^2 doubles (12 MiB at M = 512); with
+        # 4 MiB of memory the row blocks still compute every minimum exactly
         g = fv.build_grid(1, 1.0, 512)
-        u = fv.GridFunction(g, np.ones(g.n_cells))
-        v = fv.GridFunction(g, np.full(g.n_cells, 2.0))
+        u = fv.GridFunction(g, np.abs(rng.standard_normal(g.n_cells)))
+        v = fv.GridFunction(g, np.abs(rng.standard_normal(g.n_cells)) + 0.05)
+        p = 2.7
+        ratio = u.values * (u.values / v.values) ** (p - 1.0)
+        dense = (np.abs(u.values[:, None] - u.values) ** p
+                 - _phi(v.values[:, None] - v.values, p)
+                 * (ratio[:, None] - ratio))
         monkeypatch.setattr(grid_mod, "_physical_memory", lambda: 4 * 1024 * 1024)
         tracemalloc.start()
         try:
-            with pytest.raises(DomainError, match="physical memory"):
-                fv.picone_gap(u, v, 2.0)
+            res = fv.picone_gap(u, v, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1024 * 1024
+        assert np.array_equal(res.per_cell_min.values, dense.min(axis=1))
+        assert res.min_value == float(dense.min())
 
     def test_rejects_invalid_arguments(self, line_grid):
         u = fv.GridFunction(line_grid, -np.ones(line_grid.n_cells))

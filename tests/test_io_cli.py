@@ -81,6 +81,14 @@ def write_config(tmp_path, **overrides):
     return str(path)
 
 
+# trimmed sample counts for the verify command
+VERIFY_SAMPLES = {"homogeneity": 5, "hardy_littlewood": 10, "picone": 10,
+                  "gateaux_fd": 2, "polya_szego": 4, "ds_scaling": 1,
+                  "best_constant": 10, "hardy_ratio": 10,
+                  "lorentz_embedding": 3, "q_scale_invariance": 1,
+                  "eigen_simplicity": 2}
+
+
 class TestDispatch:
     def test_unknown_command_exits_64(self, capsys):
         assert dispatch(["frobnicate"]) == 64
@@ -202,15 +210,49 @@ class TestDispatch:
         assert "compact_indicating" in verdict
 
     def test_verify_command_writes_report(self, tmp_path, capsys):
-        samples = {"homogeneity": 5, "hardy_littlewood": 10, "picone": 10,
-                   "gateaux_fd": 2, "polya_szego": 4, "ds_scaling": 1,
-                   "best_constant": 10, "hardy_ratio": 10,
-                   "lorentz_embedding": 3, "q_scale_invariance": 1,
-                   "eigen_simplicity": 2}
         cfg = write_config(tmp_path, frac={"s": 0.4, "p": 2.0},
-                           verify={"samples": samples})
+                           verify={"samples": VERIFY_SAMPLES})
         assert dispatch(["verify", "--config", cfg]) == 0
         capsys.readouterr()
         report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
         assert report["all_passed"]
         assert (tmp_path / "out" / "verify_report.txt").exists()
+
+    def test_verify_command_reports_failed_solves(self, tmp_path, capsys):
+        # at p = 3 some eigen checks cannot pass; the suite still reports all
+        cfg = write_config(tmp_path, frac={"s": 0.3, "p": 3.0},
+                           verify={"samples": VERIFY_SAMPLES})
+        assert dispatch(["verify", "--config", cfg]) == 0
+        capsys.readouterr()
+        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        assert len(report["checks"]) == 18
+        assert not report["all_passed"]
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert failed and all("error" in c["details"] for c in failed)
+
+    def test_each_artifact_written_once(self, tmp_path, monkeypatch):
+        written = []
+
+        def recording(writer, arg):
+            def wrapped(*args, **kwargs):
+                written.append(os.fspath(args[arg]))
+                return writer(*args, **kwargs)
+            return wrapped
+
+        for name, arg in (("write_grid_function", 1), ("write_step_function", 1),
+                          ("write_series", 2), ("write_result_json", 1),
+                          ("emit_plot", 1)):
+            monkeypatch.setattr(fio, name, recording(getattr(fio, name), arg))
+        cfg = write_config(
+            tmp_path,
+            capacity={"region": {"kind": "ball", "center": [0.0], "radius": 0.3}},
+            concentration={"point": [0.0], "radii": [0.5, 0.25]},
+        )
+        assert dispatch(["capacity", "--config", cfg]) == 0
+        assert dispatch(["eigen", "--config", cfg, "--levels", "2"]) == 0
+        assert dispatch(["rearrange", "--config", cfg]) == 0
+        assert dispatch(["concentration", "--config", cfg]) == 0
+        repeated = sorted({p for p in written if written.count(p) > 1})
+        assert not repeated, f"written more than once: {repeated}"
+        header = (tmp_path / "out" / "concentration.csv").read_text().splitlines()[0]
+        assert header == "x,y"
