@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,6 +53,20 @@ The config file is JSON; see README for the schema.  The seed is required.
 """
 
 
+@contextmanager
+def _reading(section: str):
+    """Report a missing key or a malformed raw value in a config section as
+    a ConfigError; wraps only the code that reads raw config values, so the
+    program's own errors keep their traceback."""
+    try:
+        yield
+    except KeyError as err:
+        raise ConfigError(f"{section}: missing required key {err}") from err
+    except (AttributeError, TypeError, ValueError) as err:
+        raise ConfigError(f"{section}: malformed value: {err}") from err
+
+
+@_reading("region")
 def _region_from(d: dict):
     kind = d.get("kind")
     if kind == "ball":
@@ -61,6 +77,7 @@ def _region_from(d: dict):
     raise ConfigError(f"unknown region kind {kind!r}")
 
 
+@_reading("weight spec")
 def weight_spec_from(d: dict):
     kind = d.get("kind")
     amp = float(d.get("amplitude", 1.0))
@@ -95,21 +112,20 @@ class RunConfig:
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read config {path!r}: {err}") from err
         try:
-            seed = int(raw["seed"])
-            gspec = raw["grid"]
-            fspec = raw["frac"]
-            grid = build_grid(int(gspec["dim"]), float(gspec["half_width"]),
-                              int(gspec["cells_per_dim"]))
-            params = FracParams(float(fspec["s"]), float(fspec["p"]))
-            params.validate_for_dim(grid.dim)
-            ext_radius = float(gspec.get("ext_radius", 4.0 * grid.half_width))
-        except KeyError as err:
-            raise ConfigError(f"config is missing required key: {err}") from err
+            with _reading("config"):
+                seed = int(raw["seed"])
+                gspec = raw["grid"]
+                fspec = raw["frac"]
+                grid = build_grid(int(gspec["dim"]), float(gspec["half_width"]),
+                                  int(gspec["cells_per_dim"]))
+                params = FracParams(float(fspec["s"]), float(fspec["p"]))
+                params.validate_for_dim(grid.dim)
+                ext_radius = float(gspec.get("ext_radius", 4.0 * grid.half_width))
+                out_dir = str(raw.get("out_dir", "."))
         except DomainError as err:
             raise ConfigError(f"config is inconsistent: {err}") from err
         return RunConfig(seed=seed, grid=grid, params=params,
-                         ext_radius=ext_radius,
-                         out_dir=str(raw.get("out_dir", ".")), raw=raw)
+                         ext_radius=ext_radius, out_dir=out_dir, raw=raw)
 
     def kernel_table(self) -> KernelTable:
         return build_kernel_table(self.grid, self.params, self.ext_radius)
@@ -124,12 +140,12 @@ class RunConfig:
         spec = self.raw.get("weight")
         if spec is None:
             raise ConfigError("config is missing 'weight'")
-        if spec.get("kind") == "difference":
-            w1 = sample(self.grid, weight_spec_from(spec["w1"]))
-            w2 = sample(self.grid, weight_spec_from(spec["w2"]))
-            return eig.Weight(w1, w2)
-        return eig.Weight.from_function(sample(self.grid, weight_spec_from(spec)))
+        wspec = weight_spec_from(spec)
+        if isinstance(wspec, Difference):
+            return eig.Weight(sample(self.grid, wspec.w1), sample(self.grid, wspec.w2))
+        return eig.Weight.from_function(sample(self.grid, wspec))
 
+    @_reading("solver")
     def capacity_options(self) -> CapacityOptions:
         s = self.raw.get("solver", {})
         return CapacityOptions(
@@ -137,6 +153,7 @@ class RunConfig:
             max_iter=int(s.get("max_iter", 20000)),
         )
 
+    @_reading("solver")
     def eigen_options(self) -> eig.EigenOptions:
         s = self.raw.get("solver", {})
         return eig.EigenOptions(
@@ -145,6 +162,7 @@ class RunConfig:
             seed=self.seed,
         )
 
+    @_reading("hardy")
     def family(self) -> CandidateFamily:
         h = self.raw.get("hardy", {})
         casts = {"ball_radii": tuple, "center_stride": int, "n_quantiles": int}
@@ -196,10 +214,11 @@ def _cmd_rearrange(cfg: RunConfig, out, args) -> int:
 
 def _cmd_lorentz(cfg: RunConfig, out, args) -> int:
     u = cfg.function()
-    spec = cfg.raw.get("lorentz", {})
-    p = float(spec.get("p", cfg.grid.dim / cfg.params.sp))
-    q_raw = spec.get("q", "inf")
-    q = np.inf if q_raw in ("inf", None) else float(q_raw)
+    with _reading("lorentz"):
+        spec = cfg.raw.get("lorentz", {})
+        p = float(spec.get("p", cfg.grid.dim / cfg.params.sp))
+        q_raw = spec.get("q", "inf")
+        q = np.inf if q_raw in ("inf", None) else float(q_raw)
     fio.write_result_json({
         "p": p, "q": "inf" if q == np.inf else q,
         "quasi_norm": rr.lorentz_quasi_norm(u, p, q),
@@ -244,10 +263,17 @@ def _cmd_hardy_norm(cfg: RunConfig, out, args) -> int:
 def _cmd_concentration(cfg: RunConfig, out, args) -> int:
     kt = cfg.kernel_table()
     w = cfg.function("weight")
-    spec = cfg.raw.get("concentration", {})
     family = cfg.family()
     opts = cfg.capacity_options()
-    if spec.get("diagnostic"):
+    with _reading("concentration"):
+        spec = cfg.raw.get("concentration", {})
+        diagnostic, at_infinity = spec.get("diagnostic"), spec.get("at_infinity")
+        point = tuple(float(c) for c in spec.get("point", (0.0,) * cfg.grid.dim))
+        default_radii = ([cfg.grid.half_width * f for f in (0.5, 0.75, 0.875)]
+                         if at_infinity else
+                         [cfg.grid.half_width / 2**k for k in range(1, 5)])
+        radii = [float(r) for r in spec.get("radii", default_radii)]
+    if diagnostic:
         verdict = compactness_diagnostic(w, kt, family=family, opts=opts)
         fio.write_result_json({
             "compact_indicating": verdict.compact_indicating,
@@ -258,15 +284,10 @@ def _cmd_concentration(cfg: RunConfig, out, args) -> int:
             "points": [list(p) for p in verdict.points],
         }, _out_path(cfg, out, "compactness.json"))
         return 0
-    if spec.get("at_infinity"):
-        radii = [float(r) for r in spec.get("radii", [cfg.grid.half_width * f
-                                                      for f in (0.5, 0.75, 0.875)])]
+    if at_infinity:
         prof = concentration_at_infinity(w, radii, kt, family, opts)
         name = "concentration_infinity"
     else:
-        point = tuple(float(c) for c in spec.get("point", (0.0,) * cfg.grid.dim))
-        radii = [float(r) for r in spec.get(
-            "radii", [cfg.grid.half_width / 2**k for k in range(1, 5)])]
         prof = concentration_at(w, point, radii, kt, family, opts)
         name = "concentration"
     fio.emit_plot((np.asarray(prof.radii), np.asarray(prof.norm_estimates)),
@@ -282,8 +303,9 @@ def _cmd_eigen(cfg: RunConfig, out, args) -> int:
     kt = cfg.kernel_table()
     wt = cfg.weight_pair()
     opts = cfg.eigen_options()
-    levels = args.levels if args.levels is not None else int(
-        cfg.raw.get("eigen", {}).get("levels", 1))
+    with _reading("eigen"):
+        levels = args.levels if args.levels is not None else int(
+            cfg.raw.get("eigen", {}).get("levels", 1))
     seq = eig.eigen_sequence(wt, kt, levels, opts)
     payload = {
         "lambdas": [r.lam for r in seq],
@@ -306,19 +328,22 @@ def _cmd_eigen(cfg: RunConfig, out, args) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, out, args) -> int:
-    spec = cfg.raw.get("verify", {})
-    vconfig = verify_mod.VerifyConfig(
-        seed=cfg.seed,
-        dim=cfg.grid.dim,
-        cells_per_dim=cfg.grid.cells_per_dim,
-        half_width=cfg.grid.half_width,
-        ext_radius=cfg.ext_radius,
-        s=cfg.params.s,
-        p=cfg.params.p,
-        samples={str(k): int(v) for k, v in spec.get("samples", {}).items()},
-        tolerances={str(k): float(v) for k, v in spec.get("tolerances", {}).items()},
-        threads=spec.get("threads"),
-    )
+    with _reading("verify"):
+        spec = cfg.raw.get("verify", {})
+        threads = spec.get("threads")
+        vconfig = verify_mod.VerifyConfig(
+            seed=cfg.seed,
+            dim=cfg.grid.dim,
+            cells_per_dim=cfg.grid.cells_per_dim,
+            half_width=cfg.grid.half_width,
+            ext_radius=cfg.ext_radius,
+            s=cfg.params.s,
+            p=cfg.params.p,
+            samples={str(k): int(v) for k, v in spec.get("samples", {}).items()},
+            tolerances={str(k): float(v) for k, v in spec.get("tolerances", {}).items()},
+            # an integer or null, never a string or a float
+            threads=None if threads is None else operator.index(threads),
+        )
     report = verify_mod.run_suite(vconfig)
     with open(_out_path(cfg, out, "verify_report.json"), "wb") as fh:
         fh.write(report.to_json_bytes())

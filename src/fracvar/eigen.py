@@ -16,10 +16,14 @@ on the energy holds.  Note g is tangent to the constraint at u, since
 
 Higher eigenvalues come from deflation: previously found eigenfunctions
 u_k enter through the pairing pi_k(u) = sum_i w_i |u_k,i|^(p-2) u_k,i u_i m
-(the natural dual pairing from the Euler-Lagrange right side), enforced by
-a quadratic penalty with x10 continuation.  For p = 2 this reproduces the
-dense generalized eigensolver's spectrum; for general p it is a documented
-heuristic approximation of the min-max levels.
+(the natural dual pairing from the Euler-Lagrange right side).  The pairing
+is linear in u for every p, so the deflated set { pi_k(u) = 0 for every
+earlier level k } is a linear subspace: the start and the tangent residual
+are projected onto it orthogonally, and every iterate stays in it exactly
+(up to roundoff), since the unit-mass rescaling is radial.  For p = 2 this
+reproduces the dense generalized eigensolver's spectrum; for general p the
+levels are critical levels of the energy on the deflated constraint set,
+not proven min-max levels.
 
 A dense p = 2 cross-check (``linear_oracle``) solves A u = lam M u with the
 assembled stiffness matrix A and diagonal weight matrix M, restricted to
@@ -135,9 +139,22 @@ def seeded_start(wt: Weight, kt: KernelTable, rng: np.random.Generator) -> np.nd
     return base
 
 
+def _projector(wt: Weight, kt: KernelTable, previous):
+    """Orthogonal projection onto { v : b_k . v = 0 }, b_k = w phi(u_k) m,
+    for the previous levels u_k; the identity when there are none."""
+    if not previous:
+        return lambda v: v
+    p, m = kt.params.p, kt.cell_measure
+    wvals = wt.combined.values
+    q = np.linalg.qr(np.column_stack([wvals * _phi(res.u.values, p) * m
+                                      for res in previous]))[0]
+    return lambda v: v - q @ (q.T @ v)
+
+
 def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
-             deflate: tuple = ()) -> tuple[np.ndarray, float, float, int]:
-    """Spectral descent of the (optionally penalized) energy on unit mass.
+             previous=()) -> tuple[np.ndarray, float, float, int]:
+    """Spectral descent of the energy on unit mass, within the subspace
+    paired to zero with the ``previous`` levels.
 
     Returns (u, lam, residual, iterations); raises ConvergenceError on
     stagnation or iteration exhaustion, carrying the last iterate.
@@ -145,25 +162,13 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
     p = kt.params.p
     m = kt.cell_measure
     wvals = wt.combined.values
-    penalties = [(wvals * _phi(uk, p) * m, mu) for uk, mu in deflate]
+    project = _projector(wt, kt, previous)
     residual = np.inf
 
-    def objective(vals, f):
-        # f is E(vals); the penalties are added to it
-        for b, mu in penalties:
-            f += mu * float(b @ vals) ** 2
-        return f
-
-    def direction(u, _obj, energy):
-        # the tangent residual of the penalized problem; aux is the bare energy
+    def direction(u, energy, _aux):
         nonlocal residual
         grad = raw_gateaux_vector(u, kt)
-        lam_hat = energy
-        for b, mu in penalties:
-            pi = float(b @ u)
-            grad += (2.0 * mu / p) * pi * b
-            lam_hat += (2.0 * mu / p) * pi * pi
-        residual_vec = grad - lam_hat * wvals * _phi(u, p) * m
+        residual_vec = project(grad - energy * wvals * _phi(u, p) * m)
         residual = float(np.max(np.abs(residual_vec))) / max(energy, 1e-300)
         return residual_vec, residual <= opts.tol
 
@@ -174,16 +179,15 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
             return None
         cand = cand / mass ** (1.0 / p)
         energy = raw_energy(cand, kt)
-        return (cand, objective(cand, energy),
-                -eta * float(residual_vec @ residual_vec), energy)
+        return cand, energy, -eta * float(residual_vec @ residual_vec), energy
 
-    u = np.asarray(u0, dtype=float)
+    u = project(np.asarray(u0, dtype=float))
     mass = raw_weighted_mass(u, wvals, p, m)
     if mass <= 0.0:
         raise DomainError("weighted p-mass is non-positive; iterate left the cone")
     u = u / mass ** (1.0 / p)
     energy = raw_energy(u, kt)
-    u, _obj, energy, status, its = spectral_descent(u, objective(u, energy), energy,
+    u, energy, _aux, status, its = spectral_descent(u, energy, energy,
                                                     direction, trial, opts.max_iter)
     if status == "converged":
         return u, energy, residual, its
@@ -250,68 +254,24 @@ def linear_oracle(wt: Weight, kt: KernelTable) -> list[tuple[float, GridFunction
     return out
 
 
-def _pairing(uk: np.ndarray, vals: np.ndarray, wvals, p, m) -> float:
-    return float((wvals * _phi(uk, p) * vals).sum() * m)
-
-
 def deflated_start(wt: Weight, kt: KernelTable, previous, level: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """Oscillatory seed roughly cleared of the previously found levels."""
+    """Oscillatory seed projected onto the subspace paired to zero with the
+    previous levels (exact for every p: the pairing is linear in u),
+    redrawn until its weighted mass is positive."""
     grid = kt.grid
     p, m = kt.params.p, kt.cell_measure
     wvals = wt.combined.values
+    project = _projector(wt, kt, previous)
     base = default_start(wt, kt)
     t = np.clip(grid.centers[:, 0] / grid.half_width, -1.0, 1.0)
     pattern = np.cos((level - 1) * np.arccos(t))
     for _ in range(60):
-        cand = base * pattern + 0.3 * rng.standard_normal(grid.n_cells)
-        for res in previous:
-            cand = cand - _pairing(res.u.values, cand, wvals, p, m) * res.u.values
+        cand = project(base * pattern + 0.3 * rng.standard_normal(grid.n_cells))
         if raw_weighted_mass(cand, wvals, p, m) > 0:
             return cand
         pattern = rng.standard_normal(grid.n_cells)
     raise DomainError("could not seed a deflated start with positive mass")
-
-
-def _deflated_solve(wt: Weight, kt: KernelTable, previous, opts: EigenOptions,
-                    start: np.ndarray) -> EigenResult:
-    """Penalty continuation: solve, tighten the penalty, warm-restart.
-
-    The penalty starts at 10 max(1, lam of the previous levels) and grows
-    x10 until every pairing with a previous level is at most 1e-7; past
-    1e12 the solve gives up.  A result whose cosine with a previous
-    eigenfunction exceeds 0.99 has collapsed onto it.
-    """
-    p, m = kt.params.p, kt.cell_measure
-    wvals = wt.combined.values
-    lam_scale = max(1.0, max(res.lam for res in previous))
-    mu = 10.0 * lam_scale
-    u = start
-    its = 0
-    while True:
-        deflate = tuple((res.u.values, mu) for res in previous)
-        u, lam, residual, stage_its = _descend(wt, kt, u, opts, deflate=deflate)
-        its += stage_its
-        orth = max(abs(_pairing(res.u.values, u, wvals, p, m)) for res in previous)
-        if orth <= 1e-7:
-            break
-        mu *= 10.0
-        if mu > 1e12:
-            raise ConvergenceError(
-                f"deflation pairing stuck at {orth:.3e} despite penalty {mu:.1e}",
-                result=_result_from(u, lam, residual, its, wt, kt),
-            )
-    for res in previous:
-        denom = float(np.linalg.norm(u) * np.linalg.norm(res.u.values))
-        if denom > 0 and abs(float(u @ res.u.values)) / denom > 0.99:
-            raise ConvergenceError(
-                "deflated solve collapsed onto a previous eigenfunction; "
-                "increase the deflation penalty",
-                result=_result_from(u, lam, residual, its, wt, kt),
-            )
-    if u.sum() < 0:
-        u = -u
-    return _result_from(u, lam, residual, its, wt, kt)
 
 
 def eigen_sequence(wt: Weight, kt: KernelTable, k: int,
@@ -324,7 +284,10 @@ def eigen_sequence(wt: Weight, kt: KernelTable, k: int,
     results = [first_eigenpair(wt, kt, opts)]
     for level in range(2, k + 1):
         start = deflated_start(wt, kt, results, level, rng)
-        results.append(_deflated_solve(wt, kt, results, opts, start))
+        u, lam, residual, its = _descend(wt, kt, start, opts, previous=results)
+        if u.sum() < 0:
+            u = -u
+        results.append(_result_from(u, lam, residual, its, wt, kt))
     tail = sorted(results[1:], key=lambda r: r.lam)
     return [results[0]] + tail
 

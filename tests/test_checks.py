@@ -57,50 +57,56 @@ class TestRunSuite:
         assert "overall: pass" in text
 
 
-# at p = 3 the dense oracle does not apply and the signed weight's deflated
-# solve stalls; every other check passes
-P3_FAILING = ("eigen_oracle_first", "eigen_oracle_levels", "eigen_positivity",
-              "eigen_sign_change", "eigen_gap")
+# at p = 3 the dense oracle does not apply; every other check passes,
+# the deflated levels of both weights included
+P3_FAILING = ("eigen_oracle_first", "eigen_oracle_levels")
 
 
 @pytest.fixture(scope="module")
 def p3_runs():
-    """The suite at (s, p) = (0.3, 3) for two seeds, counting the eigen
-    sequences solved for the signed weight."""
-    runs = {}
-    signed_seeds = []  # one entry per signed-weight eigen_sequence call
-    with pytest.MonkeyPatch.context() as mp:
-        solve = chk.eig.eigen_sequence
-
-        def counted(wt, kt, k, opts=None):
-            if np.any(wt.w2.values > 0):
-                signed_seeds.append(opts.seed)
-            return solve(wt, kt, k, opts)
-
-        mp.setattr(chk.eig, "eigen_sequence", counted)
-        for seed in (42, 123):
-            cfg = chk.VerifyConfig(seed=seed, s=0.3, p=3.0, samples=dict(FAST))
-            runs[seed] = chk.run_suite(cfg)
-    return runs, signed_seeds
+    """The suite at (s, p) = (0.3, 3) for two seeds."""
+    return {seed: chk.run_suite(chk.VerifyConfig(seed=seed, s=0.3, p=3.0,
+                                                 samples=dict(FAST)))
+            for seed in (42, 123)}
 
 
 class TestFailedSolves:
     @pytest.mark.parametrize("seed", [42, 123])
     def test_suite_completes_at_p3(self, p3_runs, seed):
-        report = p3_runs[0][seed]
+        report = p3_runs[seed]
         assert tuple(r.name for r in report.records) == chk.CHECK_NAMES
         for rec in report.records:
             if rec.name in P3_FAILING:
                 assert not rec.passed, rec.name
                 assert rec.worst_margin == math.inf
                 assert rec.details["error"].startswith(
-                    ("ConvergenceError: ", "DomainError: "))
+                    "DomainError: the dense oracle applies only to p = 2")
             else:
                 assert rec.passed, rec.name
 
     @pytest.mark.parametrize("seed", [42, 123])
-    def test_failed_shared_solve_runs_once(self, p3_runs, seed):
-        assert p3_runs[1].count(seed) == 1
+    def test_failed_shared_solve_runs_once(self, monkeypatch, seed):
+        # a failed shared build is memoized: solved once, a FAIL record in
+        # every check that reads it
+        signed_seeds = []
+        solve = chk.eig.eigen_sequence
+
+        def signed_fails(wt, kt, k, opts=None):
+            if np.any(wt.w2.values > 0):
+                signed_seeds.append(opts.seed)
+                raise ConvergenceError("stalled on purpose")
+            return solve(wt, kt, k, opts)
+
+        monkeypatch.setattr(chk.eig, "eigen_sequence", signed_fails)
+        report = chk.run_suite(chk.VerifyConfig(seed=seed, s=0.3, p=3.0,
+                                                samples=dict(FAST)))
+        assert signed_seeds == [seed]
+        records = {r.name: r for r in report.records}
+        for name in ("eigen_positivity", "eigen_sign_change", "eigen_gap"):
+            assert not records[name].passed, name
+            assert records[name].worst_margin == math.inf
+            assert records[name].details == {
+                "error": "ConvergenceError: stalled on purpose"}
 
     def test_raising_check_gives_fail_record(self, monkeypatch):
         def stalls(ctx, n, rng):

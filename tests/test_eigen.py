@@ -19,13 +19,17 @@ def flat_setup():
     return g, kt, fv.Weight.constant(g)
 
 
+def signed_weight(g):
+    w1 = fv.sample(g, fv.GaussianBump(sigma=0.35))
+    w2 = fv.sample(g, fv.Indicator(fv.Ball((0.45,), 0.25), amplitude=0.2))
+    return fv.Weight(w1, w2)
+
+
 @pytest.fixture(scope="module")
 def signed_setup():
     g = fv.build_grid(1, 1.0, 32)
     kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
-    w1 = fv.sample(g, fv.GaussianBump(sigma=0.35))
-    w2 = fv.sample(g, fv.Indicator(fv.Ball((0.45,), 0.25), amplitude=0.2))
-    return g, kt, fv.Weight(w1, w2)
+    return g, kt, signed_weight(g)
 
 
 class TestWeight:
@@ -169,6 +173,27 @@ class TestDeflation:
             assert res.lam == pytest.approx(lam, rel=1e-4)
         lams = [r.lam for r in seq]
         assert lams == sorted(lams)
+
+    @pytest.mark.parametrize("p, signed", [(2.0, False), (3.0, False), (3.0, True)])
+    def test_levels_paired_to_zero_with_earlier_levels(self, flat_setup, p, signed):
+        if p == 2.0:
+            _g, kt, wt = flat_setup
+        else:
+            g = fv.build_grid(1, 1.0, 64)
+            kt = fv.build_kernel_table(g, fv.FracParams(0.3, p), 4.0)
+            wt = signed_weight(g) if signed else fv.Weight.constant(g)
+        seq = fv.eigen_sequence(wt, kt, 4, fv.EigenOptions(tol=1e-8, seed=42))
+        wm = wt.combined.values * kt.cell_measure
+        for k in range(1, 4):
+            for j in range(k):
+                pairing = float((wm * _phi(seq[j].u.values, p) * seq[k].u.values).sum())
+                assert abs(pairing) <= 1e-12, (j, k, pairing)
+        lams = [r.lam for r in seq]
+        assert lams == sorted(lams)
+        assert all(fv.sign_structure(r.u) == "sign_changing" for r in seq[1:])
+        if p == 2.0:
+            oracle = [lam for lam, _ in fv.linear_oracle(wt, kt)[:4]]
+            np.testing.assert_allclose(lams, oracle, rtol=1e-9)
 
     def test_single_level_equals_first(self, flat_setup):
         _g, kt, wt = flat_setup

@@ -116,6 +116,18 @@ class TestDispatch:
         assert dispatch(["seminorm", "--config", str(path)]) == 65
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command, overrides", [
+        ("eigen", {"seed": "abc"}),
+        ("eigen", {"solver": {"tol": "tight"}}),
+        ("verify", {"verify": {"threads": "2"}}),
+        ("seminorm", {"function": {"kind": "gaussian"}}),
+        ("eigen", {"solver": "fast"}),
+    ])
+    def test_malformed_value_exits_65(self, tmp_path, capsys, command, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert dispatch([command, "--config", cfg]) == 65
+        assert "config error" in capsys.readouterr().err
+
     def test_domain_error_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lorentz={"p": 0.5, "q": 2.0})
         assert dispatch(["lorentz", "--config", cfg]) == 1
@@ -172,6 +184,19 @@ class TestDispatch:
         assert max(payload["oracle_rel_err"]) < 1e-4
         assert (out / "eigen_u1.csv").exists()
         assert (out / "eigen_u2.csv").exists()
+
+    def test_eigen_levels_at_p3_with_signed_weight(self, tmp_path):
+        cfg = write_config(
+            tmp_path, frac={"s": 0.3, "p": 3.0}, solver={"tol": 1e-8},
+            weight={"kind": "difference",
+                    "w1": {"kind": "gaussian", "sigma": 0.35},
+                    "w2": {"kind": "indicator", "amplitude": 0.2,
+                           "region": {"kind": "ball", "center": [0.45],
+                                      "radius": 0.25}}})
+        assert dispatch(["eigen", "--config", cfg, "--levels", "2"]) == 0
+        payload = json.loads((tmp_path / "out" / "eigen.json").read_text())
+        assert payload["signs"] == ["nonnegative", "sign_changing"]
+        assert max(payload["residuals"]) <= 1e-8
 
     def test_hardy_and_concentration_commands(self, tmp_path):
         cfg = write_config(
