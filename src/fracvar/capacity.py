@@ -3,9 +3,24 @@
 The capacity of a cell set F is the minimum of the nonlocal p-energy over
 fields equal to 1 on F, confined to [0, 1] elsewhere, and (for relative
 capacities) pinned to 0 outside a prescribed subdomain.  The problem is
-convex, so spectral projected-gradient descent (``descent.spectral_descent``,
-with the box clip as its projection) reaches the value to solver tolerance
-from any start.
+convex, and it is solved on one of two paths.
+
+The energy is a Dirichlet form: the unit contraction u -> min(max(u, 0), 1)
+moves no pair of values further apart and shrinks every |u_i|, so it never
+raises the energy, and the minimizer with u = 1 on F (and 0 off the
+subdomain) already lies in [0, 1].  The box constraint is inactive.  At
+p = 2 the energy is the quadratic form u^T A u, and the capacity is the
+symmetric positive-definite system A_ff u_f = -A_fF 1 on the free cells
+(those outside F and inside the subdomain).  Conjugate gradients solve it,
+with the product 2 m^2 (r * x - K x) + 2 m rho * x on the stored pair kernel
+K (r its row sums, rho the exterior mass, m the cell measure).  The clipped
+solution then gets one fused energy-and-gradient pass and the
+projected-gradient stop test; a point that fails the test is handed on to
+the descent below as its start.
+
+At every other p, spectral projected-gradient descent
+(``descent.spectral_descent``, with the box clip as its projection) reaches
+the value to solver tolerance from any start.
 
 The weight norm
 
@@ -146,9 +161,18 @@ def capacity(F: CellSet, kt: KernelTable, opts: CapacityOptions | None = None,
         return cand, energy, float(grad @ (cand - u)), gvec
 
     u = project(np.zeros(grid.n_cells) if start is None else np.asarray(start, float).copy())
+    its = 0
+    if p == 2.0:
+        free = ~(fixed_one | fixed_zero)
+        u[free], its = _linear_solve(u, kt, free, opts)
+        u = project(u)
     energy, gvec = raw_energy(u, kt, with_gateaux=True)
-    u, energy, _gvec, status, its = spectral_descent(u, energy, gvec, direction, trial,
-                                                     opts.max_iter)
+    # at p = 2 this passes for the CG solution, and no descent step is taken
+    if direction(u, energy, gvec)[1]:
+        return CapacityResult(energy, GridFunction(grid, u), its, grad_norm)
+    u, energy, _gvec, status, more = spectral_descent(u, energy, gvec, direction, trial,
+                                                      opts.max_iter - its)
+    its += more
     result = CapacityResult(energy, GridFunction(grid, u), its, grad_norm)
     if status == "converged":
         return result
@@ -160,6 +184,36 @@ def capacity(F: CellSet, kt: KernelTable, opts: CapacityOptions | None = None,
         message = (f"capacity solve: no convergence within {opts.max_iter} iterations "
                    f"(projected-gradient norm {grad_norm:.3e}, {target})")
     raise ConvergenceError(message, result=result)
+
+
+def _linear_solve(u: np.ndarray, kt: KernelTable, free: np.ndarray,
+                  opts: CapacityOptions) -> tuple[np.ndarray, int]:
+    """Conjugate gradients for A_ff u_f = -A_fF 1 at p = 2, from u's free values.
+
+    Returns the free cells' values and the CG step count, at most
+    ``opts.max_iter``.  CG stops once the residual is below half
+    ``tol_factor``: the gradient of E on the free cells is twice the
+    residual, so the stop test's target tol_factor * max(1, E) is then met
+    wherever the clip leaves the point unchanged.
+    """
+    # imported on first use, so that importing fracvar does not load scipy.sparse
+    from scipy.sparse.linalg import LinearOperator, cg
+
+    kern = kt.pair_kernel
+    m = kt.cell_measure
+    diag = 2.0 * m * m * kern.sum(axis=1) + 2.0 * m * kt.exterior_mass
+    rhs = 2.0 * m * m * (kern @ np.where(free, 0.0, u))[free]
+    full = np.zeros(u.size)
+
+    def matvec(x):
+        full[free] = x
+        return (diag * full - 2.0 * m * m * (kern @ full))[free]
+
+    steps = []  # the callback sees each CG step once
+    solution, _info = cg(LinearOperator((rhs.size, rhs.size), matvec=matvec, dtype=float),
+                         rhs, x0=u[free], rtol=0.0, atol=0.5 * opts.tol_factor,
+                         maxiter=opts.max_iter, callback=steps.append)
+    return solution, len(steps)
 
 
 @dataclass(frozen=True)

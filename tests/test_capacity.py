@@ -13,12 +13,12 @@ from fracvar.errors import ConvergenceError, DomainError
 capacity_mod = importlib.import_module("fracvar.capacity")
 
 
-def qp_capacity_oracle(mask, kt):
+def qp_capacity_oracle(mask, kt, domain=None):
     """Dense p = 2 oracle: solve the KKT system on the free cells, clamp,
-    and verify feasibility."""
+    and verify feasibility.  Cells outside ``domain`` (a mask) are 0."""
     a = stiffness_matrix(kt)
     fixed = mask
-    free = ~fixed
+    free = ~fixed if domain is None else ~fixed & domain
     rhs = -a[np.ix_(free, fixed)] @ np.ones(fixed.sum())
     uf = np.linalg.solve(a[np.ix_(free, free)], rhs)
     assert uf.min() > -1e-12 and uf.max() < 1 + 1e-12, "clamp would activate"
@@ -26,6 +26,36 @@ def qp_capacity_oracle(mask, kt):
     u[fixed] = 1.0
     u[free] = np.clip(uf, 0.0, 1.0)
     return float(u @ a @ u), u
+
+
+def count_passes(monkeypatch):
+    """Count the pair passes, descents and descent trials of capacity solves;
+    a separate gradient pass fails the test."""
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the capacity solve made a separate gradient pass")
+
+    monkeypatch.setattr(energy_mod, "raw_gateaux_vector", forbidden)
+    monkeypatch.setattr(capacity_mod, "raw_gateaux_vector", forbidden, raising=False)
+    counts = {"pairs": 0, "descents": 0, "trials": 0}
+    pair_sums = energy_mod._pair_sums
+
+    def counted_pair_sums(*args):
+        counts["pairs"] += 1
+        return pair_sums(*args)
+
+    descend = capacity_mod.spectral_descent
+
+    def counted_descent(x, f, aux, direction, trial, max_iter):
+        def counted_trial(*args):
+            counts["trials"] += 1
+            return trial(*args)
+        counts["descents"] += 1
+        return descend(x, f, aux, direction, counted_trial, max_iter)
+
+    monkeypatch.setattr(energy_mod, "_pair_sums", counted_pair_sums)
+    monkeypatch.setattr(capacity_mod, "spectral_descent", counted_descent)
+    return counts
 
 
 class TestCapacity:
@@ -67,37 +97,22 @@ class TestCapacity:
                         start=rng.uniform(0, 1, line_grid.n_cells))
         assert a.value == pytest.approx(b.value, rel=1e-6)
 
-    @pytest.mark.parametrize("kt_name", ["line_kt", "line_kt_p3"])
+    @pytest.mark.parametrize("kt_name", ["line_kt_p3"])
     def test_one_pair_pass_per_trial(self, monkeypatch, request, line_grid, kt_name):
         # each trial's pass also gives the gradient at the point it accepts
         kt = request.getfixturevalue(kt_name)
-
-        def forbidden(*_args, **_kwargs):
-            raise AssertionError("the capacity solve made a separate gradient pass")
-
-        monkeypatch.setattr(energy_mod, "raw_gateaux_vector", forbidden)
-        monkeypatch.setattr(capacity_mod, "raw_gateaux_vector", forbidden, raising=False)
-        counts = {"pairs": 0, "trials": 0}
-        pair_sums = energy_mod._pair_sums
-
-        def counted_pair_sums(*args):
-            counts["pairs"] += 1
-            return pair_sums(*args)
-
-        descend = capacity_mod.spectral_descent
-
-        def counted_descent(x, f, aux, direction, trial, max_iter):
-            def counted_trial(*args):
-                counts["trials"] += 1
-                return trial(*args)
-            return descend(x, f, aux, direction, counted_trial, max_iter)
-
-        monkeypatch.setattr(energy_mod, "_pair_sums", counted_pair_sums)
-        monkeypatch.setattr(capacity_mod, "spectral_descent", counted_descent)
+        counts = count_passes(monkeypatch)
         res = fv.capacity(fv.CellSet.ball(line_grid, (0.0,), 0.2), kt)
         assert res.iterations > 1
         assert counts["trials"] >= res.iterations
         assert counts["pairs"] == counts["trials"] + 1
+
+    def test_converged_p2_solve_makes_one_pair_pass(self, monkeypatch, line_kt, line_grid):
+        # conjugate gradients reach the minimizer; the one pair pass verifies it
+        counts = count_passes(monkeypatch)
+        res = fv.capacity(fv.CellSet.ball(line_grid, (0.0,), 0.2), line_kt)
+        assert res.iterations > 1
+        assert counts == {"pairs": 1, "descents": 0, "trials": 0}
 
     def test_subadditive_on_disjoint_union(self, line_kt, line_grid):
         left = fv.CellSet.ball(line_grid, (-0.6,), 0.15)
@@ -137,6 +152,68 @@ class TestCapacity:
         with pytest.raises(ConvergenceError, match="no convergence within 5 iterations") as err:
             fv.capacity(target, kt, opts)
         assert err.value.result.iterations == 5
+
+
+class TestLinearPath:
+    """At p = 2 the capacity is one linear solve on the free cells."""
+
+    @staticmethod
+    def check_against_oracle(res, target, kt, domain=None):
+        oracle_value, oracle_u = qp_capacity_oracle(
+            target.mask, kt, None if domain is None else domain.mask)
+        assert res.value == pytest.approx(oracle_value, rel=1e-12)
+        # the stop test bounds the gradient by tol_factor (1e-8), so the field
+        # error by that over A_ff's least eigenvalue (about 1 on these grids);
+        # the value's error is second order
+        assert np.max(np.abs(res.minimizer.values - oracle_u)) < 1e-8
+        assert np.all(res.minimizer.values[target.mask] == 1.0)
+        assert res.minimizer.values.min() >= 0.0
+        assert res.minimizer.values.max() <= 1.0
+
+    @pytest.mark.parametrize("kt_name", ["line_kt", "plane_kt"])
+    def test_ball_matches_qp_oracle(self, request, kt_name):
+        kt = request.getfixturevalue(kt_name)
+        target = fv.CellSet.ball(kt.grid, np.full(kt.grid.dim, 0.1), 0.3)
+        self.check_against_oracle(fv.capacity(target, kt), target, kt)
+
+    @pytest.mark.parametrize("kt_name", ["line_kt", "plane_kt"])
+    def test_relative_capacity_matches_qp_oracle(self, request, kt_name):
+        kt = request.getfixturevalue(kt_name)
+        target = fv.CellSet.ball(kt.grid, np.zeros(kt.grid.dim), 0.3)
+        domain = fv.CellSet.ball(kt.grid, np.zeros(kt.grid.dim), 0.6)
+        res = fv.capacity(target, kt, domain=domain)
+        self.check_against_oracle(res, target, kt, domain)
+        assert np.all(res.minimizer.values[~domain.mask] == 0.0)
+
+    @pytest.mark.parametrize("kt_name", ["line_kt", "plane_kt"])
+    def test_random_start_matches_qp_oracle(self, request, kt_name, rng):
+        kt = request.getfixturevalue(kt_name)
+        target = fv.CellSet.ball(kt.grid, np.zeros(kt.grid.dim), 0.3)
+        start = rng.uniform(-0.5, 1.5, kt.grid.n_cells)
+        self.check_against_oracle(fv.capacity(target, kt, start=start), target, kt)
+
+    def test_poor_cg_iterate_finished_by_descent(self, monkeypatch, line_kt, line_grid):
+        target = fv.CellSet.ball(line_grid, (0.0,), 0.2)
+
+        def poor_cg(_op, rhs, x0, callback, **_kwargs):
+            for _ in range(3):
+                callback(x0)
+            return np.full_like(rhs, 0.5), 3
+
+        monkeypatch.setattr("scipy.sparse.linalg.cg", poor_cg)
+        counts = count_passes(monkeypatch)
+        opts = fv.CapacityOptions()
+        res = fv.capacity(target, line_kt, opts)
+        assert counts["descents"] == 1 and counts["trials"] > 0
+        assert res.iterations > 3
+        assert res.grad_norm <= opts.tol_factor * max(1.0, res.value)
+        oracle_value, _ = qp_capacity_oracle(target.mask, line_kt)
+        assert res.value == pytest.approx(oracle_value, rel=1e-6)
+
+        tiny = fv.CapacityOptions(max_iter=4)
+        with pytest.raises(ConvergenceError, match="no convergence within 4 iterations") as err:
+            fv.capacity(target, line_kt, tiny)
+        assert err.value.result.iterations == 4
 
 
 class TestBallScaling:
