@@ -436,10 +436,10 @@ def _chk_lorentz_embedding(ctx, n, rng):
 def _chk_q_scale_invariance(ctx, n, rng):
     cfg = ctx.config
     kt = ctx.base_kt()
-    wt, _ = ctx.eigen_results("flat")
+    wt, seq = ctx.eigen_results("flat")
     opts = eig.EigenOptions(tol=1e-8, seed=cfg.seed)
     base_start = eig.default_start(wt, kt)
-    lam0 = eig.first_eigenpair(wt, kt, opts, start=base_start).lam
+    lam0 = seq[0].lam  # the first level is the solve from base_start
     worst = 0.0
     for _ in range(n):
         t = float(rng.uniform(0.05, 20.0))

@@ -306,6 +306,8 @@ def _cmd_eigen(cfg: RunConfig, out, args) -> int:
     with _reading("eigen"):
         levels = args.levels if args.levels is not None else int(
             cfg.raw.get("eigen", {}).get("levels", 1))
+    if args.oracle and kt.params.p != 2.0:
+        raise DomainError("--oracle requires p = 2")
     seq = eig.eigen_sequence(wt, kt, levels, opts)
     payload = {
         "lambdas": [r.lam for r in seq],
@@ -315,8 +317,6 @@ def _cmd_eigen(cfg: RunConfig, out, args) -> int:
         "signs": [eig.sign_structure(r.u) for r in seq],
     }
     if args.oracle:
-        if kt.params.p != 2.0:
-            raise DomainError("--oracle requires p = 2")
         oracle = eig.linear_oracle(wt, kt)
         payload["oracle_lambdas"] = [lam for lam, _ in oracle[:levels]]
         payload["oracle_rel_err"] = [

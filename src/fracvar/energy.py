@@ -242,6 +242,12 @@ def rayleigh_quotient(u: GridFunction, w: GridFunction, kt: KernelTable) -> floa
 _ORACLE_SQUARES = 4
 
 
+def _p2_diagonal(kt: KernelTable) -> np.ndarray:
+    """Diagonal of the p = 2 energy matrix: 2 m^2 sum_j K[i, j] + 2 m rho_i."""
+    m = kt.cell_measure
+    return 2.0 * m * m * kt.pair_kernel.sum(axis=1) + 2.0 * m * kt.exterior_mass
+
+
 def stiffness_matrix(kt: KernelTable) -> np.ndarray:
     """Dense symmetric matrix A with u^T A u = E(u) when p = 2.
 
@@ -253,9 +259,6 @@ def stiffness_matrix(kt: KernelTable) -> np.ndarray:
     cells = kt.grid.n_cells
     _check_fits(8 * _ORACLE_SQUARES * cells**2, f"a dense oracle for {cells} cells")
     m = kt.cell_measure
-    kern = kt.pair_kernel
-    row_sums = kern.sum(axis=1)
-    a = -2.0 * m * m * kern
-    idx = np.arange(kern.shape[0])
-    a[idx, idx] = 2.0 * m * m * row_sums + 2.0 * m * kt.exterior_mass
+    a = -2.0 * m * m * kt.pair_kernel
+    a[np.diag_indices(cells)] = _p2_diagonal(kt)
     return a

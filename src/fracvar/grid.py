@@ -10,15 +10,19 @@ with the per-cell exterior mass ``rho[i] = integral over box^c of
 |x_i - y|^(-(dim + s*p)) dy``, which accounts for the zero extension.
 Both read one stencil of distinct values ``T[|a|, |b|] = (h sqrt(a^2 +
 b^2))^(-(dim + s*p))`` over integer cell offsets: ``K`` is gathered from it
-(Toeplitz on the line, BTTB on the plane), and the exterior mass gathers it
-over a ring of cells (same spacing, out to ``ext_radius``, kept as lattice
-coordinates) and adds the closed-form radial tail
+(Toeplitz on the line, BTTB on the plane), and the exterior mass sums it
+over a ring of cells (same spacing, out to ``ext_radius``) and adds the
+closed-form radial tail
 
     integral_{|z| > R} |z|^(-(dim + s*p)) dz = sigma_{dim-1} * R^(-s*p) / (s*p)
 
-at ``R = ext_radius - |x_i|`` (sigma_0 = 2, sigma_1 = 2*pi).  Ring sums are
-computed for half the line or an octant of the plane and mirrored, so cells
-related by a reflection or a transpose have bitwise-equal masses.
+at ``R = ext_radius - |x_i|`` (sigma_0 = 2, sigma_1 = 2*pi).  The ring sums
+of all cells are one convolution of the ring's indicator with the stencil
+over signed offsets, by FFT in long double: within 1e-15 relative of exact
+with an 80-bit long double (in float64, as on Windows and macOS arm64, off
+by up to 9e-13 at plane n = 64).  Each cell reads its symmetry class's sum,
+so cells related by a reflection or a transpose have bitwise-equal masses.
+Plane n = 64 builds in about 0.2 s, n = 128 in 2-4 s (2 cores).
 
 All types are immutable after construction; value arrays are marked
 read-only.  Sums use numpy's fixed-order pairwise reduction, so results
@@ -301,46 +305,31 @@ class KernelTable:
         return self.grid.cell_measure
 
 
-# Row chunks of the exterior-ring gather hold about this many bytes of
-# temporaries, 16 per cell-to-ring pair (the flat stencil index plus one axis
-# offset or the gathered value); a chunk this small stays in cache.
-_RING_BYTES = 1024 * 1024
-_PAIR_BYTES = 16
-
-
 def _ring_layers(grid: Grid, ext_radius: float) -> int:
     """Number of cell layers the exterior ring adds on each side of the box."""
     return int(math.ceil((ext_radius - grid.half_width) / grid.spacing - 1e-12))
 
 
-def _ring_sums(stencil: np.ndarray, n: int, layers: int, cells: np.ndarray) -> np.ndarray:
-    """sum_r T[|c - r|] over the ring cells r for each lattice cell c, a row of ``cells``.
+def _fft_period(n: int, layers: int) -> int:
+    """A power of two at least the signed stencil's length 2 (n + layers) - 1."""
+    return 1 << (2 * (n + layers - 1)).bit_length()
 
-    Box cells sit at 0..n-1 along each axis and the ring's ``layers`` cells
-    beyond them are kept as integer lattice coordinates.
-    """
-    dim = cells.shape[1]
-    axis = np.arange(-layers, n + layers)
-    ring = np.stack(np.meshgrid(*[axis] * dim, indexing="ij")).reshape(dim, -1)
-    ring = ring[:, ~np.all((ring >= 0) & (ring < n), axis=0)]
-    rows = max(1, _RING_BYTES // (_PAIR_BYTES * ring.shape[1]))
-    out = np.empty(cells.shape[0])
-    for a in range(0, cells.shape[0], rows):
-        # the flat stencil index, built in place axis by axis
-        chunk = cells[a:a + rows]
-        idx = np.zeros((chunk.shape[0], ring.shape[1]), dtype=np.intp)
-        for coord, c in zip(ring, chunk.T):
-            d = coord - c[:, None]
-            idx *= stencil.shape[0]
-            idx += np.abs(d, out=d)
-            del d
-        vals = stencil.ravel().take(idx)
-        # each row is summed in ascending order, small far-ring terms first,
-        # so a sum depends neither on the ring's enumeration nor on the chunking
-        vals.sort(axis=1)
-        out[a:a + rows] = vals.sum(axis=1)
-        del idx, vals  # so the next chunk's arrays do not coexist with these
-    return out
+
+def _ring_sums(stencil: np.ndarray, n: int, layers: int) -> np.ndarray:
+    """sum_r T[|c - r|] over the ring cells r for every box cell c, shape (n,)*dim:
+    the ring's indicator on the extended box convolved with the stencil over
+    signed offsets.  The period is at least the signed stencil's length, so
+    no wrapped term reaches a box cell."""
+    dim = stencil.ndim
+    reach = n + layers - 1  # the farthest ring cell from a box cell
+    shape, axes = (_fft_period(n, layers),) * dim, tuple(range(dim))
+    conv = np.fft.rfftn(np.pad(np.zeros((n,) * dim, np.longdouble), layers,
+                               constant_values=1.0), shape, axes)
+    offsets = np.abs(np.arange(-reach, reach + 1))
+    conv *= np.fft.rfftn(stencil.astype(np.longdouble)[np.ix_(*[offsets] * dim)],
+                         shape, axes)
+    box = slice(layers + reach, layers + reach + n)
+    return np.fft.irfftn(conv, shape, axes)[(box,) * dim].astype(float)
 
 
 def tail_mass(dim: int, sp: float, radius):
@@ -370,12 +359,13 @@ def _check_fits(need: int, what: str) -> None:
 
 
 def _build_bytes(grid: Grid, layers: int) -> int:
-    """Peak bytes of a build: the dense kernel, the stencil, the ring's
-    integer coordinates and one gather chunk."""
-    side = grid.cells_per_dim + 2 * layers
-    ring_cells = side**grid.dim - grid.n_cells
-    chunk = max(_RING_BYTES, _PAIR_BYTES * ring_cells)
-    return 8 * (grid.n_cells**2 + side**grid.dim + grid.dim * ring_cells) + chunk
+    """Peak bytes of a build: the stencil, the larger of the ring sums' FFT
+    buffers (at most six long-double arrays of the period's size) and the
+    dense kernel, which never coexist, and 256 KiB for the per-cell vectors
+    and the kernel gather's index buffers."""
+    n = grid.cells_per_dim
+    fft = 6 * 16 * _fft_period(n, layers) ** grid.dim
+    return 8 * (n + layers) ** grid.dim + max(8 * grid.n_cells**2, fft) + 256 * 1024
 
 
 def build_kernel_table(grid: Grid, fp: FracParams, ext_radius: float) -> KernelTable:
@@ -394,11 +384,26 @@ def build_kernel_table(grid: Grid, fp: FracParams, ext_radius: float) -> KernelT
     n, dim = grid.cells_per_dim, grid.dim
     layers = _ring_layers(grid, ext_radius)
     _check_fits(_build_bytes(grid, layers), f"a kernel table for {grid.n_cells} cells")
-    # the stencil holds the only powers taken; offset 0 gives the zero diagonal
-    sq = np.arange(n + 2 * layers) ** 2
+    # the stencil holds the only powers taken, out to the farthest ring cell;
+    # offset 0 gives the zero diagonal
+    sq = np.arange(n + layers) ** 2
     stencil = grid.spacing * np.sqrt((sq if dim == 1 else sq[:, None] + sq).astype(float))
     stencil.flat[0] = np.inf
     stencil **= -(dim + fp.sp)
+
+    # the FFT leaves reflected cells ulps apart, so every cell reads the sum
+    # of its class's representative: folded coordinates min(l, n-1-l) per
+    # axis, in ascending order on the plane
+    fold = np.ix_(*[np.minimum(np.arange(n), np.arange(n)[::-1])] * dim)
+    if dim == 2:
+        fold = (np.minimum(*fold), np.maximum(*fold))
+    outer = grid.half_width + layers * grid.spacing
+    # rho exists before the FFT buffers, so no array that outlives them is
+    # placed above them on the heap and their pages are returned on release
+    rho = tail_mass(grid.dim, fp.sp, outer - grid.radii())
+    rho += _ring_sums(stencil, n, layers)[fold].ravel() * grid.cell_measure
+    rho.setflags(write=False)
+
     # per-axis offsets |i - j| as a strided view of |1-n..n-1|, broadcast on
     # the plane, so that the output is the only M x M array
     off = np.lib.stride_tricks.sliding_window_view(np.abs(np.arange(1 - n, n)), n)[::-1]
@@ -406,16 +411,6 @@ def build_kernel_table(grid: Grid, fp: FracParams, ext_radius: float) -> KernelT
         off = (off[:, None, :, None], off[None, :, None, :])
     kern = stencil[off].reshape(grid.n_cells, grid.n_cells)
     kern.setflags(write=False)
-
-    # one ring sum per symmetry class: the cell with folded, sorted lattice
-    # coordinates stands for all its reflections and transposes
-    lattice = np.indices((n,) * dim).reshape(dim, -1).T
-    folded = np.sort(np.minimum(lattice, n - 1 - lattice), axis=1)
-    cells, owner = np.unique(folded, axis=0, return_inverse=True)
-    ring_sum = _ring_sums(stencil, n, layers, cells)[owner] * grid.cell_measure
-    outer = grid.half_width + layers * grid.spacing
-    rho = ring_sum + tail_mass(grid.dim, fp.sp, outer - grid.radii())
-    rho.setflags(write=False)
     return KernelTable(
         grid=grid,
         params=fp,

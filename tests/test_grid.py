@@ -173,15 +173,21 @@ class TestKernelTable:
                               for x in g.centers[:, 0]])
         assert np.all(np.abs(kt2.exterior_mass - kt1.exterior_mass) <= old_tails)
 
-    def test_chunked_exterior_mass_is_bitwise_equal(self, monkeypatch, line_grid,
-                                                    plane_grid):
-        # one cell per chunk against the default budget, one chunk here
-        fp = fv.FracParams(0.3, 3.0)
-        whole = [fv.build_kernel_table(g, fp, 4.0).exterior_mass
-                 for g in (line_grid, plane_grid)]
-        monkeypatch.setattr(grid_mod, "_RING_BYTES", 1)
-        for g, rho in zip((line_grid, plane_grid), whole):
-            assert np.array_equal(fv.build_kernel_table(g, fp, 4.0).exterior_mass, rho)
+    def test_ring_sums_match_exact_summation(self):
+        # the convolution against math.fsum over the ring, at the centre, a
+        # corner, an edge and an interior cell; a float64 FFT is off by 7e-14
+        g = fv.build_grid(2, 1.0, 24)
+        n, layers = 24, grid_mod._ring_layers(g, 4.0)
+        a = np.arange(n + layers)
+        with np.errstate(divide="ignore"):
+            stencil = (g.spacing * np.hypot(a[:, None], a)) ** -(2 + 0.9 * 2.2)
+        stencil[0, 0] = 0.0
+        sums = grid_mod._ring_sums(stencil, n, layers)
+        axis = range(-layers, n + layers)
+        ring = [(i, j) for i in axis for j in axis if not (0 <= i < n and 0 <= j < n)]
+        for c in ((11, 12), (0, 0), (0, 12), (5, 9)):
+            exact = math.fsum(stencil[abs(c[0] - i), abs(c[1] - j)] for i, j in ring)
+            assert abs(sums[c] - exact) <= 1e-15 * exact
 
     def test_rejects_grid_beyond_physical_memory(self):
         # plane n=512 would need terabytes: refused before anything is allocated
@@ -195,14 +201,15 @@ class TestKernelTable:
             tracemalloc.stop()
         assert peak < 1024 * 1024
 
-    def test_build_peak_is_the_kernel_plus_one_chunk(self):
-        # the dense kernel is the only M x M array: the stencil, the ring
-        # coordinates and numpy's ufunc buffers add well under 512 KiB here,
-        # where a pairwise difference tensor would add 4 M^2 doubles (10 MB);
-        # the memory guard's estimate covers the peak up to those buffers
+    def test_build_peak_is_the_kernel_plus_stencil(self):
+        # the dense kernel is the only M x M array, gathered after the ring
+        # sums' FFT buffers are freed; per-cell vectors and numpy's buffers
+        # add well under 512 KiB here, where a pairwise difference tensor
+        # would add 4 M^2 doubles (10 MB); the memory guard covers the peak
         g = fv.build_grid(2, 1.0, 24)
-        bound = 8 * g.n_cells**2 + grid_mod._RING_BYTES + 512 * 1024
-        estimate = grid_mod._build_bytes(g, grid_mod._ring_layers(g, 4.0))
+        layers = grid_mod._ring_layers(g, 4.0)
+        bound = 8 * (g.n_cells**2 + (24 + layers) ** 2) + 512 * 1024
+        estimate = grid_mod._build_bytes(g, layers)
         assert estimate <= bound
         tracemalloc.start()
         try:
@@ -211,7 +218,7 @@ class TestKernelTable:
         finally:
             tracemalloc.stop()
         assert peak <= bound
-        assert peak <= estimate + 256 * 1024
+        assert peak <= estimate
 
     def test_plane_64_build_estimate_under_one_gib(self):
         g = fv.build_grid(2, 1.0, 64)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fracvar as fv
+import fracvar.eigen as eig
 import fracvar.io as fio
 from fracvar.cli import RunConfig, dispatch
 from fracvar.errors import DomainError
@@ -132,6 +133,15 @@ class TestDispatch:
         cfg = write_config(tmp_path, lorentz={"p": 0.5, "q": 2.0})
         assert dispatch(["lorentz", "--config", cfg]) == 1
         capsys.readouterr()
+
+    def test_oracle_at_p3_refused_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigen_sequence ran before the p = 2 check")
+
+        monkeypatch.setattr(eig, "eigen_sequence", no_solve)
+        cfg = write_config(tmp_path, frac={"s": 0.3, "p": 3.0})
+        assert dispatch(["eigen", "--config", cfg, "--oracle"]) == 1
+        assert "--oracle requires p = 2" in capsys.readouterr().err
 
     def test_non_finite_file_value_exits_1(self, tmp_path, capsys):
         weight = tmp_path / "w.csv"
