@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descent import spectral_descent
-from .energy import _p2_diagonal, raw_energy
+from .energy import raw_energy
 from .errors import ConvergenceError, DomainError
 from .grid import (Ball, FracParams, Grid, GridFunction, KernelTable,
                    build_grid, build_kernel_table)
@@ -201,7 +201,7 @@ def _linear_solve(u: np.ndarray, kt: KernelTable, free: np.ndarray,
 
     kern = kt.pair_kernel
     m = kt.cell_measure
-    diag = _p2_diagonal(kt)
+    diag = kt.p2_operator.diagonal
     rhs = 2.0 * m * m * (kern @ np.where(free, 0.0, u))[free]
     full = np.zeros(u.size)
 

@@ -14,10 +14,10 @@ comparison identity, homogeneity) run at 1e-12; statements with
 discretization error (symmetrization energy decrease, scaling laws) run at
 5% together with a refinement-trend assertion.
 
-Checks run through a thread pool capped by FRACSPEC_THREADS, but every
-check derives its random stream from (seed, registration index) and the
-report is assembled in registration order, so the emitted bytes are
-identical for any worker count.
+Checks run one after another in registration order, whatever worker count
+the config or FRACSPEC_THREADS asks for; every check derives its random
+stream from (seed, registration index), so the emitted bytes are identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ class PropertyReport:
 
 class _Context:
     """Lazy, memoized shared inputs; every entry is a pure function of the
-    config, so concurrent construction is harmless.  A build that fails with
-    a solve error is memoized too, and raised again to every reader."""
+    config.  A build that fails with a solve error is memoized too, and
+    raised again to every reader."""
 
     def __init__(self, config: VerifyConfig):
         self.config = config
@@ -220,9 +220,13 @@ def _chk_picone(ctx, n, rng):
         worst = max(worst, -res.min_value)
         c = float(rng.uniform(0.2, 5.0))
         res_eq = eig.picone_gap(GridFunction(g, c * v.values), v, p)
-        equality_worst = max(equality_worst, abs(res_eq.min_value))
+        # on u = c v both parts of a pair's term are c^p |v_i - v_j|^p, up
+        # to (c ptp(v))^p: the defect left by their cancellation is
+        # measured against that scale, as roundoff in them is
+        scale = max((c * float(np.ptp(v.values))) ** p, 1e-300)
+        equality_worst = max(equality_worst, abs(res_eq.min_value) / scale)
     return max(worst, equality_worst), {
-        "worst_negative": worst, "worst_equality_defect": equality_worst, "p": p}
+        "worst_negative": worst, "worst_relative_equality_defect": equality_worst, "p": p}
 
 
 def _chk_gateaux_fd(ctx, n, rng):
@@ -531,8 +535,9 @@ def run_suite(config: VerifyConfig | None = None) -> PropertyReport:
             raise ConfigError(f"check {name!r} needs at least one sample")
     FracParams(config.s, config.p).validate_for_dim(config.dim)
     ctx = _Context(config)
-    # warm the shared eigen results serially so worker threads only read; a
-    # failed solve is kept and fails each check that reads it
+    # solve the shared eigen results before the first check, so that no
+    # check's time includes them; a failed solve is kept and fails each
+    # check that reads it
     for tag in ("flat", "signed"):
         try:
             ctx.eigen_results(tag)

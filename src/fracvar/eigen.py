@@ -25,9 +25,20 @@ reproduces the dense generalized eigensolver's spectrum; for general p the
 levels are critical levels of the energy on the deflated constraint set,
 not proven min-max levels.
 
-A dense p = 2 cross-check (``linear_oracle``) solves A u = lam M u with the
-assembled stiffness matrix A and diagonal weight matrix M, restricted to
-directions of positive weighted mass.
+At p = 2 the problem is the symmetric pencil A u = lam M u, with A the
+energy matrix (positive definite) and M = diag(w m).  Each level is first
+computed by LOBPCG for the largest mu = 1/lam of M x = mu A x, with A
+applied by FFT and preconditioned by a circulant (``energy.P2Operator``);
+LOBPCG's block holds the earlier levels and the start.  Its iterate is
+projected, rescaled to unit mass and put to the descent's own residual
+test; the descent above continues from it only if the test fails, within
+the same iteration budget.  On the line at n = 768 with a signed weight,
+two levels take 28 steps in all, where the descent alone took 208.
+
+A dense p = 2 cross-check (``linear_oracle``) solves M v = mu A v with the
+assembled stiffness matrix and diagonal weight matrix, restricted to
+directions of positive weighted mass; it takes no FFT product, so it
+checks the LOBPCG path independently.
 """
 
 from __future__ import annotations
@@ -154,7 +165,9 @@ def _projector(wt: Weight, kt: KernelTable, previous):
 def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
              previous=()) -> tuple[np.ndarray, float, float, int]:
     """Spectral descent of the energy on unit mass, within the subspace
-    paired to zero with the ``previous`` levels.
+    paired to zero with the ``previous`` levels; at p = 2 it starts from
+    LOBPCG's iterate (``_lobpcg``), and takes no step if that already passes
+    the residual test.
 
     Returns (u, lam, residual, iterations); raises ConvergenceError on
     stagnation or iteration exhaustion, carrying the last iterate.
@@ -181,14 +194,24 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
         energy = raw_energy(cand, kt)
         return cand, energy, -eta * float(residual_vec @ residual_vec), energy
 
-    u = project(np.asarray(u0, dtype=float))
-    mass = raw_weighted_mass(u, wvals, p, m)
-    if mass <= 0.0:
-        raise DomainError("weighted p-mass is non-positive; iterate left the cone")
-    u = u / mass ** (1.0 / p)
-    energy = raw_energy(u, kt)
-    u, energy, _aux, status, its = spectral_descent(u, energy, energy,
-                                                    direction, trial, opts.max_iter)
+    def unit(v):
+        """v projected and rescaled to unit mass, with its energy."""
+        v = project(v)
+        mass = raw_weighted_mass(v, wvals, p, m)
+        if mass <= 0.0:
+            raise DomainError("weighted p-mass is non-positive; iterate left the cone")
+        v = v / mass ** (1.0 / p)
+        return v, raw_energy(v, kt)
+
+    u, energy = unit(np.asarray(u0, dtype=float))
+    its = 0
+    # scipy's lobpcg switches to a dense solve below 5 cells per block column
+    if p == 2.0 and kt.grid.n_cells >= 5 * (len(previous) + 1):
+        x, its = _lobpcg(wt, kt, u, energy, opts, previous)
+        u, energy = unit(x)
+    u, energy, _aux, status, more = spectral_descent(u, energy, energy, direction, trial,
+                                                     opts.max_iter - its)
+    its += more
     if status == "converged":
         return u, energy, residual, its
     if status == "stalled":
@@ -197,6 +220,51 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
         message = (f"no convergence within {opts.max_iter} iterations "
                    f"(residual {residual:.3e}, target {opts.tol:.1e})")
     raise ConvergenceError(message, result=_result_from(u, energy, residual, its, wt, kt))
+
+
+def _lobpcg(wt: Weight, kt: KernelTable, u: np.ndarray, lam0: float, opts: EigenOptions,
+            previous) -> tuple[np.ndarray, int]:
+    """LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) for the largest
+    mu = 1/lam of M x = mu A x at p = 2, with M = diag(w m).
+
+    A enters by its FFT product and circulant preconditioner
+    (``KernelTable.p2_operator``).  The block holds the ``previous`` levels
+    and u, and the level sought is the block's smallest mu.  The previous
+    levels are not LOBPCG's constraints: they are eigenvectors only to the
+    solve's tolerance, and LOBPCG's unprojected residual of a constrained
+    level stalls at that error, which can lie above the target below.  In
+    the block, every column's residual goes down to roundoff.
+
+    LOBPCG keeps x^T A x = 1, so the descent's residual
+    max|A u - lam M u| / lam of u = x / sqrt(mu) is sqrt(lam) max|M x - mu A x|.
+    No level of the block exceeds the start's level lam0, so stopping every
+    column at the 2-norm opts.tol / sqrt(lam0) meets opts.tol.
+
+    Returns the level's column and the number of preconditioned steps, at
+    most ``opts.max_iter - 1``, so that the caller's residual test runs at
+    least once within the budget.
+    """
+    # imported on first use, so that importing fracvar does not load scipy.sparse
+    from scipy.sparse.linalg import lobpcg
+
+    op = kt.p2_operator
+    wm = (wt.combined.values * kt.cell_measure)[:, None]
+    steps = 0
+
+    def precondition(r):
+        nonlocal steps
+        steps += 1
+        return op.precondition(r)
+
+    # a new array: lobpcg normalizes its start in place
+    block = np.column_stack([r.u.values for r in previous] + [u])
+    with warnings.catch_warnings():
+        # lobpcg warns when it stops short of its tolerance; the caller's
+        # residual test decides what happens next
+        warnings.simplefilter("ignore", UserWarning)
+        _mu, x = lobpcg(lambda v: wm * v, block, B=op.apply, M=precondition,
+                        tol=opts.tol / lam0**0.5, maxiter=opts.max_iter - 2, largest=True)
+    return x[:, -1], steps
 
 
 def _result_from(u, lam, residual, iterations, wt, kt) -> EigenResult:

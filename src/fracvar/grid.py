@@ -9,10 +9,11 @@ The kernel table precomputes the pairwise interaction
 with the per-cell exterior mass ``rho[i] = integral over box^c of
 |x_i - y|^(-(dim + s*p)) dy``, which accounts for the zero extension.
 Both read one stencil of distinct values ``T[|a|, |b|] = (h sqrt(a^2 +
-b^2))^(-(dim + s*p))`` over integer cell offsets: ``K`` is gathered from it
-(Toeplitz on the line, BTTB on the plane), and the exterior mass sums it
-over a ring of cells (same spacing, out to ``ext_radius``) and adds the
-closed-form radial tail
+b^2))^(-(dim + s*p))`` over integer cell offsets, which the table keeps:
+``K`` is gathered from it (Toeplitz on the line, BTTB on the plane), the
+p = 2 energy matrix multiplies by FFT over it (``KernelTable.p2_operator``,
+built on first use), and the exterior mass sums it over a ring of cells
+(same spacing, out to ``ext_radius``) and adds the closed-form radial tail
 
     integral_{|z| > R} |z|^(-(dim + s*p)) dz = sigma_{dim-1} * R^(-s*p) / (s*p)
 
@@ -31,6 +32,7 @@ are reproducible run to run.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -299,10 +301,19 @@ class KernelTable:
     ext_radius: float
     pair_kernel: np.ndarray    # (M, M), zero diagonal
     exterior_mass: np.ndarray  # (M,)
+    stencil: np.ndarray        # T[|a|, |b|] for offsets 0 .. n + layers - 1 per axis
 
     @property
     def cell_measure(self) -> float:
         return self.grid.cell_measure
+
+    @functools.cached_property
+    def p2_operator(self):
+        """The p = 2 energy matrix as FFT products (``energy.P2Operator``),
+        built on first use and kept with the table."""
+        from .energy import P2Operator  # energy imports this module
+
+        return P2Operator(self)
 
 
 def _ring_layers(grid: Grid, ext_radius: float) -> int:
@@ -390,6 +401,7 @@ def build_kernel_table(grid: Grid, fp: FracParams, ext_radius: float) -> KernelT
     stencil = grid.spacing * np.sqrt((sq if dim == 1 else sq[:, None] + sq).astype(float))
     stencil.flat[0] = np.inf
     stencil **= -(dim + fp.sp)
+    stencil.setflags(write=False)
 
     # the FFT leaves reflected cells ulps apart, so every cell reads the sum
     # of its class's representative: folded coordinates min(l, n-1-l) per
@@ -417,4 +429,5 @@ def build_kernel_table(grid: Grid, fp: FracParams, ext_radius: float) -> KernelT
         ext_radius=float(outer),
         pair_kernel=kern,
         exterior_mass=rho,
+        stencil=stencil,
     )

@@ -1,14 +1,16 @@
 """Worker-count control.
 
-The environment variable FRACSPEC_THREADS caps the number of worker
-threads used for embarrassingly parallel sweeps.  Results are always
-merged in submission order, so the outcome is identical for any count.
+The environment variable FRACSPEC_THREADS caps the worker count requested
+for embarrassingly parallel sweeps.  Every map runs serially, in input
+order: a thread pool lost to one worker at every size measured, because
+the checks hold the interpreter lock for most of their time.  The count is
+kept as the API's statement of intent, and results are identical for any
+value of it.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 
@@ -24,8 +26,5 @@ def thread_count(requested: int | None = None) -> int:
 
 
 def ordered_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
-    """Map preserving input order; threads only when workers > 1."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Map preserving input order, serially for any ``workers``."""
+    return [fn(x) for x in items]

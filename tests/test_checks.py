@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -156,3 +157,15 @@ class TestThreadCap:
         assert thread_count(None) == 3
         monkeypatch.delenv("FRACSPEC_THREADS")
         assert thread_count(None) == 1
+
+    def test_map_runs_serially_in_input_order(self):
+        from fracvar.runtime import ordered_map
+        calls = []
+
+        def square(x):
+            calls.append((x, threading.get_ident()))
+            return x * x
+
+        assert ordered_map(square, [3, 1, 2], workers=4) == [9, 1, 4]
+        me = threading.get_ident()
+        assert calls == [(3, me), (1, me), (2, me)]

@@ -7,7 +7,7 @@ import fracvar as fv
 import fracvar.grid as grid_mod
 from fracvar.eigen import default_start
 from fracvar.energy import _phi, raw_energy, stiffness_matrix
-from fracvar.errors import DomainError
+from fracvar.errors import ConvergenceError, DomainError
 
 from conftest import bump
 
@@ -223,6 +223,67 @@ class TestDeflation:
         _g, kt, wt = flat_setup
         with pytest.raises(DomainError):
             fv.eigen_sequence(wt, kt, 0)
+
+
+def cosine_weight(g):
+    """w = cos(2.5 x) along the first axis: positive in the middle, negative
+    near both ends, so its swap has a positive part too."""
+    return fv.Weight.from_function(fv.GridFunction(g, np.cos(2.5 * g.centers[:, 0])))
+
+
+class TestLobpcgPath:
+    @pytest.mark.parametrize("dim, n", [(1, 32), (2, 8)])
+    @pytest.mark.parametrize("kind", ["flat", "signed", "swapped"])
+    def test_levels_match_oracle(self, dim, n, kind):
+        g = fv.build_grid(dim, 1.0, n)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.45, 2.0), 4.0)
+        wt = {"flat": fv.Weight.constant(g), "signed": cosine_weight(g),
+              "swapped": cosine_weight(g).swapped()}[kind]
+        opts = fv.EigenOptions(tol=1e-8, seed=3)
+        seq = fv.eigen_sequence(wt, kt, 3, opts)
+        oracle = fv.linear_oracle(wt, kt)
+        for res, (lam, _u) in zip(seq, oracle):
+            assert abs(res.lam / lam - 1.0) <= 1e-12
+            assert fv.residual_check(res.lam, res.u, wt, kt) <= opts.tol
+            assert res.constraint_gap <= 1e-12
+            # far inside the 50000-step budget, which a stalled LOBPCG runs out
+            assert res.iterations < 500
+
+    def test_start_is_not_mutated(self, signed_setup):
+        _g, kt, wt = signed_setup
+        start = default_start(wt, kt)
+        before = start.copy()
+        start.setflags(write=False)
+        fv.first_eigenpair(wt, kt, start=start)
+        np.testing.assert_array_equal(start, before)
+
+    def test_poor_iterate_finished_by_descent(self, monkeypatch, flat_setup):
+        _g, kt, wt = flat_setup
+
+        def poor_lobpcg(_a, x, M, **_kwargs):
+            for _ in range(3):
+                M(x)
+            return np.ones(1), x
+
+        monkeypatch.setattr("scipy.sparse.linalg.lobpcg", poor_lobpcg)
+        opts = fv.EigenOptions(tol=1e-8)
+        res = fv.first_eigenpair(wt, kt, opts)
+        assert res.iterations > 3
+        assert res.residual <= opts.tol
+        assert res.lam == pytest.approx(fv.linear_oracle(wt, kt)[0][0], rel=1e-6)
+
+        with pytest.raises(ConvergenceError,
+                           match="no convergence within 5 iterations") as err:
+            fv.first_eigenpair(wt, kt, fv.EigenOptions(tol=1e-8, max_iter=5))
+        assert err.value.result.iterations == 5
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 3])
+    def test_tiny_budget_raises(self, flat_setup, max_iter):
+        _g, kt, wt = flat_setup
+        with pytest.raises(ConvergenceError,
+                           match=f"no convergence within {max_iter} iterations") as err:
+            fv.first_eigenpair(wt, kt, fv.EigenOptions(tol=1e-8, max_iter=max_iter))
+        assert err.value.result.iterations == max_iter
 
 
 class TestResidualCheck:

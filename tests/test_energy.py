@@ -309,3 +309,51 @@ class TestRayleighQuotient:
         u = bump(line_grid)
         with pytest.raises(DomainError):
             fv.rayleigh_quotient(u, w, line_kt)
+
+
+class TestP2Operator:
+    @pytest.mark.parametrize("dim, n", [(1, 7), (1, 8), (1, 64), (2, 5), (2, 6), (2, 24)])
+    def test_fft_products_match_dense(self, dim, n, rng):
+        g = fv.build_grid(dim, 1.0, n)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
+        op = kt.p2_operator
+        a = stiffness_matrix(kt)
+        for x in (rng.standard_normal(g.n_cells), rng.standard_normal((g.n_cells, 3))):
+            for ours, dense in ((op.kernel_product(x), kt.pair_kernel @ x),
+                                (op.apply(x), a @ x)):
+                assert ours.shape == x.shape
+                assert np.max(np.abs(ours - dense)) <= 2e-15 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("dim, n, s", [(1, 2, 0.05), (1, 8, 0.5), (1, 256, 0.5),
+                                           (2, 2, 0.05), (2, 6, 0.95), (2, 40, 0.95)])
+    def test_preconditioner_positive_definite(self, dim, n, s):
+        g = fv.build_grid(dim, 1.0, n)
+        op = fv.build_kernel_table(g, fv.FracParams(s, 2.0), 2.0).p2_operator
+        assert op.preconditioner_symbol.min() > 0.0
+        if g.n_cells <= 64:
+            dense = op.precondition(np.eye(g.n_cells))
+            assert np.max(np.abs(dense - dense.T)) <= 1e-15 * np.max(np.abs(dense))
+            assert np.linalg.eigvalsh(dense).min() > 0.0
+
+    def test_built_once_and_only_at_p2(self, monkeypatch, line_grid, line_kt_p3):
+        with pytest.raises(DomainError):
+            energy_mod.P2Operator(line_kt_p3)
+        built = []
+
+        class Spy(energy_mod.P2Operator):
+            def __init__(self, kt):
+                built.append(kt.params.p)
+                super().__init__(kt)
+
+        monkeypatch.setattr(energy_mod, "P2Operator", Spy)
+        wt = fv.Weight.constant(line_grid)
+        ball = fv.CellSet.ball(line_grid, (0.0,), 0.3)
+        kt3 = fv.build_kernel_table(line_grid, fv.FracParams(0.3, 3.0), 4.0)
+        fv.seminorm_p(bump(line_grid), kt3)
+        fv.capacity(ball, kt3)
+        fv.eigen_sequence(wt, kt3, 2)
+        assert built == []
+        kt2 = fv.build_kernel_table(line_grid, fv.FracParams(0.4, 2.0), 4.0)
+        fv.capacity(ball, kt2)
+        fv.eigen_sequence(wt, kt2, 2)
+        assert built == [2.0]
