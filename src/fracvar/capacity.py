@@ -75,10 +75,6 @@ class CellSet:
     def size(self) -> int:
         return int(self.mask.sum())
 
-    @property
-    def measure(self) -> float:
-        return self.size * self.grid.cell_measure
-
     @staticmethod
     def from_region(grid: Grid, region) -> "CellSet":
         return CellSet(grid, region.contains(grid.centers))

@@ -23,7 +23,7 @@ for any worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -83,18 +83,7 @@ class PropertyReport:
             "seed": self.seed,
             "grid": self.grid_spec,
             "all_passed": self.all_passed,
-            "checks": [
-                {
-                    "name": r.name,
-                    "statement": r.statement,
-                    "samples": r.samples,
-                    "worst_margin": r.worst_margin,
-                    "tolerance": r.tolerance,
-                    "passed": r.passed,
-                    "details": r.details,
-                }
-                for r in self.records
-            ],
+            "checks": [asdict(r) for r in self.records],
         }
 
     def to_json_bytes(self) -> bytes:
@@ -343,39 +332,40 @@ def _chk_eigen_oracle_levels(ctx, n, rng):
     return margin, {"lams": [r.lam for r in seq], "oracle": [o[0] for o in oracle[:4]]}
 
 
-def _chk_eigen_positivity(ctx, n, rng):
-    worst = -math.inf
-    details = {}
+def _over_eigen_tags(ctx, measure):
+    """Worst margin of ``measure(levels) -> (margin, detail)`` on the flat and signed levels."""
+    worst, details = -math.inf, {}
     for tag in ("flat", "signed"):
-        _, seq = ctx.eigen_results(tag)
+        margin, details[tag] = measure(ctx.eigen_results(tag)[1])
+        worst = max(worst, margin)
+    return worst, details
+
+
+def _chk_eigen_positivity(ctx, n, rng):
+    def measure(seq):
         u = seq[0].u.values
         margin = -float(u.min()) / float(np.abs(u).max())
-        details[tag] = {"min_over_max": -margin}
-        worst = max(worst, margin)
+        return margin, {"min_over_max": -margin}
+
+    worst, details = _over_eigen_tags(ctx, measure)
     # a minimum of exactly zero is no strict sign, even at tolerance 0
     return (math.inf if worst == 0.0 else worst), details
 
 
 def _chk_eigen_sign_change(ctx, n, rng):
-    worst = 0.0
-    details = {}
-    for tag in ("flat", "signed"):
-        _, seq = ctx.eigen_results(tag)
+    def measure(seq):
         tagged = eig.sign_structure(seq[1].u)
-        details[tag] = tagged
-        worst = max(worst, 0.0 if tagged == "sign_changing" else 1.0)
-    return worst, details
+        return (0.0 if tagged == "sign_changing" else 1.0), tagged
+
+    return _over_eigen_tags(ctx, measure)
 
 
 def _chk_eigen_gap(ctx, n, rng):
-    worst = -math.inf
-    details = {}
-    for tag in ("flat", "signed"):
-        _, seq = ctx.eigen_results(tag)
+    def measure(seq):
         gap = seq[1].lam - seq[0].lam
-        details[tag] = gap
-        worst = max(worst, 1e-6 - gap)
-    return worst, details
+        return 1e-6 - gap, gap
+
+    return _over_eigen_tags(ctx, measure)
 
 
 def _chk_eigen_simplicity(ctx, n, rng):
@@ -549,13 +539,7 @@ def run_suite(config: VerifyConfig | None = None) -> PropertyReport:
         return _run_one(ctx, idx, *row)
 
     records = ordered_map(run, list(enumerate(_REGISTRY)), thread_count(config.threads))
-    grid_spec = {
-        "dim": config.dim,
-        "cells_per_dim": config.cells_per_dim,
-        "half_width": config.half_width,
-        "ext_radius": config.ext_radius,
-        "s": config.s,
-        "p": config.p,
-    }
+    grid_spec = {key: getattr(config, key)
+                 for key in ("dim", "cells_per_dim", "half_width", "ext_radius", "s", "p")}
     return PropertyReport(seed=config.seed, grid_spec=grid_spec,
                           records=tuple(records))

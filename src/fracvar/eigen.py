@@ -222,6 +222,9 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
     raise ConvergenceError(message, result=_result_from(u, energy, residual, its, wt, kt))
 
 
+_LOBPCG_STEPS = 500
+
+
 def _lobpcg(wt: Weight, kt: KernelTable, u: np.ndarray, lam0: float, opts: EigenOptions,
             previous) -> tuple[np.ndarray, int]:
     """LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) for the largest
@@ -239,6 +242,10 @@ def _lobpcg(wt: Weight, kt: KernelTable, u: np.ndarray, lam0: float, opts: Eigen
     max|A u - lam M u| / lam of u = x / sqrt(mu) is sqrt(lam) max|M x - mu A x|.
     No level of the block exceeds the start's level lam0, so stopping every
     column at the 2-norm opts.tol / sqrt(lam0) meets opts.tol.
+
+    LOBPCG has no stagnation test, and below its roundoff floor it takes
+    every step it is given: at most ``_LOBPCG_STEPS``, 8 times the most any
+    benchmark level took (63), so the descent has budget left to finish.
 
     Returns the level's column and the number of preconditioned steps, at
     most ``opts.max_iter - 1``, so that the caller's residual test runs at
@@ -262,8 +269,8 @@ def _lobpcg(wt: Weight, kt: KernelTable, u: np.ndarray, lam0: float, opts: Eigen
         # lobpcg warns when it stops short of its tolerance; the caller's
         # residual test decides what happens next
         warnings.simplefilter("ignore", UserWarning)
-        _mu, x = lobpcg(lambda v: wm * v, block, B=op.apply, M=precondition,
-                        tol=opts.tol / lam0**0.5, maxiter=opts.max_iter - 2, largest=True)
+        _mu, x = lobpcg(lambda v: wm * v, block, B=op.apply, M=precondition, largest=True,
+                        tol=opts.tol / lam0**0.5, maxiter=min(opts.max_iter - 2, _LOBPCG_STEPS))
     return x[:, -1], steps
 
 

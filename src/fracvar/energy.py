@@ -34,6 +34,10 @@ v . gateaux_vector(u).
 Each pair takes a single power, q = |u_i - u_j|^(p-1); the energy term
 |d|^p is q |d| and the flux phi(d) is copysign(q, d).  At p = 2 none is
 taken (q = d), so the p = 2 sums are those of d*d and d.
+
+At p = 2 the energy is a quadratic form u^T A u.  ``P2Operator`` applies A
+and a circulant preconditioner by FFT, through the grid module's circulant
+embedding of the kernel table's stencil; ``stiffness_matrix`` is dense.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .grid import GridFunction, KernelTable, _check_fits, _fft_period, same_grid
+from .grid import (GridFunction, KernelTable, _check_fits, _circulant, _stencil_symbol,
+                   same_grid)
 
 
 @dataclass(frozen=True)
@@ -253,9 +258,8 @@ class P2Operator:
 
     K depends only on the cell offset, so it is Toeplitz on the line and
     BTTB on the plane.  Its stencil over the signed offsets 1-n .. n-1 of
-    each axis, embedded in a circulant whose period is a power of two at
-    least 2n - 1, multiplies a zero-padded field exactly: no wrapped offset
-    reaches a box cell.  ``symbol`` is that circulant's spectrum.
+    each axis, in the grid module's even circulant embedding, multiplies a
+    zero-padded field exactly.  ``symbol`` is that circulant's spectrum.
 
     ``precondition`` applies the inverse of the same embedding of
     c I - 2 m^2 K to the zero-padded field and keeps the box cells, after
@@ -272,34 +276,23 @@ class P2Operator:
         if kt.params.p != 2.0:
             raise DomainError("the p = 2 energy matrix exists only for p = 2")
         n, dim = kt.grid.cells_per_dim, kt.grid.dim
-        period = _fft_period(n, 0)
-        # signed offset k sits at index k mod period; offsets beyond n - 1
-        # pair no two box cells and read the zero padded on at index n
-        offsets = np.minimum(np.arange(period), period - np.arange(period))
-        box = np.pad(kt.stencil[(slice(0, n),) * dim], (0, 1))
-        embed = box[np.ix_(*[np.minimum(offsets, n)] * dim)]
-        self.shape = (n,) * dim
-        self.period = (period,) * dim
-        # the embedding is even in every axis, so its transform is real
-        self.symbol = np.fft.rfftn(embed).real
+        self.shape, self._window = (n,) * dim, (slice(0, n),) * dim
+        # offsets beyond n - 1 pair no two box cells; offset 0 at index 0
+        # makes the embedding even in every axis, so its spectrum is real
+        self.symbol = np.ascontiguousarray(_stencil_symbol(kt.stencil, n - 1, float).real)
         self.diagonal = _p2_diagonal(kt)
         self._scale = 2.0 * kt.cell_measure**2
         self.preconditioner_symbol = float(np.median(self.diagonal)) - self._scale * self.symbol
         assert self.preconditioner_symbol.min() > 0.0, "the preconditioner is not positive"
         self._inverse_symbol = 1.0 / self.preconditioner_symbol
 
-    def _circulant(self, x: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-        """The box cells of the circulant with spectrum ``symbol`` applied to
-        x zero-padded to the period."""
-        axes = tuple(range(len(self.shape)))
-        spec = np.fft.rfftn(x.reshape(self.shape + x.shape[1:]), self.period, axes)
-        spec *= symbol.reshape(symbol.shape + (1,) * (x.ndim - 1))
-        out = np.fft.irfftn(spec, self.period, axes)
-        return out[tuple(slice(0, n) for n in self.shape)].reshape(x.shape)
+    def _product(self, x: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+        box = x.reshape(self.shape + x.shape[1:])
+        return _circulant(box, symbol, self._window).reshape(x.shape)
 
     def kernel_product(self, x: np.ndarray) -> np.ndarray:
         """K x for a field (M,) or a block of fields (M, k)."""
-        return self._circulant(x, self.symbol)
+        return self._product(x, self.symbol)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x for a field (M,) or a block of fields (M, k)."""
@@ -308,7 +301,7 @@ class P2Operator:
 
     def precondition(self, x: np.ndarray) -> np.ndarray:
         """The circulant approximation of A^-1 applied to x, (M,) or (M, k)."""
-        return self._circulant(x, self._inverse_symbol)
+        return self._product(x, self._inverse_symbol)
 
 
 def stiffness_matrix(kt: KernelTable) -> np.ndarray:

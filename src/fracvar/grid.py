@@ -17,9 +17,10 @@ built on first use), and the exterior mass sums it over a ring of cells
 
     integral_{|z| > R} |z|^(-(dim + s*p)) dz = sigma_{dim-1} * R^(-s*p) / (s*p)
 
-at ``R = ext_radius - |x_i|`` (sigma_0 = 2, sigma_1 = 2*pi).  The ring sums
-of all cells are one convolution of the ring's indicator with the stencil
-over signed offsets, by FFT in long double: within 1e-15 relative of exact
+at ``R = ext_radius - |x_i|`` (sigma_0 = 2, sigma_1 = 2*pi).  Both FFT uses
+of the stencil go through one circulant embedding (``_stencil_symbol``,
+``_circulant``); the ring sums of all cells are one convolution of the
+ring's indicator with it, in long double: within 1e-15 relative of exact
 with an 80-bit long double (in float64, as on Windows and macOS arm64, off
 by up to 9e-13 at plane n = 64).  Each cell reads its symmetry class's sum,
 so cells related by a reflection or a transpose have bitwise-equal masses.
@@ -321,26 +322,51 @@ def _ring_layers(grid: Grid, ext_radius: float) -> int:
     return int(math.ceil((ext_radius - grid.half_width) / grid.spacing - 1e-12))
 
 
-def _fft_period(n: int, layers: int) -> int:
-    """A power of two at least the signed stencil's length 2 (n + layers) - 1."""
-    return 1 << (2 * (n + layers - 1)).bit_length()
+def _fft_period(reach: int) -> int:
+    """A power of two at least 2 reach + 1, the signed stencil's length."""
+    return 1 << (2 * reach).bit_length()
+
+
+def _stencil_symbol(stencil: np.ndarray, reach: int, dtype, origin: int = 0) -> np.ndarray:
+    """Spectrum of the circulant embedding that holds T[|k|] at index
+    (origin + k) mod the period for the signed offsets |k| <= reach of each
+    axis, and zero elsewhere.  Its product with x at cell c + origin is
+    sum_j T[|c - j|] x_j, with no wrapped term, when every cell j of x lies
+    within reach of c.  Rows that are zero transform to zero, so the last
+    axis is transformed on the 2 reach + 1 others only."""
+    dim, period = stencil.ndim, _fft_period(reach)
+    signed = np.arange(-reach, reach + 1)
+    rows = (origin + signed) % period
+    spec = np.zeros((2 * reach + 1,) * (dim - 1) + (period,), dtype)
+    spec[..., rows] = stencil.astype(dtype)[np.ix_(*[np.abs(signed)] * dim)]
+    spec = np.fft.rfft(spec)
+    for axis in range(dim - 1):
+        full = np.zeros(spec.shape[:axis] + (period,) + spec.shape[axis + 1:], spec.dtype)
+        full[(slice(None),) * axis + (rows,)] = spec
+        spec = np.fft.fft(full, axis=axis)
+    return spec
+
+
+def _circulant(x: np.ndarray, symbol: np.ndarray, window: tuple) -> np.ndarray:
+    """``window`` of the circulant with spectrum ``symbol`` applied to x
+    zero-padded to the period; x's axes beyond the symbol's hold a block."""
+    axes = tuple(range(symbol.ndim))
+    shape = (2 * (symbol.shape[-1] - 1),) * symbol.ndim
+    spec = np.fft.rfftn(x, shape, axes)
+    spec *= symbol.reshape(symbol.shape + (1,) * (x.ndim - symbol.ndim))
+    return np.fft.irfftn(spec, shape, axes)[window]
 
 
 def _ring_sums(stencil: np.ndarray, n: int, layers: int) -> np.ndarray:
     """sum_r T[|c - r|] over the ring cells r for every box cell c, shape (n,)*dim:
-    the ring's indicator on the extended box convolved with the stencil over
-    signed offsets.  The period is at least the signed stencil's length, so
-    no wrapped term reaches a box cell."""
-    dim = stencil.ndim
+    the ring's indicator on the extended box convolved with the stencil, in
+    long double, offset 0 at index reach (at index 0, the even embedding's
+    roundoff moves exterior masses by up to 2 ulps on lines of 256 cells and more)."""
     reach = n + layers - 1  # the farthest ring cell from a box cell
-    shape, axes = (_fft_period(n, layers),) * dim, tuple(range(dim))
-    conv = np.fft.rfftn(np.pad(np.zeros((n,) * dim, np.longdouble), layers,
-                               constant_values=1.0), shape, axes)
-    offsets = np.abs(np.arange(-reach, reach + 1))
-    conv *= np.fft.rfftn(stencil.astype(np.longdouble)[np.ix_(*[offsets] * dim)],
-                         shape, axes)
+    ring = np.pad(np.zeros((n,) * stencil.ndim, np.longdouble), layers, constant_values=1.0)
+    symbol = _stencil_symbol(stencil, reach, np.longdouble, origin=reach)
     box = slice(layers + reach, layers + reach + n)
-    return np.fft.irfftn(conv, shape, axes)[(box,) * dim].astype(float)
+    return _circulant(ring, symbol, (box,) * stencil.ndim).astype(float)
 
 
 def tail_mass(dim: int, sp: float, radius):
@@ -375,7 +401,7 @@ def _build_bytes(grid: Grid, layers: int) -> int:
     dense kernel, which never coexist, and 256 KiB for the per-cell vectors
     and the kernel gather's index buffers."""
     n = grid.cells_per_dim
-    fft = 6 * 16 * _fft_period(n, layers) ** grid.dim
+    fft = 6 * 16 * _fft_period(n + layers - 1) ** grid.dim
     return 8 * (n + layers) ** grid.dim + max(8 * grid.n_cells**2, fft) + 256 * 1024
 
 

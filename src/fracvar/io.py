@@ -22,20 +22,21 @@ from .rearrange import StepFunction
 _FMT = "%.17g"
 
 
-def _fmt(x: float) -> str:
-    return _FMT % float(x)
-
-
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
 
-def write_grid_function(gf: GridFunction, path) -> None:
-    cols = ["x", "y"][: gf.grid.dim] + ["value"]
+def _write_rows(path, header: str, columns) -> None:
+    """A CSV of ``columns`` under ``header``, one line per row."""
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for center, val in zip(gf.grid.centers, gf.values):
-            fh.write(",".join(_fmt(c) for c in center) + "," + _fmt(val) + "\n")
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(_FMT % float(v) for v in row) + "\n")
+
+
+def write_grid_function(gf: GridFunction, path) -> None:
+    _write_rows(path, ",".join(["x", "y"][: gf.grid.dim] + ["value"]),
+                [*gf.grid.centers.T, gf.values])
 
 
 def read_grid_function(grid: Grid, path) -> GridFunction:
@@ -55,19 +56,11 @@ def read_grid_function(grid: Grid, path) -> GridFunction:
 
 
 def write_step_function(sf: StepFunction, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("breakpoint,level\n")
-        for t, lv in zip(sf.breakpoints[1:], sf.levels):
-            fh.write(_fmt(t) + "," + _fmt(lv) + "\n")
+    _write_rows(path, "breakpoint,level", (sf.breakpoints[1:], sf.levels))
 
 
 def write_series(x: Sequence[float], y: Sequence[float], path) -> None:
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    with open(path, "w") as fh:
-        fh.write("x,y\n")
-        for a, b in zip(x, y):
-            fh.write(_fmt(a) + "," + _fmt(b) + "\n")
+    _write_rows(path, "x,y", (x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,16 @@ class TestLobpcgPath:
             fv.first_eigenpair(wt, kt, fv.EigenOptions(tol=1e-8, max_iter=5))
         assert err.value.result.iterations == 5
 
+    def test_capped_below_roundoff_floor(self):
+        # LOBPCG runs every step it is given below its roundoff floor; capped,
+        # it leaves the descent the rest of the budget to finish
+        g = fv.build_grid(1, 1.0, 64)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
+        opts = fv.EigenOptions(tol=1e-16, max_iter=3000)
+        res = fv.first_eigenpair(fv.Weight.constant(g), kt, opts)
+        assert res.residual <= opts.tol
+        assert res.iterations < opts.max_iter
+
     @pytest.mark.parametrize("max_iter", [0, 1, 2, 3])
     def test_tiny_budget_raises(self, flat_setup, max_iter):
         _g, kt, wt = flat_setup

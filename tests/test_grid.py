@@ -173,20 +173,25 @@ class TestKernelTable:
                               for x in g.centers[:, 0]])
         assert np.all(np.abs(kt2.exterior_mass - kt1.exterior_mass) <= old_tails)
 
-    def test_ring_sums_match_exact_summation(self):
+    @pytest.mark.parametrize("dim, n", [(1, 64), (1, 768), (2, 24)])
+    def test_ring_sums_match_exact_summation(self, dim, n):
         # the convolution against math.fsum over the ring, at the centre, a
         # corner, an edge and an interior cell; a float64 FFT is off by 7e-14
-        g = fv.build_grid(2, 1.0, 24)
-        n, layers = 24, grid_mod._ring_layers(g, 4.0)
+        # on the plane
+        g = fv.build_grid(dim, 1.0, n)
+        layers = grid_mod._ring_layers(g, 4.0)
         a = np.arange(n + layers)
+        sp = 0.9 * 2.2 if dim == 2 else 0.9 * 1.1  # s = 0.9 and s*p near dim
         with np.errstate(divide="ignore"):
-            stencil = (g.spacing * np.hypot(a[:, None], a)) ** -(2 + 0.9 * 2.2)
-        stencil[0, 0] = 0.0
+            stencil = (g.spacing * (a if dim == 1 else np.hypot(a[:, None], a))) ** -(dim + sp)
+        stencil.flat[0] = 0.0
         sums = grid_mod._ring_sums(stencil, n, layers)
         axis = range(-layers, n + layers)
-        ring = [(i, j) for i in axis for j in axis if not (0 <= i < n and 0 <= j < n)]
-        for c in ((11, 12), (0, 0), (0, 12), (5, 9)):
-            exact = math.fsum(stencil[abs(c[0] - i), abs(c[1] - j)] for i, j in ring)
+        ring = [r for r in itertools.product(axis, repeat=dim)
+                if not all(0 <= i < n for i in r)]
+        for c in ((n // 2 - 1, n // 2), (0, 0), (0, n // 2), (5, 9)):
+            c = c[:dim]
+            exact = math.fsum(stencil[tuple(abs(ci - ri) for ci, ri in zip(c, r))] for r in ring)
             assert abs(sums[c] - exact) <= 1e-15 * exact
 
     def test_rejects_grid_beyond_physical_memory(self):
