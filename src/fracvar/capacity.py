@@ -12,8 +12,9 @@ subdomain) already lies in [0, 1].  The box constraint is inactive.  At
 p = 2 the energy is the quadratic form u^T A u, and the capacity is the
 symmetric positive-definite system A_ff u_f = -A_fF 1 on the free cells
 (those outside F and inside the subdomain).  Conjugate gradients solve it,
-with the product 2 m^2 (r * x - K x) + 2 m rho * x on the stored pair kernel
-K (r its row sums, rho the exterior mass, m the cell measure).  The clipped
+with the product 2 m^2 (r * x - K x) + 2 m rho * x (r the kernel's row
+sums, rho the exterior mass, m the cell measure), K x by BLAS over the
+table's kernel rows (copied once per solve on a long line).  The clipped
 solution then gets one fused energy-and-gradient pass and the
 projected-gradient stop test; a point that fails the test is handed on to
 the descent below as its start.
@@ -115,8 +116,8 @@ def capacity(F: CellSet, kt: KernelTable, opts: CapacityOptions | None = None,
     """Minimize the p-energy over {u = 1 on F, 0 <= u <= 1, u = 0 off domain}.
 
     An empty F yields the degenerate zero result (flagged) rather than an
-    error.  Non-convergence raises ConvergenceError carrying the last
-    iterate.
+    error, and a ``start`` that is not M finite values a DomainError before
+    any solve.  Non-convergence raises ConvergenceError carrying the last iterate.
     """
     opts = opts or CapacityOptions()
     grid = kt.grid
@@ -156,7 +157,7 @@ def capacity(F: CellSet, kt: KernelTable, opts: CapacityOptions | None = None,
         energy, gvec = raw_energy(cand, kt, with_gateaux=True)
         return cand, energy, float(grad @ (cand - u)), gvec
 
-    u = project(np.zeros(grid.n_cells) if start is None else np.asarray(start, float).copy())
+    u = project(np.zeros(grid.n_cells) if start is None else GridFunction(grid, start).values)
     its = 0
     if p == 2.0:
         free = ~(fixed_one | fixed_zero)
@@ -195,15 +196,16 @@ def _linear_solve(u: np.ndarray, kt: KernelTable, free: np.ndarray,
     # imported on first use, so that importing fracvar does not load scipy.sparse
     from scipy.sparse.linalg import LinearOperator, cg
 
-    kern = kt.pair_kernel
+    # BLAS takes no negative row stride, which the line's windows have
+    kern = kt.kernel_rows.copy() if kt.kernel_rows.strides[1] < 0 else kt.kernel_rows
     m = kt.cell_measure
     diag = kt.p2_operator.diagonal
-    rhs = 2.0 * m * m * (kern @ np.where(free, 0.0, u))[free]
+    rhs = 2.0 * m * m * np.matmul(kern, np.where(free, 0.0, u)).ravel()[free]
     full = np.zeros(u.size)
 
     def matvec(x):
         full[free] = x
-        return (diag * full - 2.0 * m * m * (kern @ full))[free]
+        return (diag * full - 2.0 * m * m * np.matmul(kern, full).ravel())[free]
 
     steps = []  # the callback sees each CG step once
     solution, _info = cg(LinearOperator((rhs.size, rhs.size), matvec=matvec, dtype=float),

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_FLAT_STEPS = 20  # accepted steps in a row leaving f unchanged; converging descents take <= 1
+
 
 def spectral_descent(x, f: float, aux, direction, trial, max_iter: int) -> tuple:
     """Descend from x, whose objective is f, along -direction(x, f, aux)[0].
@@ -21,9 +23,10 @@ def spectral_descent(x, f: float, aux, direction, trial, max_iter: int) -> tuple
 
     Returns (x, f, aux, status, iterations) of the last accepted point, with
     status "converged", "stalled" or "exhausted"; ``iterations`` counts the
-    accepted steps, plus the failed one when stalled.
+    accepted steps, plus the failed one when stalled.  It stalls when no trial
+    passes, or when ``_FLAT_STEPS`` steps in a row leave f unchanged (the roundoff floor).
     """
-    step, prev = 1.0, None
+    step, prev, flat = 1.0, None, 0
     for it in range(1, max_iter + 1):
         d, done = direction(x, f, aux)
         if done:
@@ -42,6 +45,9 @@ def spectral_descent(x, f: float, aux, direction, trial, max_iter: int) -> tuple
             t *= 0.5
         else:
             return x, f, aux, "stalled", it
+        flat = flat + 1 if out[1] == f else 0
         x, f, _decrease, aux = out
+        if flat == _FLAT_STEPS:
+            return x, f, aux, "stalled", it
         step = t
     return x, f, aux, "exhausted", max_iter

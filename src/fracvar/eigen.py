@@ -50,7 +50,7 @@ import numpy as np
 import scipy.linalg
 
 from .descent import spectral_descent
-from .energy import (_BLOCK_BYTES, _phi, raw_energy, raw_gateaux_vector,
+from .energy import (_phi, _row_blocks, raw_energy, raw_gateaux_vector,
                      raw_weighted_mass, stiffness_matrix)
 from .errors import ConvergenceError, DomainError
 from .grid import GridFunction, KernelTable, same_grid
@@ -287,10 +287,10 @@ def first_eigenpair(wt: Weight, kt: KernelTable, opts: EigenOptions | None = Non
     The output is sign-normalized to be non-negative; a converged first
     eigenfunction has one sign, so only a global flip is ever applied.
     Pass ``wt.swapped()`` for the negative spectrum: the returned level mu
-    is then the eigenvalue -mu of the original problem.
+    is then the eigenvalue -mu of the original problem; a bad ``start`` raises DomainError.
     """
     opts = opts or EigenOptions()
-    u0 = default_start(wt, kt) if start is None else start
+    u0 = default_start(wt, kt) if start is None else GridFunction(kt.grid, start).values
     u, lam, residual, its = _descend(wt, kt, u0, opts)
     if u.sum() < 0:
         u = -u
@@ -394,7 +394,7 @@ def picone_gap(u: GridFunction, v: GridFunction, p: float,
     non-negative over all pairs for u >= 0, v > 0, vanishing exactly on the
     ray u = c v.  Returns the per-cell minimum over partners and the global
     minimum (the diagonal contributes zeros).  The term is formed in row
-    blocks of about ``_BLOCK_BYTES``, so no M x M array is ever allocated.
+    blocks of ``energy._row_blocks``, so no M x M array is ever allocated.
     """
     same_grid(u, v)
     if np.any(u.values < 0):
@@ -407,9 +407,7 @@ def picone_gap(u: GridFunction, v: GridFunction, p: float,
     # u^p / v^(p-1) computed as u (u/v)^(p-1): exact on the ray u = v
     ratio = uv * (uv / vv) ** (p - 1.0)
     per_cell = np.empty(cells)
-    height = max(1, _BLOCK_BYTES // (8 * cells))
-    for a in range(0, cells, height):
-        b = min(a + height, cells)
+    for a, b in _row_blocks(cells, cells):
         # two block temporaries, updated in place: phi(v_i - v_j) is
         # copysign(|v_i - v_j|^(p-1), v_i - v_j), as in ``_phi``
         d = vv[a:b, None] - vv

@@ -22,9 +22,10 @@ Everything else here is a derivative of E:
 
 All pair sums come from one private pass, ``_pair_sums``, that visits each
 unordered pair once and forms no M x M temporary.  It walks row blocks
-[a, b) against the columns [a, M); the block height is
+[a, b) against the columns [a, M); the block height is at most
 max(1, 256 KiB // (8 M)) rows, so one block's float64 temporary stays near
-256 KiB whatever the grid.  Grids of up to 181 cells fit in one block.
+256 KiB whatever the grid.  Grids of up to 181 cells fit in one block.  A
+block covers whole runs of n rows of ``KernelTable.kernel_rows``, or rows of one run.
 Its kinds are the pair energy, the per-cell densities of
 ``nonlocal_gradient``, the flux behind the Gateaux vector, and energy and
 flux together ("both"), which ``raw_energy(..., with_gateaux=True)``
@@ -47,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .grid import (GridFunction, KernelTable, _check_fits, _circulant, _stencil_symbol,
-                   same_grid)
+from .grid import (_BLOCK_BYTES, GridFunction, KernelTable, _check_fits, _circulant,
+                   _stencil_symbol, same_grid)
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,15 @@ def _phi(t: np.ndarray, p: float) -> np.ndarray:
     return np.sign(t) * np.abs(t) ** (p - 1.0)
 
 
-# Height of a row block in ``_pair_sums`` is chosen so that one (rows x M)
-# float64 temporary stays near this size and the block's working set in cache.
-_BLOCK_BYTES = 256 * 1024
+def _row_blocks(size: int, run: int) -> list:
+    """Row blocks [a, b) of at most max(1, _BLOCK_BYTES // (8 size)) rows:
+    whole runs of ``run`` rows, or rows of one run, never straddling two."""
+    height = max(1, _BLOCK_BYTES // (8 * size))
+    if height >= run:
+        height -= height % run
+        return [(a, min(a + height, size)) for a in range(0, size, height)]
+    return [(a, min(a + height, r + run)) for r in range(0, size, run)
+            for a in range(r, r + run, height)]
 
 
 def _pair_sums(vals: np.ndarray, kt: KernelTable, kind: str):
@@ -98,15 +105,13 @@ def _pair_sums(vals: np.ndarray, kt: KernelTable, kind: str):
     in one block gives the same sums, bit for bit, as a dense M x M sum.
     """
     p = kt.params.p
-    kern = kt.pair_kernel
-    size = vals.shape[0]
-    height = max(1, _BLOCK_BYTES // (8 * size))
+    kern = kt.kernel_rows
+    run, size = kern.shape[1:]
     even = kind != "flux"
     odd = kind in ("flux", "both")
     total = 0.0
     rows = np.zeros(size)
-    for a in range(0, size, height):
-        b = min(a + height, size)
+    for a, b in _row_blocks(size, run):
         # d = u_i - u_j; filling, then subtracting in place, runs faster
         # than numpy's two-way broadcast subtraction
         d = np.empty((b - a, size - a))
@@ -123,9 +128,10 @@ def _pair_sums(vals: np.ndarray, kt: KernelTable, kind: str):
                 power = np.multiply(q, mag, out=mag)
             if odd:
                 np.copysign(q, d, out=q)
-        block = kern[a:b, a:]
+        # kernel rows [a, b) x [a, M) as (runs, rows, M - a); [...] *= is in place
+        block = kern[a // run:(b - 1) // run + 1, a % run:(b - 1) % run + 1, a:]
         if even:
-            power *= block
+            power.reshape(block.shape)[...] *= block
             if kind == "density":
                 rows[a:b] += power.sum(axis=1)
                 rows[b:] += power[:, b - a:].sum(axis=0)
@@ -134,7 +140,7 @@ def _pair_sums(vals: np.ndarray, kt: KernelTable, kind: str):
                 total += 2.0 * power.sum() - power[:, :b - a].sum()
         if odd:
             # q is now phi(d)
-            q *= block
+            q.reshape(block.shape)[...] *= block
             rows[a:b] += q.sum(axis=1)
             rows[b:] -= q[:, b - a:].sum(axis=0)
     if kind == "energy":
@@ -250,7 +256,7 @@ _ORACLE_SQUARES = 4
 def _p2_diagonal(kt: KernelTable) -> np.ndarray:
     """Diagonal of the p = 2 energy matrix: 2 m^2 sum_j K[i, j] + 2 m rho_i."""
     m = kt.cell_measure
-    return 2.0 * m * m * kt.pair_kernel.sum(axis=1) + 2.0 * m * kt.exterior_mass
+    return 2.0 * m * m * kt.kernel_rows.sum(axis=-1).ravel() + 2.0 * m * kt.exterior_mass
 
 
 class P2Operator:
@@ -315,6 +321,7 @@ def stiffness_matrix(kt: KernelTable) -> np.ndarray:
     cells = kt.grid.n_cells
     _check_fits(8 * _ORACLE_SQUARES * cells**2, f"a dense oracle for {cells} cells")
     m = kt.cell_measure
-    a = -2.0 * m * m * kt.pair_kernel
+    a = kt.dense_kernel()
+    a *= -2.0 * m * m
     a[np.diag_indices(cells)] = _p2_diagonal(kt)
     return a

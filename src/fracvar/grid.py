@@ -4,16 +4,17 @@ Functions live on a box [-L, L]^dim (dim 1 or 2) split into n^dim equal
 cells and are treated as identically zero outside the box.  A field is
 piecewise constant with one value per cell, collocated at cell centers.
 
-The kernel table precomputes the pairwise interaction
+The kernel table holds the pairwise interaction
 ``K[i, j] = |x_i - x_j|^(-(dim + s*p))`` between cell centers together
 with the per-cell exterior mass ``rho[i] = integral over box^c of
 |x_i - y|^(-(dim + s*p)) dy``, which accounts for the zero extension.
 Both read one stencil of distinct values ``T[|a|, |b|] = (h sqrt(a^2 +
-b^2))^(-(dim + s*p))`` over integer cell offsets, which the table keeps:
-``K`` is gathered from it (Toeplitz on the line, BTTB on the plane), the
-p = 2 energy matrix multiplies by FFT over it (``KernelTable.p2_operator``,
-built on first use), and the exterior mass sums it over a ring of cells
-(same spacing, out to ``ext_radius``) and adds the closed-form radial tail
+b^2))^(-(dim + s*p))`` over integer cell offsets, which the table keeps.
+K is Toeplitz on the line and BTTB on the plane, so no M x M array is
+stored: each kernel row is a run of a row source gathered from T
+(``KernelTable.kernel_rows``), the p = 2 energy matrix multiplies by FFT
+over T (``KernelTable.p2_operator``), and the exterior mass sums T over a
+ring of cells (same spacing, out to ``ext_radius``) plus the radial tail
 
     integral_{|z| > R} |z|^(-(dim + s*p)) dz = sigma_{dim-1} * R^(-s*p) / (s*p)
 
@@ -24,7 +25,7 @@ ring's indicator with it, in long double: within 1e-15 relative of exact
 with an 80-bit long double (in float64, as on Windows and macOS arm64, off
 by up to 9e-13 at plane n = 64).  Each cell reads its symmetry class's sum,
 so cells related by a reflection or a transpose have bitwise-equal masses.
-Plane n = 64 builds in about 0.2 s, n = 128 in 2-4 s (2 cores).
+Plane n = 64 builds in about 0.06 s, n = 128 in 0.3-0.4 s (2 cores).
 
 All types are immutable after construction; value arrays are marked
 read-only.  Sums use numpy's fixed-order pairwise reduction, so results
@@ -293,6 +294,11 @@ def sample(grid: Grid, spec) -> GridFunction:
 # Kernel table
 # ---------------------------------------------------------------------------
 
+# One (rows x M) float64 block temporary of the energy module's pair pass
+# stays near this size, and the block's working set in cache.
+_BLOCK_BYTES = 256 * 1024
+
+
 @dataclass(frozen=True)
 class KernelTable:
     """Pairwise singular kernel plus exterior-interaction mass for a grid."""
@@ -300,13 +306,35 @@ class KernelTable:
     grid: Grid
     params: FracParams
     ext_radius: float
-    pair_kernel: np.ndarray    # (M, M), zero diagonal
     exterior_mass: np.ndarray  # (M,)
     stencil: np.ndarray        # T[|a|, |b|] for offsets 0 .. n + layers - 1 per axis
+    row_source: np.ndarray     # kernel rows as runs: (2n - 1,) line, (n, 2n - 1, n) plane
 
     @property
     def cell_measure(self) -> float:
         return self.grid.cell_measure
+
+    @functools.cached_property
+    def kernel_rows(self) -> np.ndarray:
+        """Read-only kernel rows K[l n + q, c] = kernel_rows[l, q, c], views of
+        ``row_source``: (1, n, n) on the line (row i starts at n - 1 - i), (n, n, M)
+        on the plane (row (i1, i2) at i2 (2n - 1) n + (n - 1 - i1) n).  They are
+        copied contiguous when one pair-pass block (``_BLOCK_BYTES``) holds them."""
+        n, cells = self.grid.cells_per_dim, self.grid.n_cells
+        windows = np.lib.stride_tricks.sliding_window_view
+        if self.grid.dim == 1:
+            rows = windows(self.row_source, n)[None, ::-1]
+        else:
+            rows = windows(self.row_source.reshape(n, -1), cells, axis=1)
+            rows = rows[:, ::-n].transpose(1, 0, 2)
+        if 8 * cells**2 <= _BLOCK_BYTES:
+            rows = np.ascontiguousarray(rows)
+            rows.setflags(write=False)
+        return rows
+
+    def dense_kernel(self) -> np.ndarray:
+        """A new, writable (M, M) copy of the kernel, zero on the diagonal."""
+        return np.array(self.kernel_rows).reshape(self.grid.n_cells, self.grid.n_cells)
 
     @functools.cached_property
     def p2_operator(self):
@@ -398,15 +426,16 @@ def _check_fits(need: int, what: str) -> None:
 def _build_bytes(grid: Grid, layers: int) -> int:
     """Peak bytes of a build: the stencil, the larger of the ring sums' FFT
     buffers (at most six long-double arrays of the period's size) and the
-    dense kernel, which never coexist, and 256 KiB for the per-cell vectors
-    and the kernel gather's index buffers."""
-    n = grid.cells_per_dim
-    fft = 6 * 16 * _fft_period(n + layers - 1) ** grid.dim
-    return 8 * (n + layers) ** grid.dim + max(8 * grid.n_cells**2, fft) + 256 * 1024
+    kernel's row source, which never coexist, and eight float64 vectors per
+    cell (4.5 are used at plane n = 192)."""
+    n, dim = grid.cells_per_dim, grid.dim
+    fft = 6 * 16 * _fft_period(n + layers - 1) ** dim
+    source = 8 * (2 * n - 1) * n ** (2 * dim - 2)
+    return 8 * (n + layers) ** dim + max(source, fft) + 8 * 8 * grid.n_cells
 
 
 def build_kernel_table(grid: Grid, fp: FracParams, ext_radius: float) -> KernelTable:
-    """Assemble the pairwise kernel and exterior mass for (grid, s, p).
+    """Assemble the kernel's row source and exterior mass for (grid, s, p).
 
     ``ext_radius`` must be at least twice the box half-width; the ring
     quadrature runs out to it (rounded up to whole cells) and the analytic
@@ -442,18 +471,16 @@ def build_kernel_table(grid: Grid, fp: FracParams, ext_radius: float) -> KernelT
     rho += _ring_sums(stencil, n, layers)[fold].ravel() * grid.cell_measure
     rho.setflags(write=False)
 
-    # per-axis offsets |i - j| as a strided view of |1-n..n-1|, broadcast on
-    # the plane, so that the output is the only M x M array
-    off = np.lib.stride_tricks.sliding_window_view(np.abs(np.arange(1 - n, n)), n)[::-1]
-    if dim == 2:
-        off = (off[:, None, :, None], off[None, :, None, :])
-    kern = stencil[off].reshape(grid.n_cells, grid.n_cells)
-    kern.setflags(write=False)
+    # C[i2, k, j2] = T[|k - (n - 1)|, |i2 - j2|] on the plane, T[|k - (n - 1)|] on the line
+    off = np.abs(np.arange(1 - n, n))
+    inner = None if dim == 1 else np.abs(np.arange(n)[:, None, None] - np.arange(n))
+    source = stencil[off] if dim == 1 else stencil[off[:, None], inner]
+    source.setflags(write=False)
     return KernelTable(
         grid=grid,
         params=fp,
         ext_radius=float(outer),
-        pair_kernel=kern,
         exterior_mass=rho,
         stencil=stencil,
+        row_source=source,
     )

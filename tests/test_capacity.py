@@ -97,6 +97,16 @@ class TestCapacity:
                         start=rng.uniform(0, 1, line_grid.n_cells))
         assert a.value == pytest.approx(b.value, rel=1e-6)
 
+    @pytest.mark.parametrize("bad", [np.zeros(5), np.full(32, np.nan)])
+    def test_bad_start_refused_before_any_solve(self, monkeypatch, line_kt, line_grid, bad):
+        def no_solve(*_args, **_kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(capacity_mod, "_linear_solve", no_solve)
+        monkeypatch.setattr(capacity_mod, "raw_energy", no_solve)
+        with pytest.raises(DomainError):
+            fv.capacity(fv.CellSet.ball(line_grid, (0.0,), 0.2), line_kt, start=bad)
+
     @pytest.mark.parametrize("kt_name", ["line_kt_p3"])
     def test_one_pair_pass_per_trial(self, monkeypatch, request, line_grid, kt_name):
         # each trial's pass also gives the gradient at the point it accepts

@@ -54,3 +54,13 @@ def test_stalls_when_every_trial_is_rejected():
     assert its == 1
     assert x is X0 and fx == f(X0) and aux == "aux"
     assert calls == [0.5**k for k in range(70)]
+
+
+def test_stalls_at_the_roundoff_floor():
+    # below tolerance 1e-12 the gradient test never passes, and every step
+    # leaves f unchanged; the descent stops after 20 such steps, not 1000
+    _x, fx, _aux, status, its = spectral_descent(X0, f(X0), None, direction(1e-12),
+                                                 trial, 1000)
+    assert status == "stalled"
+    assert its < 1000
+    assert abs(fx - f(np.linalg.solve(A, B))) < 1e-14

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fracvar as fv
+import fracvar.eigen as eigen_mod
 import fracvar.grid as grid_mod
 from fracvar.eigen import default_start
 from fracvar.energy import _phi, raw_energy, stiffness_matrix
@@ -256,6 +257,17 @@ class TestLobpcgPath:
         start.setflags(write=False)
         fv.first_eigenpair(wt, kt, start=start)
         np.testing.assert_array_equal(start, before)
+
+    @pytest.mark.parametrize("bad", [np.ones(5), np.full(32, np.nan)])
+    def test_bad_start_refused_before_any_solve(self, monkeypatch, flat_setup, bad):
+        _g, kt, wt = flat_setup
+
+        def no_solve(*_args, **_kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(eigen_mod, "_descend", no_solve)
+        with pytest.raises(DomainError):
+            fv.first_eigenpair(wt, kt, start=bad)
 
     def test_poor_iterate_finished_by_descent(self, monkeypatch, flat_setup):
         _g, kt, wt = flat_setup

@@ -55,14 +55,37 @@ def brute_force_rows(u, v, kt):
 
 class TestBlockedPass:
     """Tiny byte budgets force many row blocks: one row each (budget 1), or
-    6 rows on the line and 3 on the plane with a shorter last block."""
+    6 rows on the line and 3 on the plane, where blocks are cut at the end
+    of each run of 8 rows (budget 1600).  On the plane, budget 12288 gives
+    blocks of three whole runs, 24 rows, with a shorter last block."""
 
     @pytest.mark.parametrize("budget", [1, 1600])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("grid_name", ["line_grid", "plane_grid"])
     def test_multi_block_matches_brute_force(self, monkeypatch, request, rng,
                                              grid_name, p, budget):
-        grid = request.getfixturevalue(grid_name)
+        self.check_blocks(monkeypatch, request.getfixturevalue(grid_name), rng, p, budget)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_whole_run_blocks_match_brute_force(self, monkeypatch, plane_grid, rng, p):
+        blocks = self.check_blocks(monkeypatch, plane_grid, rng, p, 12288)
+        assert blocks == [(0, 24), (24, 48), (48, 64)]
+
+    @pytest.mark.parametrize("budget", [1, 1600, 12288, 2**18])
+    @pytest.mark.parametrize("size,run", [(32, 32), (64, 8), (1296, 36), (4096, 64)])
+    def test_row_blocks_never_straddle_runs(self, monkeypatch, size, run, budget):
+        monkeypatch.setattr(energy_mod, "_BLOCK_BYTES", budget)
+        blocks = list(energy_mod._row_blocks(size, run))
+        assert [a for a, _b in blocks] == [0] + [b for _a, b in blocks[:-1]]
+        assert blocks[-1][1] == size
+        height = max(1, budget // (8 * size))
+        for a, b in blocks:
+            assert 0 < b - a <= height
+            # whole runs, or rows of one run
+            assert (a % run == 0 and b % run == 0) or a // run == (b - 1) // run
+
+    @staticmethod
+    def check_blocks(monkeypatch, grid, rng, p, budget):
         kt = fv.build_kernel_table(grid, fv.FracParams(0.3, p), 4.0)
         assert max(1, budget // (8 * grid.n_cells)) < grid.n_cells
         monkeypatch.setattr(energy_mod, "_BLOCK_BYTES", budget)
@@ -91,6 +114,7 @@ class TestBlockedPass:
         assert form == pytest.approx(v.values @ ours, rel=1e-13)
         unfolded = cross * m * m + 2.0 * (phi_u * v.values * rho).sum() * m
         assert form == pytest.approx(unfolded, rel=1e-12)
+        return list(energy_mod._row_blocks(grid.n_cells, grid.cells_per_dim))
 
 
 class TestFusedPass:
@@ -319,7 +343,7 @@ class TestP2Operator:
         op = kt.p2_operator
         a = stiffness_matrix(kt)
         for x in (rng.standard_normal(g.n_cells), rng.standard_normal((g.n_cells, 3))):
-            for ours, dense in ((op.kernel_product(x), kt.pair_kernel @ x),
+            for ours, dense in ((op.kernel_product(x), kt.dense_kernel() @ x),
                                 (op.apply(x), a @ x)):
                 assert ours.shape == x.shape
                 assert np.max(np.abs(ours - dense)) <= 2e-15 * np.max(np.abs(dense))

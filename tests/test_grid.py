@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -94,18 +95,18 @@ class TestKernelTable:
         fp = fv.FracParams(0.3, p)
         kt = fv.build_kernel_table(g, fp, 3.0)
         kern, rho = brute_force_table(g, fp, 3.0)
-        np.testing.assert_allclose(kt.pair_kernel, kern, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(kt.dense_kernel(), kern, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(kt.exterior_mass, rho, rtol=1e-13, atol=0.0)
 
     def test_unit_distance_pair_value(self):
         # centers one unit apart, exponent 1 + 0.8
         g = fv.build_grid(1, 1.0, 2)
         kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
-        assert kt.pair_kernel[0, 1] == pytest.approx(1.0, abs=0.0)
-        assert kt.pair_kernel[0, 0] == 0.0
+        assert kt.dense_kernel()[0, 1] == pytest.approx(1.0, abs=0.0)
+        assert kt.dense_kernel()[0, 0] == 0.0
 
     def test_symmetric_positive_off_diagonal(self, line_kt):
-        k = line_kt.pair_kernel
+        k = line_kt.dense_kernel()
         assert np.array_equal(k, k.T)
         off = k[~np.eye(k.shape[0], dtype=bool)]
         assert np.all(off > 0)
@@ -113,8 +114,8 @@ class TestKernelTable:
 
     def test_doubling_distances_scales_kernel(self):
         fp = fv.FracParams(0.4, 2.0)
-        k1 = fv.build_kernel_table(fv.build_grid(1, 1.0, 8), fp, 4.0).pair_kernel
-        k2 = fv.build_kernel_table(fv.build_grid(1, 2.0, 8), fp, 8.0).pair_kernel
+        k1 = fv.build_kernel_table(fv.build_grid(1, 1.0, 8), fp, 4.0).dense_kernel()
+        k2 = fv.build_kernel_table(fv.build_grid(1, 2.0, 8), fp, 8.0).dense_kernel()
         mask = ~np.eye(8, dtype=bool)
         np.testing.assert_allclose(k2[mask], k1[mask] * 2.0 ** -(1 + 0.8),
                                    rtol=1e-13)
@@ -194,9 +195,11 @@ class TestKernelTable:
             exact = math.fsum(stencil[tuple(abs(ci - ri) for ci, ri in zip(c, r))] for r in ring)
             assert abs(sums[c] - exact) <= 1e-15 * exact
 
-    def test_rejects_grid_beyond_physical_memory(self):
-        # plane n=512 would need terabytes: refused before anything is allocated
+    def test_rejects_grid_beyond_physical_memory(self, monkeypatch):
+        # plane n=512 needs about 2.2 GB, against 1 GiB of memory: refused
+        # before anything is allocated
         g = fv.build_grid(2, 1.0, 512)
+        monkeypatch.setattr(grid_mod, "_physical_memory", lambda: 2**30)
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match="physical memory"):
@@ -206,24 +209,47 @@ class TestKernelTable:
             tracemalloc.stop()
         assert peak < 1024 * 1024
 
-    def test_build_peak_is_the_kernel_plus_stencil(self):
-        # the dense kernel is the only M x M array, gathered after the ring
-        # sums' FFT buffers are freed; per-cell vectors and numpy's buffers
-        # add well under 512 KiB here, where a pairwise difference tensor
-        # would add 4 M^2 doubles (10 MB); the memory guard covers the peak
-        g = fv.build_grid(2, 1.0, 24)
-        layers = grid_mod._ring_layers(g, 4.0)
-        bound = 8 * (g.n_cells**2 + (24 + layers) ** 2) + 512 * 1024
-        estimate = grid_mod._build_bytes(g, layers)
-        assert estimate <= bound
+    @staticmethod
+    def build_peak(n: int):
+        g = fv.build_grid(2, 1.0, n)
+        estimate = grid_mod._build_bytes(g, grid_mod._ring_layers(g, 4.0))
         tracemalloc.start()
         try:
-            fv.build_kernel_table(g, fv.FracParams(0.5, 3.0), 4.0)
+            kt = fv.build_kernel_table(g, fv.FracParams(0.5, 3.0), 4.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound
+        return kt, peak, estimate
+
+    @pytest.mark.parametrize("n", [24, 64])
+    def test_build_peak_is_under_the_estimate_and_no_dense_kernel(self, n):
+        # the table keeps the stencil and the kernel's row source, about
+        # 2 n^3 doubles; the M x M kernel alone would be 134 MB at n = 64
+        kt, peak, estimate = self.build_peak(n)
         assert peak <= estimate
+        assert peak < 8 * kt.grid.n_cells**2
+
+    def test_plane_192_builds_without_an_m_squared_field(self):
+        kt, peak, estimate = self.build_peak(192)
+        assert peak <= estimate
+        for f in dataclasses.fields(kt):
+            assert getattr(getattr(kt, f.name), "size", 0) < kt.grid.n_cells**2
+        assert kt.kernel_rows.shape == (192, 192, 192**2)
+        assert kt.kernel_rows[0, 0, 1] == kt.stencil[0, 1]
+        assert kt.kernel_rows[191, 191, 0] == kt.stencil[191, 191]
+
+    @pytest.mark.parametrize("dim,n", [(1, 7), (1, 200), (2, 5), (2, 14)])
+    def test_kernel_rows_are_the_dense_kernel(self, dim, n):
+        # contiguous below one pass block (M <= 181), strided views above
+        kt = fv.build_kernel_table(fv.build_grid(dim, 1.0, n), fv.FracParams(0.4, 2.0), 4.0)
+        rows = kt.kernel_rows
+        assert rows.shape == ((1, n, n) if dim == 1 else (n, n, n * n))
+        assert not rows.flags.writeable
+        assert rows.flags.c_contiguous == (kt.grid.n_cells <= 181)
+        offsets = np.abs(kt.grid.centers[:, None, :] - kt.grid.centers) / kt.grid.spacing
+        expected = kt.stencil[tuple(np.rint(offsets).astype(int).transpose(2, 0, 1))]
+        assert np.array_equal(kt.dense_kernel(), expected)
+        assert np.array_equal(rows.reshape(kt.grid.n_cells, -1), expected)
 
     def test_plane_64_build_estimate_under_one_gib(self):
         g = fv.build_grid(2, 1.0, 64)
