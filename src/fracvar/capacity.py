@@ -11,13 +11,12 @@ raises the energy, and the minimizer with u = 1 on F (and 0 off the
 subdomain) already lies in [0, 1].  The box constraint is inactive.  At
 p = 2 the energy is the quadratic form u^T A u, and the capacity is the
 symmetric positive-definite system A_ff u_f = -A_fF 1 on the free cells
-(those outside F and inside the subdomain).  Conjugate gradients solve it,
-with the product 2 m^2 (r * x - K x) + 2 m rho * x (r the kernel's row
-sums, rho the exterior mass, m the cell measure), K x by BLAS over the
-table's kernel rows (copied once per solve on a long line).  The clipped
-solution then gets one fused energy-and-gradient pass and the
-projected-gradient stop test; a point that fails the test is handed on to
-the descent below as its start.
+(those outside F and inside the subdomain).  Conjugate gradients solve it
+on the table's ``P2Operator``: A and T. Chan's circulant preconditioner
+are both FFT products on the whole grid, restricted to the free cells, and
+CG takes 5-14 steps on every grid tried.  The clipped solution then gets
+one fused energy-and-gradient pass and the projected-gradient stop test; a
+point that fails the test is handed on to the descent below as its start.
 
 At every other p, spectral projected-gradient descent
 (``descent.spectral_descent``, with the box clip as its projection) reaches
@@ -45,6 +44,7 @@ once.  The sweeps run serially.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -185,7 +185,7 @@ def capacity(F: CellSet, kt: KernelTable, opts: CapacityOptions | None = None,
 
 def _linear_solve(u: np.ndarray, kt: KernelTable, free: np.ndarray,
                   opts: CapacityOptions) -> tuple[np.ndarray, int]:
-    """Conjugate gradients for A_ff u_f = -A_fF 1 at p = 2, from u's free values.
+    """Preconditioned CG for A_ff u_f = -A_fF 1 at p = 2, from u's free values.
 
     Returns the free cells' values and the CG step count, at most
     ``opts.max_iter``.  CG stops once the residual is below half
@@ -196,21 +196,21 @@ def _linear_solve(u: np.ndarray, kt: KernelTable, free: np.ndarray,
     # imported on first use, so that importing fracvar does not load scipy.sparse
     from scipy.sparse.linalg import LinearOperator, cg
 
-    # BLAS takes no negative row stride, which the line's windows have
-    kern = kt.kernel_rows.copy() if kt.kernel_rows.strides[1] < 0 else kt.kernel_rows
-    m = kt.cell_measure
-    diag = kt.p2_operator.diagonal
-    rhs = 2.0 * m * m * np.matmul(kern, np.where(free, 0.0, u)).ravel()[free]
-    full = np.zeros(u.size)
+    op = kt.p2_operator
+    rhs = -op.apply(np.where(free, 0.0, u))[free]
+    full = np.zeros(u.size)  # its fixed cells stay zero
 
-    def matvec(x):
-        full[free] = x
-        return (diag * full - 2.0 * m * m * np.matmul(kern, full).ravel())[free]
+    def on_free(full_map):
+        # R_f full_map R_f^T on the free cells; SPD for A and for P, as A and P are
+        def matvec(x):
+            full[free] = x
+            return full_map(full)[free]
+        return LinearOperator((rhs.size, rhs.size), matvec=matvec, dtype=float)
 
     steps = []  # the callback sees each CG step once
-    solution, _info = cg(LinearOperator((rhs.size, rhs.size), matvec=matvec, dtype=float),
-                         rhs, x0=u[free], rtol=0.0, atol=0.5 * opts.tol_factor,
-                         maxiter=opts.max_iter, callback=steps.append)
+    solution, _info = cg(on_free(op.apply), rhs, x0=u[free], rtol=0.0,
+                         atol=0.5 * opts.tol_factor, maxiter=opts.max_iter,
+                         M=on_free(op.precondition), callback=steps.append)
     return solution, len(steps)
 
 
@@ -268,6 +268,14 @@ class CandidateFamily:
     ball_radii: tuple = ()
     center_stride: int = 8         # lattice stride, in cells, for ball centers
     n_quantiles: int = 8
+
+    def __post_init__(self):
+        radii = self.ball_radii
+        if not all(isinstance(r, numbers.Real) and np.isfinite(r) and r > 0 for r in radii):
+            raise DomainError(f"ball radii must be finite positive numbers, got {radii}")
+        if self.center_stride < 1 or self.n_quantiles < 0:
+            raise DomainError("the family needs center_stride >= 1 and n_quantiles >= 0")
+        object.__setattr__(self, "ball_radii", tuple(float(r) for r in radii))
 
     @staticmethod
     def default(grid: Grid) -> "CandidateFamily":

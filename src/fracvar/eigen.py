@@ -150,15 +150,16 @@ def seeded_start(wt: Weight, kt: KernelTable, rng: np.random.Generator) -> np.nd
     return base
 
 
-def _projector(wt: Weight, kt: KernelTable, previous):
+def _projector(wt: Weight, kt: KernelTable, previous, cells=slice(None)):
     """Orthogonal projection onto { v : b_k . v = 0 }, b_k = w phi(u_k) m,
-    for the previous levels u_k; the identity when there are none."""
+    for the previous levels u_k, of fields on ``cells`` (all by default);
+    the identity when there are none."""
     if not previous:
         return lambda v: v
     p, m = kt.params.p, kt.cell_measure
     wvals = wt.combined.values
     q = np.linalg.qr(np.column_stack([wvals * _phi(res.u.values, p) * m
-                                      for res in previous]))[0]
+                                      for res in previous])[cells])[0]
     return lambda v: v - q @ (q.T @ v)
 
 
@@ -333,7 +334,9 @@ def deflated_start(wt: Weight, kt: KernelTable, previous, level: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Oscillatory seed projected onto the subspace paired to zero with the
     previous levels (exact for every p: the pairing is linear in u),
-    redrawn until its weighted mass is positive."""
+    redrawn until its weighted mass is positive.  After 60 draws, one
+    Gaussian draw on S = {w > 0}, projected there and zero off S, whose
+    mass is positive whenever it is nonzero."""
     grid = kt.grid
     p, m = kt.params.p, kt.cell_measure
     wvals = wt.combined.values
@@ -346,7 +349,12 @@ def deflated_start(wt: Weight, kt: KernelTable, previous, level: int,
         if raw_weighted_mass(cand, wvals, p, m) > 0:
             return cand
         pattern = rng.standard_normal(grid.n_cells)
-    raise DomainError("could not seed a deflated start with positive mass")
+    positive = wvals > 0
+    if positive.sum() <= len(previous):
+        raise DomainError("could not seed a deflated start with positive mass")
+    cand = np.zeros(grid.n_cells)
+    cand[positive] = _projector(wt, kt, previous, positive)(rng.standard_normal(positive.sum()))
+    return cand
 
 
 def eigen_sequence(wt: Weight, kt: KernelTable, k: int,

@@ -36,9 +36,11 @@ Each pair takes a single power, q = |u_i - u_j|^(p-1); the energy term
 |d|^p is q |d| and the flux phi(d) is copysign(q, d).  At p = 2 none is
 taken (q = d), so the p = 2 sums are those of d*d and d.
 
-At p = 2 the energy is a quadratic form u^T A u.  ``P2Operator`` applies A
-and a circulant preconditioner by FFT, through the grid module's circulant
-embedding of the kernel table's stencil; ``stiffness_matrix`` is dense.
+At p = 2 the energy is a quadratic form u^T A u.  ``P2Operator``, the one
+operator of the p = 2 solves, applies A and a circulant preconditioner by
+FFT through the grid module's circulant embedding of the kernel table's
+stencil; ``stiffness_matrix`` is its dense reference.  Only the pair pass
+and ``KernelTable.dense_kernel`` read the kernel rows.
 """
 
 from __future__ import annotations
@@ -253,19 +255,14 @@ def rayleigh_quotient(u: GridFunction, w: GridFunction, kt: KernelTable) -> floa
 _ORACLE_SQUARES = 4
 
 
-def _p2_diagonal(kt: KernelTable) -> np.ndarray:
-    """Diagonal of the p = 2 energy matrix: 2 m^2 sum_j K[i, j] + 2 m rho_i."""
-    m = kt.cell_measure
-    return 2.0 * m * m * kt.kernel_rows.sum(axis=-1).ravel() + 2.0 * m * kt.exterior_mass
-
-
 class P2Operator:
     """The p = 2 energy matrix A = 2 m^2 (diag(r) - K) + 2 m diag(rho) by FFT.
 
     K depends only on the cell offset, so it is Toeplitz on the line and
     BTTB on the plane.  Its stencil over the signed offsets 1-n .. n-1 of
     each axis, in the grid module's even circulant embedding, multiplies a
-    zero-padded field exactly.  ``symbol`` is that circulant's spectrum.
+    zero-padded field exactly.  ``symbol`` is that circulant's spectrum,
+    which also gives the row sums r = K 1 on A's diagonal.
 
     ``precondition`` applies the inverse of the same embedding of
     c I - 2 m^2 K to the zero-padded field and keeps the box cells, after
@@ -286,8 +283,9 @@ class P2Operator:
         # offsets beyond n - 1 pair no two box cells; offset 0 at index 0
         # makes the embedding even in every axis, so its spectrum is real
         self.symbol = np.ascontiguousarray(_stencil_symbol(kt.stencil, n - 1, float).real)
-        self.diagonal = _p2_diagonal(kt)
         self._scale = 2.0 * kt.cell_measure**2
+        self.diagonal = (self._scale * self.kernel_product(np.ones(kt.grid.n_cells))
+                         + 2.0 * kt.cell_measure * kt.exterior_mass)
         self.preconditioner_symbol = float(np.median(self.diagonal)) - self._scale * self.symbol
         assert self.preconditioner_symbol.min() > 0.0, "the preconditioner is not positive"
         self._inverse_symbol = 1.0 / self.preconditioner_symbol
@@ -322,6 +320,8 @@ def stiffness_matrix(kt: KernelTable) -> np.ndarray:
     _check_fits(8 * _ORACLE_SQUARES * cells**2, f"a dense oracle for {cells} cells")
     m = kt.cell_measure
     a = kt.dense_kernel()
+    # the diagonal from this copy's own row sums keeps the oracle independent of the FFT path
+    diagonal = 2.0 * m * m * a.sum(axis=1) + 2.0 * m * kt.exterior_mass
     a *= -2.0 * m * m
-    a[np.diag_indices(cells)] = _p2_diagonal(kt)
+    a[np.diag_indices(cells)] = diagonal
     return a

@@ -318,8 +318,9 @@ class KernelTable:
     def kernel_rows(self) -> np.ndarray:
         """Read-only kernel rows K[l n + q, c] = kernel_rows[l, q, c], views of
         ``row_source``: (1, n, n) on the line (row i starts at n - 1 - i), (n, n, M)
-        on the plane (row (i1, i2) at i2 (2n - 1) n + (n - 1 - i1) n).  They are
-        copied contiguous when one pair-pass block (``_BLOCK_BYTES``) holds them."""
+        on the plane (row (i1, i2) at i2 (2n - 1) n + (n - 1 - i1) n), copied
+        contiguous when one pair-pass block (``_BLOCK_BYTES``) holds them.  Only
+        the energy module's pair pass and ``dense_kernel`` read them."""
         n, cells = self.grid.cells_per_dim, self.grid.n_cells
         windows = np.lib.stride_tricks.sliding_window_view
         if self.grid.dim == 1:

@@ -5,6 +5,7 @@ import pytest
 
 import fracvar as fv
 import fracvar.eigen as eigen_mod
+import fracvar.energy as energy_mod
 import fracvar.grid as grid_mod
 from fracvar.eigen import default_start
 from fracvar.energy import _phi, raw_energy, stiffness_matrix
@@ -107,6 +108,16 @@ class TestLinearOracle:
         a = stiffness_matrix(kt)
         assert np.max(np.abs(a - a.T)) <= 1e-12 * np.max(np.abs(a))
         assert np.linalg.eigvalsh(a).min() > 0
+
+    def test_never_builds_the_fft_operator(self, monkeypatch, line_grid):
+        # the oracle cross-checks the FFT path, so it must not go through it
+        def no_operator(_kt):
+            raise AssertionError("the dense oracle built the FFT operator")
+
+        monkeypatch.setattr(energy_mod, "P2Operator", no_operator)
+        kt = fv.build_kernel_table(line_grid, fv.FracParams(0.4, 2.0), 4.0)
+        assert fv.linear_oracle(fv.Weight.constant(line_grid), kt)
+        assert "p2_operator" not in vars(kt)
 
     def test_requires_p_two(self, line_grid):
         kt = fv.build_kernel_table(line_grid, fv.FracParams(0.3, 3.0), 4.0)
@@ -249,6 +260,18 @@ class TestLobpcgPath:
             assert res.constraint_gap <= 1e-12
             # far inside the 50000-step budget, which a stalled LOBPCG runs out
             assert res.iterations < 500
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_start_drawn_on_the_positive_part(self, seed):
+        # no oscillatory draw has positive mass for this weight on the plane,
+        # so the start of each deflated level is drawn on {w > 0}
+        g = fv.build_grid(2, 1.0, 8)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.45, 2.0), 4.0)
+        shifted = fv.GridFunction(g, np.cos(2.5 * g.centers[:, 0]) + 0.2)
+        wt = fv.Weight.from_function(shifted).swapped()
+        seq = fv.eigen_sequence(wt, kt, 3, fv.EigenOptions(tol=1e-9, seed=seed))
+        for res, (lam, _u) in zip(seq, fv.linear_oracle(wt, kt)):
+            assert res.lam == pytest.approx(lam, rel=1e-6)
 
     def test_start_is_not_mutated(self, signed_setup):
         _g, kt, wt = signed_setup

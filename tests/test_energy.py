@@ -359,6 +359,12 @@ class TestP2Operator:
             assert np.max(np.abs(dense - dense.T)) <= 1e-15 * np.max(np.abs(dense))
             assert np.linalg.eigvalsh(dense).min() > 0.0
 
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 12)])
+    def test_reads_no_kernel_rows(self, dim, n):
+        kt = fv.build_kernel_table(fv.build_grid(dim, 1.0, n), fv.FracParams(0.4, 2.0), 4.0)
+        assert kt.p2_operator.diagonal.shape == (kt.grid.n_cells,)
+        assert "kernel_rows" not in vars(kt)
+
     def test_built_once_and_only_at_p2(self, monkeypatch, line_grid, line_kt_p3):
         with pytest.raises(DomainError):
             energy_mod.P2Operator(line_kt_p3)

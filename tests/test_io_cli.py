@@ -123,6 +123,10 @@ class TestDispatch:
         ("verify", {"verify": {"threads": "2"}}),
         ("seminorm", {"function": {"kind": "gaussian"}}),
         ("eigen", {"solver": "fast"}),
+        ("hardy-norm", {"hardy": {"ball_radii": ["0.5"]}}),
+        ("hardy-norm", {"hardy": {"center_stride": 0}}),
+        ("hardy-norm", {"hardy": {"n_quantiles": -1}}),
+        ("hardy-norm", {"hardy": {"center_stride": -2}}),
     ])
     def test_malformed_value_exits_65(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **overrides)
