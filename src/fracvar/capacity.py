@@ -12,10 +12,10 @@ subdomain) already lies in [0, 1].  The box constraint is inactive.  At
 p = 2 the energy is the quadratic form u^T A u, and the capacity is the
 symmetric positive-definite system A_ff u_f = -A_fF 1 on the free cells
 (those outside F and inside the subdomain).  Conjugate gradients solve it
-on the table's ``P2Operator``: A and T. Chan's circulant preconditioner
-are both FFT products on the whole grid, restricted to the free cells, and
-CG takes 5-14 steps on every grid tried.  The clipped solution then gets
-one fused energy-and-gradient pass and the projected-gradient stop test; a
+on the table's ``P2Operator`` (``_linear_solve``): A and T. Chan's
+circulant preconditioner are FFT products on the whole grid, restricted to
+the free cells, and CG takes 5-14 steps on every grid tried.  The clipped
+solution then gets one fused energy-and-gradient pass and the stop test; a
 point that fails the test is handed on to the descent below as its start.
 
 At every other p, spectral projected-gradient descent
@@ -49,6 +49,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.ma  # np.quantile loads it on first use, through np.unique
 
 from .descent import spectral_descent
 from .energy import raw_energy
@@ -193,25 +194,27 @@ def _linear_solve(u: np.ndarray, kt: KernelTable, free: np.ndarray,
     residual, so the stop test's target tol_factor * max(1, E) is then met
     wherever the clip leaves the point unchanged.
     """
-    # imported on first use, so that importing fracvar does not load scipy.sparse
-    from scipy.sparse.linalg import LinearOperator, cg
-
     op = kt.p2_operator
-    rhs = -op.apply(np.where(free, 0.0, u))[free]
     full = np.zeros(u.size)  # its fixed cells stay zero
 
-    def on_free(full_map):
-        # R_f full_map R_f^T on the free cells; SPD for A and for P, as A and P are
-        def matvec(x):
-            full[free] = x
-            return full_map(full)[free]
-        return LinearOperator((rhs.size, rhs.size), matvec=matvec, dtype=float)
+    def on_free(full_map, x):
+        # R_f full_map R_f^T x on the free cells; SPD for A and for P, as A and P are
+        full[free] = x
+        return full_map(full)[free]
 
-    steps = []  # the callback sees each CG step once
-    solution, _info = cg(on_free(op.apply), rhs, x0=u[free], rtol=0.0,
-                         atol=0.5 * opts.tol_factor, maxiter=opts.max_iter,
-                         M=on_free(op.precondition), callback=steps.append)
-    return solution, len(steps)
+    x = u[free]
+    r = -op.apply(np.where(free, 0.0, u))[free] - on_free(op.apply, x)
+    rho, direction, steps = None, None, 0
+    while np.linalg.norm(r) > 0.5 * opts.tol_factor and steps < opts.max_iter:
+        z = on_free(op.precondition, r)
+        rho, rho_prev = r @ z, rho
+        direction = z if direction is None else z + (rho / rho_prev) * direction
+        q = on_free(op.apply, direction)
+        alpha = rho / (direction @ q)
+        x += alpha * direction
+        r -= alpha * q
+        steps += 1
+    return x, steps
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
+import numpy.random
 
 from . import eigen as eig
 from . import energy as en

@@ -27,18 +27,19 @@ not proven min-max levels.
 
 At p = 2 the problem is the symmetric pencil A u = lam M u, with A the
 energy matrix (positive definite) and M = diag(w m).  Each level is first
-computed by LOBPCG for the largest mu = 1/lam of M x = mu A x, with A
-applied by FFT and preconditioned by a circulant (``energy.P2Operator``);
-LOBPCG's block holds the earlier levels and the start.  Its iterate is
-projected, rescaled to unit mass and put to the descent's own residual
-test; the descent above continues from it only if the test fails, within
-the same iteration budget.  On the line at n = 768 with a signed weight,
-two levels take 28 steps in all, where the descent alone took 208.
+computed by LOBPCG (``_lobpcg``) for the largest mu = 1/lam of M x = mu A x,
+with A applied by FFT and preconditioned by a circulant
+(``energy.P2Operator``); LOBPCG's block holds the earlier levels and the
+start.  Its iterate is projected, rescaled to unit mass and put to the
+descent's own residual test; the descent above continues from it only if
+the test fails, within the same iteration budget.  On the line at n = 768
+with a signed weight, two levels take 31 steps in all, where the descent
+alone took 208.
 
 A dense p = 2 cross-check (``linear_oracle``) solves M v = mu A v with the
-assembled stiffness matrix and diagonal weight matrix, restricted to
-directions of positive weighted mass; it takes no FFT product, so it
-checks the LOBPCG path independently.
+assembled stiffness matrix and diagonal weight matrix, by Cholesky and a
+symmetric eigensolve, restricted to directions of positive weighted mass;
+it takes no FFT product, so it checks the LOBPCG path independently.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import numpy.random
 
 from .descent import spectral_descent
 from .energy import (_phi, _row_blocks, raw_energy, raw_gateaux_vector,
@@ -206,8 +207,8 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
 
     u, energy = unit(np.asarray(u0, dtype=float))
     its = 0
-    # scipy's lobpcg switches to a dense solve below 5 cells per block column
-    if p == 2.0 and kt.grid.n_cells >= 5 * (len(previous) + 1):
+    # LOBPCG's basis [X, W, P] must fit in the M cells
+    if p == 2.0 and kt.grid.n_cells >= 3 * (len(previous) + 1):
         x, its = _lobpcg(wt, kt, u, energy, opts, previous)
         u, energy = unit(x)
     u, energy, _aux, status, more = spectral_descent(u, energy, energy, direction, trial,
@@ -226,53 +227,66 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
 _LOBPCG_STEPS = 500
 
 
+def _a_orthonormal(basis: np.ndarray, a_basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """basis and A basis recombined so that basis^T A basis = I by SVQB, twice
+    (Duersch, Shao, Yang & Gu, SIAM J. Sci. Comput. 40, 2018): the eigh of
+    the Gram matrix scaled by diag(G)^-1/2, less its directions below 1e-12."""
+    for _ in range(2):
+        gram = basis.T @ a_basis
+        scale = np.maximum(np.diag(gram), np.finfo(float).tiny) ** -0.5
+        theta, vecs = np.linalg.eigh(scale[:, None] * gram * scale)
+        keep = theta > 1e-12 * theta[-1]
+        mix = scale[:, None] * vecs[:, keep] / np.sqrt(theta[keep])
+        basis, a_basis = basis @ mix, a_basis @ mix
+    return basis, a_basis
+
+
 def _lobpcg(wt: Weight, kt: KernelTable, u: np.ndarray, lam0: float, opts: EigenOptions,
             previous) -> tuple[np.ndarray, int]:
     """LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) for the largest
     mu = 1/lam of M x = mu A x at p = 2, with M = diag(w m).
 
     A enters by its FFT product and circulant preconditioner
-    (``KernelTable.p2_operator``).  The block holds the ``previous`` levels
-    and u, and the level sought is the block's smallest mu.  The previous
-    levels are not LOBPCG's constraints: they are eigenvectors only to the
-    solve's tolerance, and LOBPCG's unprojected residual of a constrained
-    level stalls at that error, which can lie above the target below.  In
-    the block, every column's residual goes down to roundoff.
+    (``KernelTable.p2_operator``).  The block X holds the ``previous``
+    levels and u (not written), and the level sought is the smallest of its
+    k Ritz values: as constraints, levels that are eigenvectors only to the
+    solve's tolerance would hold the residual above the target below.
+    Each step takes the top k Ritz pairs in the basis [X, W, P], made
+    A-orthonormal by ``_a_orthonormal``, with W the preconditioned residual
+    and P the new block's part A-orthogonal to the old.  A is applied to
+    the whole basis: products carried by recurrence lose A-orthogonality
+    within a few steps, and the Ritz values then exceed the largest mu.
 
-    LOBPCG keeps x^T A x = 1, so the descent's residual
-    max|A u - lam M u| / lam of u = x / sqrt(mu) is sqrt(lam) max|M x - mu A x|.
-    No level of the block exceeds the start's level lam0, so stopping every
-    column at the 2-norm opts.tol / sqrt(lam0) meets opts.tol.
-
-    LOBPCG has no stagnation test, and below its roundoff floor it takes
-    every step it is given: at most ``_LOBPCG_STEPS``, 8 times the most any
-    benchmark level took (63), so the descent has budget left to finish.
+    X^T A X = I, so the descent's residual max|A u - lam M u| / lam of
+    u = x / sqrt(mu) is sqrt(lam) max|M x - mu A x|.  No level of the block
+    exceeds the start's level lam0, so stopping every column at the 2-norm
+    opts.tol / sqrt(lam0) meets opts.tol.  Below its roundoff floor that
+    never happens: at most ``_LOBPCG_STEPS`` steps are taken, 8 times the
+    most any benchmark level took (63), so the descent has budget left.
 
     Returns the level's column and the number of preconditioned steps, at
-    most ``opts.max_iter - 1``, so that the caller's residual test runs at
-    least once within the budget.
+    most ``opts.max_iter - 2``, so the caller's residual test runs at least
+    once within the budget.
     """
-    # imported on first use, so that importing fracvar does not load scipy.sparse
-    from scipy.sparse.linalg import lobpcg
-
     op = kt.p2_operator
     wm = (wt.combined.values * kt.cell_measure)[:, None]
-    steps = 0
-
-    def precondition(r):
-        nonlocal steps
+    k = len(previous) + 1
+    cap = min(opts.max_iter - 2, _LOBPCG_STEPS)
+    basis = np.column_stack([r.u.values for r in previous] + [u])
+    directions, steps = [], 0
+    while True:
+        basis, a_basis = _a_orthonormal(basis, op.apply(basis))
+        mus, vecs = np.linalg.eigh(basis.T @ (wm * basis))
+        mus, vecs = mus[:-k - 1:-1], vecs[:, :-k - 1:-1]  # the top k, descending
+        new = basis @ vecs
+        if steps:
+            directions = [new - x @ (a_x.T @ new)]
+        x, a_x = new, a_basis @ vecs
+        residual = wm * x - a_x * mus
+        if steps >= cap or np.linalg.norm(residual, axis=0).max() <= opts.tol / lam0**0.5:
+            return x[:, -1], steps
         steps += 1
-        return op.precondition(r)
-
-    # a new array: lobpcg normalizes its start in place
-    block = np.column_stack([r.u.values for r in previous] + [u])
-    with warnings.catch_warnings():
-        # lobpcg warns when it stops short of its tolerance; the caller's
-        # residual test decides what happens next
-        warnings.simplefilter("ignore", UserWarning)
-        _mu, x = lobpcg(lambda v: wm * v, block, B=op.apply, M=precondition, largest=True,
-                        tol=opts.tol / lam0**0.5, maxiter=min(opts.max_iter - 2, _LOBPCG_STEPS))
-    return x[:, -1], steps
+        basis = np.hstack([x, op.precondition(residual)] + directions)
 
 
 def _result_from(u, lam, residual, iterations, wt, kt) -> EigenResult:
@@ -302,32 +316,58 @@ def first_eigenpair(wt: Weight, kt: KernelTable, opts: EigenOptions | None = Non
     return res
 
 
+def _triangular_times(tri: np.ndarray, x: np.ndarray, lower: bool, out=None) -> np.ndarray:
+    """tri @ x for a lower (or upper) triangular tri, by halves, skipping
+    its zero quarter: half the flops of the dense product."""
+    size, half = tri.shape[0], tri.shape[0] // 2
+    out = np.empty(x.shape) if out is None else out
+    if size < 128:
+        return np.matmul(tri, x, out=out)
+    _triangular_times(tri[:half, :half], x[:half], lower, out[:half])
+    _triangular_times(tri[half:, half:], x[half:], lower, out[half:])
+    if lower:
+        out[half:] += tri[half:, :half] @ x[:half]
+    else:
+        out[:half] += tri[:half, half:] @ x[half:]
+    return out
+
+
+def _lower_inverse(low: np.ndarray, inv=None) -> np.ndarray:
+    """L^-1 of a lower-triangular L, by halves: the inverse of
+    [[L11, 0], [L21, L22]] is [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]]."""
+    size, half = low.shape[0], low.shape[0] // 2
+    inv = np.zeros_like(low) if inv is None else inv
+    if size < 64:
+        inv[...] = np.linalg.inv(low)
+        return inv
+    _lower_inverse(low[:half, :half], inv[:half, :half])
+    _lower_inverse(low[half:, half:], inv[half:, half:])
+    _triangular_times(inv[half:, half:], -low[half:, :half] @ inv[:half, :half], lower=True,
+                      out=inv[half:, :half])
+    return inv
+
+
 def linear_oracle(wt: Weight, kt: KernelTable) -> list[tuple[float, GridFunction]]:
     """Dense p = 2 cross-check via the generalized symmetric pencil.
 
-    Solves M v = mu A v with the energy matrix A (positive definite) and
-    M = diag(w m); directions with mu > 0 carry positive weighted mass and
-    map to eigenvalues lam = 1/mu, returned sorted ascending with
-    eigenfunctions normalized to unit weighted mass.
+    Solves M v = mu A v, with the energy matrix A = L L^T (Cholesky) and
+    M = diag(w m), as C y = mu y, C = L^-1 M L^-T and v = L^-T y; directions
+    with mu > 0 carry positive weighted mass and map to eigenvalues lam = 1/mu,
+    returned sorted ascending with eigenfunctions of unit weighted mass.
     """
     if kt.params.p != 2.0:
         raise DomainError("the dense oracle applies only to p = 2")
-    a = stiffness_matrix(kt)
-    wvals = wt.combined.values
-    # both matrices are symmetric, so their Fortran-ordered transposes are
-    # the same matrices, and eigh overwrites them in place instead of copying
-    mmat = np.diag(wvals * kt.cell_measure).T
-    mus, vecs = scipy.linalg.eigh(mmat, a.T, overwrite_a=True, overwrite_b=True)
-    out = []
+    # every M x M temporary is dropped as soon as it is used (_ORACLE_SQUARES)
+    inv = _lower_inverse(np.linalg.cholesky(stiffness_matrix(kt)))
+    wm = (wt.combined.values * kt.cell_measure)[:, None]
+    mus, vecs = np.linalg.eigh(_triangular_times(inv, wm * inv.T, lower=True))
     cutoff = 1e-12 * max(1.0, float(np.max(np.abs(mus))))
-    for mu, v in zip(mus[::-1], vecs[:, ::-1].T):
-        if mu <= cutoff:
-            continue
-        u = v / mu**0.5  # rescale so the weighted mass is exactly one
-        if u.sum() < 0:
-            u = -u
-        out.append((float(1.0 / mu), GridFunction(kt.grid, u)))
-    return out
+    first = int(np.searchsorted(mus, cutoff, side="right"))
+    mus, vecs = mus[first:], _triangular_times(inv.T, vecs[:, first:], lower=False)
+    vecs /= np.sqrt(mus)  # unit weighted mass
+    vecs *= np.where(vecs.sum(axis=0) < 0, -1.0, 1.0)
+    return [(float(1.0 / mu), GridFunction(kt.grid, u))
+            for mu, u in zip(mus[::-1], vecs.T[::-1])]
 
 
 def deflated_start(wt: Weight, kt: KernelTable, previous, level: int,

@@ -23,8 +23,8 @@ Everything else here is a derivative of E:
 All pair sums come from one private pass, ``_pair_sums``, that visits each
 unordered pair once and forms no M x M temporary.  It walks row blocks
 [a, b) against the columns [a, M); the block height is at most
-max(1, 256 KiB // (8 M)) rows, so one block's float64 temporary stays near
-256 KiB whatever the grid.  Grids of up to 181 cells fit in one block.  A
+max(1, 256 KiB // (8 M)) rows, so one block, in buffers kept on the table,
+stays near 256 KiB whatever the grid; grids of up to 181 cells fit in one.  A
 block covers whole runs of n rows of ``KernelTable.kernel_rows``, or rows of one run.
 Its kinds are the pair energy, the per-cell densities of
 ``nonlocal_gradient``, the flux behind the Gateaux vector, and energy and
@@ -97,6 +97,7 @@ def _pair_sums(vals: np.ndarray, kt: KernelTable, kind: str):
     Each pair takes one power, q = |d|^(p-1) of d = u_i - u_j, and the
     rest is derived from it: |d|^p = q |d| and phi(d) = copysign(q, d).
     At p = 2 no power is taken: |d|^p is d*d and phi(d) is d itself.
+    d, |d| and q are views of ``KernelTable.pair_buffers``: one pass at a time.
 
     Row block [a, b) meets columns [a, M).  On the square [a, b) x [a, b)
     both orders of every pair are present; each pair to its right appears
@@ -114,18 +115,19 @@ def _pair_sums(vals: np.ndarray, kt: KernelTable, kind: str):
     total = 0.0
     rows = np.zeros(size)
     for a, b in _row_blocks(size, run):
+        d, mag, q = (buf[:(b - a) * (size - a)].reshape(b - a, size - a)
+                     for buf in kt.pair_buffers)
         # d = u_i - u_j; filling, then subtracting in place, runs faster
         # than numpy's two-way broadcast subtraction
-        d = np.empty((b - a, size - a))
         d[:] = vals[a:b, None]
         d -= vals[a:]
         if p == 2.0:
             q = d
             if even:
-                power = np.square(d, out=None if odd else d)
+                power = np.square(d, out=mag if odd else d)
         else:
-            mag = np.abs(d, out=None if odd else d)
-            q = mag ** (p - 1.0)
+            mag = np.abs(d, out=mag if odd else d)
+            np.power(mag, p - 1.0, out=q)
             if even:
                 power = np.multiply(q, mag, out=mag)
             if odd:
@@ -250,9 +252,9 @@ def rayleigh_quotient(u: GridFunction, w: GridFunction, kt: KernelTable) -> floa
     return seminorm_p(u, kt).value / wu
 
 
-# Peak float64 M x M arrays of the dense p = 2 oracle: this matrix, the
-# diagonal mass matrix (eigh overwrites both in place) and its 2 M^2 workspace.
-_ORACLE_SQUARES = 4
+# Peak float64 M x M arrays of the dense p = 2 oracle, while eigh runs: L^-1,
+# C, eigh's copy of C, its eigenvectors and its 2 M^2 workspace.
+_ORACLE_SQUARES = 6
 
 
 class P2Operator:
@@ -286,7 +288,9 @@ class P2Operator:
         self._scale = 2.0 * kt.cell_measure**2
         self.diagonal = (self._scale * self.kernel_product(np.ones(kt.grid.n_cells))
                          + 2.0 * kt.cell_measure * kt.exterior_mass)
-        self.preconditioner_symbol = float(np.median(self.diagonal)) - self._scale * self.symbol
+        # np.median's arithmetic, without its import of numpy.ma
+        middle = np.sort(self.diagonal)[[(kt.grid.n_cells - 1) // 2, kt.grid.n_cells // 2]]
+        self.preconditioner_symbol = float(middle.mean()) - self._scale * self.symbol
         assert self.preconditioner_symbol.min() > 0.0, "the preconditioner is not positive"
         self._inverse_symbol = 1.0 / self.preconditioner_symbol
 

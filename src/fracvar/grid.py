@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
+import numpy.fft
 
 from .errors import DomainError
 
@@ -336,6 +337,16 @@ class KernelTable:
     def dense_kernel(self) -> np.ndarray:
         """A new, writable (M, M) copy of the kernel, zero on the diagonal."""
         return np.array(self.kernel_rows).reshape(self.grid.n_cells, self.grid.n_cells)
+
+    @functools.cached_property
+    def pair_buffers(self) -> tuple:
+        """Three float64 arrays, d, |d| and q, the size of the energy module's
+        largest pair-pass block: every pass fills views of them instead of
+        allocating, so a table runs one pass at a time (``ordered_map`` is serial)."""
+        from .energy import _row_blocks  # energy imports this module
+        cells = self.grid.n_cells
+        _top, height = _row_blocks(cells, self.grid.cells_per_dim)[0]
+        return tuple(np.empty(height * cells) for _ in range(3))
 
     @functools.cached_property
     def p2_operator(self):

@@ -214,12 +214,11 @@ class TestLinearPath:
     def test_poor_cg_iterate_finished_by_descent(self, monkeypatch, line_kt, line_grid):
         target = fv.CellSet.ball(line_grid, (0.0,), 0.2)
 
-        def poor_cg(_op, rhs, x0, callback, **_kwargs):
-            for _ in range(3):
-                callback(x0)
-            return np.full_like(rhs, 0.5), 3
+        def poor_cg(_u, _kt, free, _opts):
+            # three CG steps that end at a poor iterate
+            return np.full(free.sum(), 0.5), 3
 
-        monkeypatch.setattr("scipy.sparse.linalg.cg", poor_cg)
+        monkeypatch.setattr(capacity_mod, "_linear_solve", poor_cg)
         counts = count_passes(monkeypatch)
         opts = fv.CapacityOptions()
         res = fv.capacity(target, line_kt, opts)

@@ -125,7 +125,7 @@ class TestLinearOracle:
             fv.linear_oracle(fv.Weight.constant(line_grid), kt)
 
     def test_refuses_oracle_beyond_physical_memory(self, monkeypatch):
-        # the oracle's 4 M^2 doubles (8 MiB at M = 512) against 4 MiB of
+        # the oracle's 6 M^2 doubles (12 MiB at M = 512) against 4 MiB of
         # memory: refused before the first 2 MiB M x M array is allocated
         g = fv.build_grid(1, 1.0, 512)
         kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
@@ -142,8 +142,8 @@ class TestLinearOracle:
         assert peak < 1024 * 1024
 
     def test_peak_memory_is_four_squares(self):
-        # the stiffness matrix, the diagonal mass matrix and eigh's 2 M^2
-        # workspace; eigh overwrites the two matrices instead of copying them
+        # tracemalloc sees numpy arrays only: L^-1, C, its eigenvectors and
+        # the triangular products' blocks; eigh's copy and workspace are not
         g = fv.build_grid(1, 1.0, 256)
         kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
         tracemalloc.start()
@@ -153,6 +153,21 @@ class TestLinearOracle:
         finally:
             tracemalloc.stop()
         assert peak <= 4.1 * 8 * g.n_cells**2
+
+    @pytest.mark.parametrize("n", [257, 300])
+    def test_every_pair_solves_the_pencil(self, n):
+        # grids large enough for several levels of the by-halves inverse and
+        # triangular products, at odd and even splits
+        g = fv.build_grid(1, 1.0, n)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
+        wt = cosine_weight(g)
+        a = stiffness_matrix(kt)
+        wm = wt.combined.values * kt.cell_measure
+        pairs = fv.linear_oracle(wt, kt)
+        assert len(pairs) == np.count_nonzero(wm > 0)
+        for lam, u in pairs:
+            defect = np.max(np.abs(a @ u.values - lam * wm * u.values))
+            assert defect <= 1e-12 * lam * np.max(np.abs(wm * u.values))
 
     def test_sign_changing_weight_has_positive_principal_pair(self, signed_setup):
         _g, kt, wt = signed_setup
@@ -261,6 +276,19 @@ class TestLobpcgPath:
             # far inside the 50000-step budget, which a stalled LOBPCG runs out
             assert res.iterations < 500
 
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    @pytest.mark.parametrize("kind", ["flat", "signed"])
+    def test_levels_at_the_basis_boundary(self, n, kind):
+        # LOBPCG runs level k only where its basis [X, W, P] of 3 k columns
+        # fits in the n cells: level 3 from n = 9, where the basis is the
+        # whole space; below that the descent solves level 3 alone
+        g = fv.build_grid(1, 1.0, n)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.45, 2.0), 4.0)
+        wt = fv.Weight.constant(g) if kind == "flat" else cosine_weight(g)
+        seq = fv.eigen_sequence(wt, kt, 3, fv.EigenOptions(tol=1e-8, seed=3))
+        for res, (lam, _u) in zip(seq, fv.linear_oracle(wt, kt)):
+            assert abs(res.lam / lam - 1.0) <= 1e-12
+
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_start_drawn_on_the_positive_part(self, seed):
         # no oscillatory draw has positive mass for this weight on the plane,
@@ -295,12 +323,11 @@ class TestLobpcgPath:
     def test_poor_iterate_finished_by_descent(self, monkeypatch, flat_setup):
         _g, kt, wt = flat_setup
 
-        def poor_lobpcg(_a, x, M, **_kwargs):
-            for _ in range(3):
-                M(x)
-            return np.ones(1), x
+        def poor_lobpcg(_wt, _kt, u, _lam0, _opts, _previous):
+            # three preconditioned steps that leave the start unchanged
+            return u, 3
 
-        monkeypatch.setattr("scipy.sparse.linalg.lobpcg", poor_lobpcg)
+        monkeypatch.setattr(eigen_mod, "_lobpcg", poor_lobpcg)
         opts = fv.EigenOptions(tol=1e-8)
         res = fv.first_eigenpair(wt, kt, opts)
         assert res.iterations > 3

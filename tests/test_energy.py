@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -144,6 +146,22 @@ class TestFusedPass:
         grad = (dens * m + np.abs(u.values) ** p * kt.exterior_mass) ** (1.0 / p)
         np.testing.assert_allclose(fv.nonlocal_gradient(u, kt).values, grad,
                                    rtol=1e-14)
+
+
+    def test_warm_pass_allocates_no_block(self, rng):
+        # every pass fills the table's pair_buffers, so after a first pass
+        # none allocates a 144 x 144 block (block temporaries would be three)
+        g = fv.build_grid(2, 1.0, 12)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.3, 3.0), 4.0)
+        u = rng.standard_normal(g.n_cells)
+        energy_mod.raw_energy(u, kt, with_gateaux=True)
+        tracemalloc.start()
+        try:
+            energy_mod.raw_energy(u, kt, with_gateaux=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * g.n_cells**2
 
 
 class TestSeminorm:

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -295,3 +297,51 @@ class TestDispatch:
         assert not repeated, f"written more than once: {repeated}"
         header = (tmp_path / "out" / "concentration.csv").read_text().splitlines()[0]
         assert header == "x,y"
+
+
+# runs fracvar.cli.dispatch on each argument list of argv[1] (JSON) with
+# every import of scipy or a scipy submodule failing
+WITHOUT_SCIPY = """
+import json
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from fracvar.cli import dispatch
+
+sys.exit(max(dispatch(argv) for argv in json.loads(sys.argv[1])))
+"""
+
+
+class TestWithoutScipy:
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        line = {"dim": 1, "half_width": 1.0, "cells_per_dim": 48, "ext_radius": 4.0}
+        plane = {"dim": 2, "half_width": 1.0, "cells_per_dim": 6, "ext_radius": 4.0}
+        runs = [
+            (["eigen", "--levels", "2", "--oracle"], {"grid": line}),
+            (["hardy-norm"], {"weight": {"kind": "power_law", "alpha": 0.8}}),
+            (["concentration"], {"grid": plane, "frac": {"s": 0.3, "p": 3.0},
+                                 "weight": {"kind": "power_law", "alpha": 0.8},
+                                 "concentration": {"point": [0.0, 0.0],
+                                                   "radii": [0.5, 0.25]}}),
+        ]
+        argvs = []
+        for k, (command, overrides) in enumerate(runs):
+            run_dir = tmp_path / str(k)
+            run_dir.mkdir()
+            argvs.append(command + ["--config", write_config(run_dir, **overrides)])
+        src = os.path.dirname(os.path.dirname(fv.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, json.dumps(argvs)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        for k, name in enumerate(["eigen.json", "hardy_norm.json", "concentration.json"]):
+            assert (tmp_path / str(k) / "out" / name).exists()
