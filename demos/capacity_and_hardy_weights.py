@@ -33,8 +33,7 @@ print(f"  minimizer stays in [0, 1]: min {res.minimizer.values.min():.3f}, "
 emit_plot(res.minimizer, os.path.join(OUT, "capacity_minimizer.svg"))
 
 # --- homogeneity: capacity of balls scales like r^(dim - sp) ---------------
-builder = fv.ball_table_builder(fp, 1, cells_per_dim=32)
-fit = fv.capacity_ball_scaling([0.25, 0.5, 1.0, 2.0], builder, fp)
+fit = fv.capacity_ball_scaling([0.25, 0.5, 1.0, 2.0], fp, 1, cells_per_dim=32)
 print(f"\nball capacities across radii: {[f'{v:.4f}' for v in fit.values]}")
 print(f"fitted log-log slope {fit.slope:.4f} (dim - sp = {1 - s * p:.1f})")
 emit_plot((np.log(fit.radii), np.log(fit.values)),

@@ -1,8 +1,8 @@
 """Run the full property suite and print the report.
 
 Every registered check draws seeded inputs and reports its worst margin
-against its tolerance.  The emitted report is byte-identical for any
-worker count (cap workers with the environment variable FRACSPEC_THREADS).
+against its tolerance.  The checks run serially, and the emitted report
+is byte-identical for any ``threads`` value in its config.
 
 Run:  python3 demos/property_suite.py
 """

@@ -4,7 +4,7 @@ weighted nonlocal eigenproblems on truncated uniform grids."""
 from .capacity import (BallScalingFit, CandidateFamily, CapacityOptions,
                        CapacityResult, CellSet, CompactnessVerdict,
                        ConcentrationProfile, HardyNormResult,
-                       ball_table_builder, capacity, capacity_ball_scaling,
+                       capacity, capacity_ball_scaling,
                        compactness_diagnostic, concentration_at,
                        concentration_at_infinity, hardy_norm_estimate)
 from .eigen import (EigenOptions, EigenResult, PiconeResult, SimplicityReport,

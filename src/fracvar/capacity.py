@@ -55,7 +55,7 @@ from .descent import spectral_descent
 from .energy import raw_energy
 from .errors import ConvergenceError, DomainError
 from .grid import (Ball, FracParams, Grid, GridFunction, KernelTable,
-                   build_grid, build_kernel_table)
+                   build_grid, build_kernel_table, same_grid)
 
 
 @dataclass(frozen=True)
@@ -117,13 +117,15 @@ def capacity(F: CellSet, kt: KernelTable, opts: CapacityOptions | None = None,
     """Minimize the p-energy over {u = 1 on F, 0 <= u <= 1, u = 0 off domain}.
 
     An empty F yields the degenerate zero result (flagged) rather than an
-    error, and a ``start`` that is not M finite values a DomainError before
-    any solve.  Non-convergence raises ConvergenceError carrying the last iterate.
+    error; an F or ``domain`` on another grid than the table's, or a
+    ``start`` that is not M finite values, a DomainError before any solve.
+    Non-convergence raises ConvergenceError carrying the last iterate.
     """
     opts = opts or CapacityOptions()
     grid = kt.grid
-    if F.grid.n_cells != grid.n_cells:
-        raise DomainError("cell set does not live on the kernel table's grid")
+    same_grid(F, kt)
+    if domain is not None:
+        same_grid(domain, kt)
     if F.size == 0:
         warnings.warn("capacity target is empty; returning the degenerate zero result")
         zero = GridFunction(grid, np.zeros(grid.n_cells))
@@ -224,37 +226,25 @@ class BallScalingFit:
     values: tuple
 
 
-def ball_table_builder(fp: FracParams, dim: int, cells_per_dim: int = 32):
-    """Builder mapping a ball radius to a proportionally scaled kernel table:
-    the box half-width is twice the radius and the exterior radius twice the
-    box width."""
-
-    def build(radius: float) -> KernelTable:
-        half_width = 2.0 * radius
-        grid = build_grid(dim, half_width, cells_per_dim)
-        return build_kernel_table(grid, fp, 4.0 * half_width)
-
-    return build
-
-
-def capacity_ball_scaling(radii, kt_builder, fp: FracParams,
+def capacity_ball_scaling(radii, fp: FracParams, dim: int, cells_per_dim: int = 32,
                           opts: CapacityOptions | None = None) -> BallScalingFit:
     """Capacity of origin-centered balls versus radius, as a log-log slope.
 
-    Each radius gets its own proportionally scaled grid from ``kt_builder``,
-    so the fitted slope isolates the homogeneity of the energy.
+    Each radius r gets its own grid of ``cells_per_dim`` cells per axis on
+    the box of half-width 2r, with exterior radius 8r, so the ball spans
+    cells_per_dim / 2 cells at every radius and the fitted slope isolates
+    the homogeneity of the energy.  Fewer than 4 cells across are refused.
     """
     radii = [float(r) for r in radii]
     if len(radii) < 3:
         raise DomainError("the scaling fit needs at least 3 radii")
+    if cells_per_dim < 8:
+        raise DomainError(f"cells_per_dim {cells_per_dim} puts fewer than 4 cells "
+                          "across each ball")
     values = []
     for r in radii:
-        kt = kt_builder(r)
-        if kt.params != fp:
-            raise DomainError("builder produced a table with different (s, p)")
-        if 2.0 * r / kt.grid.spacing < 4.0 - 1e-9:
-            raise DomainError(f"ball of radius {r} is under-resolved (< 4 cells across)")
-        F = CellSet.ball(kt.grid, np.zeros(kt.grid.dim), r)
+        kt = build_kernel_table(build_grid(dim, 2.0 * r, cells_per_dim), fp, 8.0 * r)
+        F = CellSet.ball(kt.grid, np.zeros(dim), r)
         values.append(capacity(F, kt, opts).value)
     slope = float(np.polyfit(np.log(radii), np.log(values), 1)[0])
     return BallScalingFit(slope=slope, radii=tuple(radii), values=tuple(values))
@@ -387,6 +377,7 @@ def hardy_norm_estimate(w: GridFunction, kt: KernelTable,
                         family: CandidateFamily | None = None,
                         opts: CapacityOptions | None = None) -> HardyNormResult:
     """Lower bound for the capacitary weight norm by a finite-family sweep."""
+    same_grid(w, kt)
     return _hardy(w, kt, family, opts, {})
 
 
@@ -454,6 +445,7 @@ def concentration_at(w: GridFunction, x, radii, kt: KernelTable,
     The reported limit is the value at the smallest radius, the tightest
     computable bound; the whole (monotone) profile is kept for inspection.
     """
+    same_grid(w, kt)
     radii, masks = _ball_masks(w.grid, x, radii)
     return _profile(w, radii, masks, kt, family, opts, {})
 
@@ -462,6 +454,7 @@ def concentration_at_infinity(w: GridFunction, radii, kt: KernelTable,
                               family: CandidateFamily | None = None,
                               opts: CapacityOptions | None = None) -> ConcentrationProfile:
     """Estimated weight norm of w outside growing origin-centered balls."""
+    same_grid(w, kt)
     radii, masks = _exterior_masks(w.grid, radii)
     return _profile(w, radii, masks, kt, family, opts, {})
 
@@ -524,6 +517,7 @@ def compactness_diagnostic(w: GridFunction, kt: KernelTable,
     local maxima of |w|.  The local radii halve from L/2 down to the cell
     width; the radii at infinity run from L/2 to 7L/8.
     """
+    same_grid(w, kt)
     grid = w.grid
     L, h = grid.half_width, grid.spacing
     radii = [L / 2**k for k in range(1, 7) if L / 2**k >= h] or [L / 2]

@@ -15,9 +15,9 @@ discretization error (symmetrization energy decrease, scaling laws) run at
 5% together with a refinement-trend assertion.
 
 Checks run one after another in registration order, whatever worker count
-the config or FRACSPEC_THREADS asks for; every check derives its random
-stream from (seed, registration index), so the emitted bytes are identical
-for any worker count.
+the config asks for; every check derives its random stream from (seed,
+registration index), so the emitted bytes are identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ import numpy.random
 from . import eigen as eig
 from . import energy as en
 from . import rearrange as rr
-from .capacity import (ball_table_builder, capacity_ball_scaling,
-                       hardy_norm_estimate)
+from .capacity import capacity_ball_scaling, hardy_norm_estimate
 from .errors import ConfigError, ConvergenceError, DomainError
 from .grid import (Ball, FracParams, GaussianBump, GridFunction, Indicator,
                    PowerLaw, build_grid, build_kernel_table, sample)
 from .io import result_json_bytes
-from .runtime import ordered_map, thread_count
+from .runtime import ordered_map
 
 # the failures a check may meet on valid input; any other exception is a bug
 _SOLVE_ERRORS = (ConvergenceError, DomainError)
@@ -272,9 +271,8 @@ def _chk_capacity_scaling(ctx, n, rng):
     worst = 0.0
     for dim, s, cells in ((1, 0.4, 32), (2, 0.5, 10)):
         fp = FracParams(s, 2.0)
-        builder = ball_table_builder(fp, dim, cells_per_dim=cells)
         radii = [0.25, 0.5, 1.0, 2.0][: 4 if dim == 1 else 3]
-        fit = capacity_ball_scaling(radii, builder, fp)
+        fit = capacity_ball_scaling(radii, fp, dim, cells_per_dim=cells)
         expected = dim - s * 2.0
         fits[f"dim{dim}"] = {"slope": fit.slope, "expected": expected}
         worst = max(worst, abs(fit.slope - expected))
@@ -539,7 +537,7 @@ def run_suite(config: VerifyConfig | None = None) -> PropertyReport:
         idx, row = item
         return _run_one(ctx, idx, *row)
 
-    records = ordered_map(run, list(enumerate(_REGISTRY)), thread_count(config.threads))
+    records = ordered_map(run, list(enumerate(_REGISTRY)), config.threads or 1)
     grid_spec = {key: getattr(config, key)
                  for key in ("dim", "cells_per_dim", "half_width", "ext_radius", "s", "p")}
     return PropertyReport(seed=config.seed, grid_spec=grid_spec,

@@ -44,6 +44,7 @@ it takes no FFT product, so it checks the LOBPCG path independently.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -71,7 +72,7 @@ class Weight:
         if not np.any(self.w1.values > 0):
             raise DomainError("w1 must not vanish identically")
 
-    @property
+    @functools.cached_property
     def combined(self) -> GridFunction:
         return GridFunction(self.w1.grid, self.w1.values - self.w2.values)
 
@@ -165,14 +166,15 @@ def _projector(wt: Weight, kt: KernelTable, previous, cells=slice(None)):
 
 
 def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
-             previous=()) -> tuple[np.ndarray, float, float, int]:
+             previous=()) -> EigenResult:
     """Spectral descent of the energy on unit mass, within the subspace
     paired to zero with the ``previous`` levels; at p = 2 it starts from
     LOBPCG's iterate (``_lobpcg``), and takes no step if that already passes
     the residual test.
 
-    Returns (u, lam, residual, iterations); raises ConvergenceError on
-    stagnation or iteration exhaustion, carrying the last iterate.
+    Returns the level, flipped so that its values sum to a non-negative
+    number; raises ConvergenceError on stagnation or iteration exhaustion,
+    carrying the last iterate as it stands.
     """
     p = kt.params.p
     m = kt.cell_measure
@@ -215,7 +217,7 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
                                                      opts.max_iter - its)
     its += more
     if status == "converged":
-        return u, energy, residual, its
+        return _result_from(-u if u.sum() < 0 else u, energy, residual, its, wt, kt)
     if status == "stalled":
         message = f"descent stagnated at residual {residual:.3e} (target {opts.tol:.1e})"
     else:
@@ -302,14 +304,13 @@ def first_eigenpair(wt: Weight, kt: KernelTable, opts: EigenOptions | None = Non
     The output is sign-normalized to be non-negative; a converged first
     eigenfunction has one sign, so only a global flip is ever applied.
     Pass ``wt.swapped()`` for the negative spectrum: the returned level mu
-    is then the eigenvalue -mu of the original problem; a bad ``start`` raises DomainError.
+    is then the eigenvalue -mu of the original problem; a weight on another
+    grid than the table's, or a bad ``start``, raises DomainError.
     """
     opts = opts or EigenOptions()
+    same_grid(wt.w1, kt)
     u0 = default_start(wt, kt) if start is None else GridFunction(kt.grid, start).values
-    u, lam, residual, its = _descend(wt, kt, u0, opts)
-    if u.sum() < 0:
-        u = -u
-    res = _result_from(u, lam, residual, its, wt, kt)
+    res = _descend(wt, kt, u0, opts)
     if sign_structure(res.u) == "sign_changing":
         warnings.warn("first eigenfunction changes sign beyond tolerance; "
                       "the iterate may be a higher critical point")
@@ -357,6 +358,7 @@ def linear_oracle(wt: Weight, kt: KernelTable) -> list[tuple[float, GridFunction
     """
     if kt.params.p != 2.0:
         raise DomainError("the dense oracle applies only to p = 2")
+    same_grid(wt.w1, kt)
     # every M x M temporary is dropped as soon as it is used (_ORACLE_SQUARES)
     inv = _lower_inverse(np.linalg.cholesky(stiffness_matrix(kt)))
     wm = (wt.combined.values * kt.cell_measure)[:, None]
@@ -407,16 +409,15 @@ def eigen_sequence(wt: Weight, kt: KernelTable, k: int,
     results = [first_eigenpair(wt, kt, opts)]
     for level in range(2, k + 1):
         start = deflated_start(wt, kt, results, level, rng)
-        u, lam, residual, its = _descend(wt, kt, start, opts, previous=results)
-        if u.sum() < 0:
-            u = -u
-        results.append(_result_from(u, lam, residual, its, wt, kt))
+        results.append(_descend(wt, kt, start, opts, previous=results))
     tail = sorted(results[1:], key=lambda r: r.lam)
     return [results[0]] + tail
 
 
 def residual_check(lam: float, u: GridFunction, wt: Weight, kt: KernelTable) -> float:
     """Worst weak-form defect over basis directions, relative to the energy."""
+    same_grid(u, kt)
+    same_grid(wt.w1, kt)
     if not np.any(u.values):
         raise DomainError("residual check requires a nonzero function")
     p, m = kt.params.p, kt.cell_measure
@@ -507,6 +508,7 @@ def simplicity_probe(wt: Weight, kt: KernelTable, restarts: int,
     """
     if restarts < 2:
         raise DomainError("the probe needs at least 2 restarts")
+    same_grid(wt.w1, kt)
     opts = opts or EigenOptions()
     p, m = kt.params.p, kt.cell_measure
     wvals = wt.combined.values

@@ -61,13 +61,6 @@ class SeminormValue:
     boundary_part: float
 
 
-def _check(u: GridFunction, kt: KernelTable) -> None:
-    if u.grid.n_cells != kt.grid.n_cells or u.grid.dim != kt.grid.dim:
-        raise DomainError("grid function does not live on the kernel table's grid")
-    if u.grid.half_width != kt.grid.half_width:
-        raise DomainError("grid function does not live on the kernel table's grid")
-
-
 def _phi(t: np.ndarray, p: float) -> np.ndarray:
     """|t|^(p-2) t with the continuous extension 0 at t = 0 (valid for p > 1)."""
     return np.sign(t) * np.abs(t) ** (p - 1.0)
@@ -188,7 +181,7 @@ def raw_gateaux_vector(vals: np.ndarray, kt: KernelTable) -> np.ndarray:
 
 def seminorm_p(u: GridFunction, kt: KernelTable) -> SeminormValue:
     """Evaluate E(u), split into interior and boundary parts."""
-    _check(u, kt)
+    same_grid(u, kt)
     interior, boundary = _energy_parts(u.values, kt, _pair_sums(u.values, kt, "energy"))
     return SeminormValue(value=interior + boundary,
                          interior_part=interior,
@@ -197,7 +190,7 @@ def seminorm_p(u: GridFunction, kt: KernelTable) -> SeminormValue:
 
 def nonlocal_gradient(u: GridFunction, kt: KernelTable) -> GridFunction:
     """The field |Du|(x_i), the p-th root of the per-cell energy density."""
-    _check(u, kt)
+    same_grid(u, kt)
     p = kt.params.p
     vals = u.values
     dens = _pair_sums(vals, kt, "density") * kt.cell_measure
@@ -211,7 +204,7 @@ def gateaux_vector(u: GridFunction, kt: KernelTable) -> np.ndarray:
     Component i equals 2 sum_j phi(u_i - u_j) K[i,j] m^2 + 2 phi(u_i) rho_i m,
     where phi(t) = |t|^(p-2) t.
     """
-    _check(u, kt)
+    same_grid(u, kt)
     return raw_gateaux_vector(u.values, kt)
 
 
@@ -222,7 +215,7 @@ def gateaux(u: GridFunction, v: GridFunction, kt: KernelTable) -> float:
     2 sum_i v_i sum_j phi(u_i - u_j) K[i,j] because phi(u_i - u_j) K[i,j] is
     antisymmetric, so the form is v . gateaux_vector(u).
     """
-    _check(u, kt)
+    same_grid(u, kt)
     same_grid(u, v)
     return float(v.values @ raw_gateaux_vector(u.values, kt))
 
@@ -239,7 +232,7 @@ def raw_weighted_mass(vals: np.ndarray, wvals: np.ndarray, p: float, m: float) -
 
 def weighted_mass(u: GridFunction, w: GridFunction, kt: KernelTable) -> float:
     """W(u) = sum_i w_i |u_i|^p m."""
-    _check(u, kt)
+    same_grid(u, kt)
     same_grid(u, w)
     return raw_weighted_mass(u.values, w.values, kt.params.p, kt.cell_measure)
 
@@ -288,9 +281,7 @@ class P2Operator:
         self._scale = 2.0 * kt.cell_measure**2
         self.diagonal = (self._scale * self.kernel_product(np.ones(kt.grid.n_cells))
                          + 2.0 * kt.cell_measure * kt.exterior_mass)
-        # np.median's arithmetic, without its import of numpy.ma
-        middle = np.sort(self.diagonal)[[(kt.grid.n_cells - 1) // 2, kt.grid.n_cells // 2]]
-        self.preconditioner_symbol = float(middle.mean()) - self._scale * self.symbol
+        self.preconditioner_symbol = float(np.median(self.diagonal)) - self._scale * self.symbol
         assert self.preconditioner_symbol.min() > 0.0, "the preconditioner is not positive"
         self._inverse_symbol = 1.0 / self.preconditioner_symbol
 

@@ -10,11 +10,12 @@ with the per-cell exterior mass ``rho[i] = integral over box^c of
 |x_i - y|^(-(dim + s*p)) dy``, which accounts for the zero extension.
 Both read one stencil of distinct values ``T[|a|, |b|] = (h sqrt(a^2 +
 b^2))^(-(dim + s*p))`` over integer cell offsets, which the table keeps.
-K is Toeplitz on the line and BTTB on the plane, so no M x M array is
-stored: each kernel row is a run of a row source gathered from T
-(``KernelTable.kernel_rows``), the p = 2 energy matrix multiplies by FFT
-over T (``KernelTable.p2_operator``), and the exterior mass sums T over a
-ring of cells (same spacing, out to ``ext_radius``) plus the radial tail
+K is Toeplitz on the line and BTTB on the plane, so the table stores no
+other kernel array: each kernel row is a run of a row source gathered
+from T on the first read of ``KernelTable.kernel_rows``, the p = 2 energy
+matrix multiplies by FFT over T (``KernelTable.p2_operator``), and the
+exterior mass sums T over a ring of cells (same spacing, out to
+``ext_radius``) plus the radial tail
 
     integral_{|z| > R} |z|^(-(dim + s*p)) dz = sigma_{dim-1} * R^(-s*p) / (s*p)
 
@@ -158,13 +159,15 @@ class GridFunction:
         return GridFunction(self.grid, -self.values)
 
 
-def same_grid(a: GridFunction, b: GridFunction) -> None:
+def same_grid(a, b) -> None:
+    """Raise ``DomainError`` unless a and b (anything with a ``.grid``: a
+    grid function, a cell set or a kernel table) live on the same grid."""
     if a.grid is not b.grid and (
         a.grid.dim != b.grid.dim
         or a.grid.cells_per_dim != b.grid.cells_per_dim
         or a.grid.half_width != b.grid.half_width
     ):
-        raise DomainError("grid functions live on different grids")
+        raise DomainError("the inputs live on different grids")
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +312,6 @@ class KernelTable:
     ext_radius: float
     exterior_mass: np.ndarray  # (M,)
     stencil: np.ndarray        # T[|a|, |b|] for offsets 0 .. n + layers - 1 per axis
-    row_source: np.ndarray     # kernel rows as runs: (2n - 1,) line, (n, 2n - 1, n) plane
 
     @property
     def cell_measure(self) -> float:
@@ -318,16 +320,22 @@ class KernelTable:
     @functools.cached_property
     def kernel_rows(self) -> np.ndarray:
         """Read-only kernel rows K[l n + q, c] = kernel_rows[l, q, c], views of
-        ``row_source``: (1, n, n) on the line (row i starts at n - 1 - i), (n, n, M)
-        on the plane (row (i1, i2) at i2 (2n - 1) n + (n - 1 - i1) n), copied
-        contiguous when one pair-pass block (``_BLOCK_BYTES``) holds them.  Only
-        the energy module's pair pass and ``dense_kernel`` read them."""
-        n, cells = self.grid.cells_per_dim, self.grid.n_cells
+        a row source gathered from the stencil on the first read, (2n - 1,) on
+        the line (row i starts at n - 1 - i) and (n, 2n - 1, n) on the plane
+        (row (i1, i2) at i2 (2n - 1) n + (n - 1 - i1) n): (1, n, n) and (n, n, M).
+        They are copied contiguous when one pair-pass block (``_BLOCK_BYTES``)
+        holds them.  Only the energy module's pair pass and ``dense_kernel`` read
+        them, and the read is refused when the source would not fit in memory."""
+        n, dim, cells = self.grid.cells_per_dim, self.grid.dim, self.grid.n_cells
+        _check_fits(8 * (2 * n - 1) * n ** (2 * dim - 2), f"the kernel rows of {cells} cells")
+        # C[i2, k, j2] = T[|k - (n - 1)|, |i2 - j2|] on the plane, T[|k - (n - 1)|] on the line
+        off = np.abs(np.arange(1 - n, n))
         windows = np.lib.stride_tricks.sliding_window_view
-        if self.grid.dim == 1:
-            rows = windows(self.row_source, n)[None, ::-1]
+        if dim == 1:
+            rows = windows(self.stencil[off], n)[None, ::-1]
         else:
-            rows = windows(self.row_source.reshape(n, -1), cells, axis=1)
+            inner = np.abs(np.arange(n)[:, None, None] - np.arange(n))
+            rows = windows(self.stencil[off[:, None], inner].reshape(n, -1), cells, axis=1)
             rows = rows[:, ::-n].transpose(1, 0, 2)
         if 8 * cells**2 <= _BLOCK_BYTES:
             rows = np.ascontiguousarray(rows)
@@ -342,7 +350,8 @@ class KernelTable:
     def pair_buffers(self) -> tuple:
         """Three float64 arrays, d, |d| and q, the size of the energy module's
         largest pair-pass block: every pass fills views of them instead of
-        allocating, so a table runs one pass at a time (``ordered_map`` is serial)."""
+        allocating, so two passes on one table must never overlap (fracvar
+        runs everything serially)."""
         from .energy import _row_blocks  # energy imports this module
         cells = self.grid.n_cells
         _top, height = _row_blocks(cells, self.grid.cells_per_dim)[0]
@@ -436,18 +445,16 @@ def _check_fits(need: int, what: str) -> None:
 
 
 def _build_bytes(grid: Grid, layers: int) -> int:
-    """Peak bytes of a build: the stencil, the larger of the ring sums' FFT
-    buffers (at most six long-double arrays of the period's size) and the
-    kernel's row source, which never coexist, and eight float64 vectors per
-    cell (4.5 are used at plane n = 192)."""
+    """Peak bytes of a build: the stencil, the ring sums' FFT buffers (at
+    most six long-double arrays of the period's size) and eight float64
+    vectors per cell (4.5 are used at plane n = 192)."""
     n, dim = grid.cells_per_dim, grid.dim
     fft = 6 * 16 * _fft_period(n + layers - 1) ** dim
-    source = 8 * (2 * n - 1) * n ** (2 * dim - 2)
-    return 8 * (n + layers) ** dim + max(source, fft) + 8 * 8 * grid.n_cells
+    return 8 * (n + layers) ** dim + fft + 8 * 8 * grid.n_cells
 
 
 def build_kernel_table(grid: Grid, fp: FracParams, ext_radius: float) -> KernelTable:
-    """Assemble the kernel's row source and exterior mass for (grid, s, p).
+    """Assemble the kernel's stencil and exterior mass for (grid, s, p).
 
     ``ext_radius`` must be at least twice the box half-width; the ring
     quadrature runs out to it (rounded up to whole cells) and the analytic
@@ -482,17 +489,10 @@ def build_kernel_table(grid: Grid, fp: FracParams, ext_radius: float) -> KernelT
     rho = tail_mass(grid.dim, fp.sp, outer - grid.radii())
     rho += _ring_sums(stencil, n, layers)[fold].ravel() * grid.cell_measure
     rho.setflags(write=False)
-
-    # C[i2, k, j2] = T[|k - (n - 1)|, |i2 - j2|] on the plane, T[|k - (n - 1)|] on the line
-    off = np.abs(np.arange(1 - n, n))
-    inner = None if dim == 1 else np.abs(np.arange(n)[:, None, None] - np.arange(n))
-    source = stencil[off] if dim == 1 else stencil[off[:, None], inner]
-    source.setflags(write=False)
     return KernelTable(
         grid=grid,
         params=fp,
         ext_radius=float(outer),
         exterior_mass=rho,
         stencil=stencil,
-        row_source=source,
     )

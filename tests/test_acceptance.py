@@ -86,11 +86,9 @@ def test_criterion_2_gateaux_finite_differences():
 
 def test_criterion_3_capacity_scaling():
     fp1 = fv.FracParams(0.4, 2.0)
-    fit1 = fv.capacity_ball_scaling(
-        [0.25, 0.5, 1.0, 2.0], fv.ball_table_builder(fp1, 1, 32), fp1)
+    fit1 = fv.capacity_ball_scaling([0.25, 0.5, 1.0, 2.0], fp1, 1, 32)
     fp2 = fv.FracParams(0.5, 2.0)
-    fit2 = fv.capacity_ball_scaling(
-        [0.5, 1.0, 2.0], fv.ball_table_builder(fp2, 2, 10), fp2)
+    fit2 = fv.capacity_ball_scaling([0.5, 1.0, 2.0], fp2, 2, 10)
     e1 = abs(fit1.slope - 0.2)
     e2 = abs(fit2.slope - 1.0)
     report(3, e1 <= 0.05 and e2 <= 0.05,

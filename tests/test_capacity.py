@@ -237,37 +237,60 @@ class TestLinearPath:
 class TestBallScaling:
     def test_line_slope(self):
         fp = fv.FracParams(0.4, 2.0)
-        builder = fv.ball_table_builder(fp, 1, cells_per_dim=32)
-        fit = fv.capacity_ball_scaling([0.25, 0.5, 1.0, 2.0], builder, fp)
+        fit = fv.capacity_ball_scaling([0.25, 0.5, 1.0, 2.0], fp, 1, cells_per_dim=32)
         assert fit.slope == pytest.approx(1 - 0.8, abs=0.05)
 
     def test_plane_slope(self):
         fp = fv.FracParams(0.5, 2.0)
-        builder = fv.ball_table_builder(fp, 2, cells_per_dim=10)
-        fit = fv.capacity_ball_scaling([0.5, 1.0, 2.0], builder, fp)
+        fit = fv.capacity_ball_scaling([0.5, 1.0, 2.0], fp, 2, cells_per_dim=10)
         assert fit.slope == pytest.approx(1.0, abs=0.05)
 
     def test_doubling_ratio(self):
         fp = fv.FracParams(0.4, 2.0)
-        builder = fv.ball_table_builder(fp, 1, cells_per_dim=32)
-        fit = fv.capacity_ball_scaling([0.5, 1.0, 2.0], builder, fp)
+        fit = fv.capacity_ball_scaling([0.5, 1.0, 2.0], fp, 1, cells_per_dim=32)
         assert fit.values[1] / fit.values[0] == pytest.approx(2 ** 0.2, rel=1e-3)
 
     def test_needs_three_radii(self):
         fp = fv.FracParams(0.4, 2.0)
-        builder = fv.ball_table_builder(fp, 1)
         with pytest.raises(DomainError):
-            fv.capacity_ball_scaling([0.5, 1.0], builder, fp)
+            fv.capacity_ball_scaling([0.5, 1.0], fp, 1)
 
     def test_under_resolved_ball_rejected(self):
         fp = fv.FracParams(0.4, 2.0)
+        with pytest.raises(DomainError, match="fewer than 4 cells"):
+            fv.capacity_ball_scaling([0.5, 1.0, 2.0], fp, 1, cells_per_dim=6)  # 3 across
 
-        def coarse(radius):
-            grid = fv.build_grid(1, 8.0 * radius, 8)  # 2 cells across the ball
-            return fv.build_kernel_table(grid, fp, 32.0 * radius)
 
-        with pytest.raises(DomainError):
-            fv.capacity_ball_scaling([0.5, 1.0, 2.0], coarse, fp)
+class TestGridCheck:
+    """Inputs from another grid than the table's are refused before any
+    solve, also when they have as many cells."""
+
+    STRANGERS = [(2, 1.0, 8), (1, 2.0, 64)]
+
+    @pytest.fixture(scope="class")
+    def line64(self):
+        return fv.build_kernel_table(fv.build_grid(1, 1.0, 64), fv.FracParams(0.4, 2.0), 4.0)
+
+    @pytest.mark.parametrize("spec", STRANGERS)
+    def test_capacity(self, line64, spec):
+        other = fv.build_grid(*spec)
+        with pytest.raises(DomainError, match="different grids"):
+            fv.capacity(fv.CellSet.from_indices(other, [27, 28]), line64)
+        inside = fv.CellSet.from_indices(line64.grid, [31, 32])
+        with pytest.raises(DomainError, match="different grids"):
+            fv.capacity(inside, line64, domain=fv.CellSet(other, np.ones(64, dtype=bool)))
+
+    @pytest.mark.parametrize("spec", STRANGERS)
+    @pytest.mark.parametrize("sweep", [
+        lambda w, kt: fv.hardy_norm_estimate(w, kt),
+        lambda w, kt: fv.concentration_at(w, np.zeros(w.grid.dim), [0.5, 0.25], kt),
+        lambda w, kt: fv.concentration_at_infinity(w, [0.25, 0.5], kt),
+        fv.compactness_diagnostic,
+    ], ids=["hardy", "at_point", "at_infinity", "diagnostic"])
+    def test_sweeps(self, line64, spec, sweep):
+        w = fv.sample(fv.build_grid(*spec), fv.PowerLaw(alpha=0.8))
+        with pytest.raises(DomainError, match="different grids"):
+            sweep(w, line64)
 
 
 class TestHardyNorm:
@@ -391,7 +414,6 @@ class TestSweepRuntime:
         assert shared == list(dict.fromkeys(solved))
 
     def test_sweep_starts_no_thread(self, line_kt, line_grid, monkeypatch):
-        monkeypatch.setenv("FRACSPEC_THREADS", "4")
         started = []
         start = threading.Thread.start
 

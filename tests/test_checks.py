@@ -149,15 +149,6 @@ class TestRunCheck:
 
 
 class TestThreadCap:
-    def test_env_variable_caps_workers(self, monkeypatch):
-        from fracvar.runtime import thread_count
-        monkeypatch.setenv("FRACSPEC_THREADS", "3")
-        assert thread_count(8) == 3
-        assert thread_count(2) == 2
-        assert thread_count(None) == 3
-        monkeypatch.delenv("FRACSPEC_THREADS")
-        assert thread_count(None) == 1
-
     def test_map_runs_serially_in_input_order(self):
         from fracvar.runtime import ordered_map
         calls = []

@@ -34,6 +34,32 @@ def signed_setup():
     return g, kt, signed_weight(g)
 
 
+class TestGridCheck:
+    """A weight or field from another grid than the table's is refused
+    before any solve, also when it has as many cells."""
+
+    @pytest.fixture(scope="class")
+    def line64(self):
+        return fv.build_kernel_table(fv.build_grid(1, 1.0, 64), fv.FracParams(0.4, 2.0), 4.0)
+
+    @pytest.mark.parametrize("spec", [(1, 1.0, 32), (1, 2.0, 64), (2, 1.0, 8)])
+    @pytest.mark.parametrize("solve", [
+        fv.first_eigenpair,
+        lambda wt, kt: fv.eigen_sequence(wt, kt, 2),
+        lambda wt, kt: fv.simplicity_probe(wt, kt, 2),
+        fv.linear_oracle,
+        lambda wt, kt: fv.residual_check(1.0, bump(kt.grid), wt, kt),
+    ], ids=["first", "sequence", "simplicity", "oracle", "residual"])
+    def test_weight_on_another_grid(self, line64, spec, solve):
+        with pytest.raises(DomainError, match="different grids"):
+            solve(fv.Weight.constant(fv.build_grid(*spec)), line64)
+
+    def test_residual_of_a_field_on_another_grid(self, line64):
+        u = bump(fv.build_grid(1, 2.0, 64))
+        with pytest.raises(DomainError, match="different grids"):
+            fv.residual_check(1.0, u, fv.Weight.constant(line64.grid), line64)
+
+
 class TestWeight:
     def test_rejects_negative_parts(self, line_grid):
         pos = fv.GridFunction(line_grid, np.ones(line_grid.n_cells))

@@ -196,8 +196,8 @@ class TestKernelTable:
             assert abs(sums[c] - exact) <= 1e-15 * exact
 
     def test_rejects_grid_beyond_physical_memory(self, monkeypatch):
-        # plane n=512 needs about 2.2 GB, against 1 GiB of memory: refused
-        # before anything is allocated
+        # plane n=512's ring sums need about 1.6 GB of FFT buffers, against
+        # 1 GiB of memory: refused before anything is allocated
         g = fv.build_grid(2, 1.0, 512)
         monkeypatch.setattr(grid_mod, "_physical_memory", lambda: 2**30)
         tracemalloc.start()
@@ -223,8 +223,8 @@ class TestKernelTable:
 
     @pytest.mark.parametrize("n", [24, 64])
     def test_build_peak_is_under_the_estimate_and_no_dense_kernel(self, n):
-        # the table keeps the stencil and the kernel's row source, about
-        # 2 n^3 doubles; the M x M kernel alone would be 134 MB at n = 64
+        # the table keeps the stencil and the exterior mass; the M x M kernel
+        # alone would be 134 MB at n = 64
         kt, peak, estimate = self.build_peak(n)
         assert peak <= estimate
         assert peak < 8 * kt.grid.n_cells**2
@@ -250,6 +250,22 @@ class TestKernelTable:
         expected = kt.stencil[tuple(np.rint(offsets).astype(int).transpose(2, 0, 1))]
         assert np.array_equal(kt.dense_kernel(), expected)
         assert np.array_equal(rows.reshape(kt.grid.n_cells, -1), expected)
+
+    def test_fresh_table_holds_only_stencil_and_mass(self):
+        kt = fv.build_kernel_table(fv.build_grid(2, 1.0, 24), fv.FracParams(0.5, 3.0), 4.0)
+        held = [v for v in vars(kt).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in held) == kt.stencil.nbytes + kt.exterior_mass.nbytes
+
+    def test_rows_read_refused_beyond_physical_memory(self, monkeypatch):
+        # the row source, 8 * 23 * 12^2 bytes, is gathered on the first read
+        kt = fv.build_kernel_table(fv.build_grid(2, 1.0, 12), fv.FracParams(0.5, 3.0), 4.0)
+        monkeypatch.setattr(grid_mod, "_physical_memory", lambda: 8 * 1024)
+        with pytest.raises(DomainError, match="physical memory"):
+            kt.kernel_rows
+        with pytest.raises(DomainError, match="physical memory"):
+            fv.seminorm_p(fv.GridFunction(kt.grid, np.ones(kt.grid.n_cells)), kt)
+        monkeypatch.undo()
+        assert kt.kernel_rows.shape == (12, 12, 144)
 
     def test_plane_64_build_estimate_under_one_gib(self):
         g = fv.build_grid(2, 1.0, 64)
