@@ -101,6 +101,11 @@ class CapacityOptions:
     tol_factor: float = 1e-8       # stop when ||u - proj(u - dE)|| <= tol_factor * max(1, E)
     max_iter: int = 20000
 
+    def __post_init__(self):
+        if not (np.isfinite(self.tol_factor) and self.tol_factor > 0) or self.max_iter < 1:
+            raise DomainError("tol_factor must be finite and positive, max_iter at least 1; "
+                              f"got tol_factor={self.tol_factor}, max_iter={self.max_iter}")
+
 
 @dataclass(frozen=True)
 class CapacityResult:
@@ -131,18 +136,14 @@ def capacity(F: CellSet, kt: KernelTable, opts: CapacityOptions | None = None,
         zero = GridFunction(grid, np.zeros(grid.n_cells))
         return CapacityResult(0.0, zero, 0, 0.0, degenerate=True)
 
-    fixed_one = F.mask
-    fixed_zero = np.zeros(grid.n_cells, dtype=bool)
-    if domain is not None:
-        fixed_zero = ~domain.mask
-        if np.any(fixed_one & fixed_zero):
-            raise DomainError("capacity target must lie inside the relative domain")
+    # per-cell bounds: [1, 1] on F, [0, 0] off the domain, [0, 1] elsewhere
+    lower = F.mask.astype(float)
+    upper = np.ones(grid.n_cells) if domain is None else domain.mask.astype(float)
+    if np.any(lower > upper):
+        raise DomainError("capacity target must lie inside the relative domain")
 
     def project(vals: np.ndarray) -> np.ndarray:
-        out = np.clip(vals, 0.0, 1.0)
-        out[fixed_one] = 1.0
-        out[fixed_zero] = 0.0
-        return out
+        return np.clip(vals, lower, upper)
 
     p = kt.params.p
     grad_norm = np.inf
@@ -163,7 +164,7 @@ def capacity(F: CellSet, kt: KernelTable, opts: CapacityOptions | None = None,
     u = project(np.zeros(grid.n_cells) if start is None else GridFunction(grid, start).values)
     its = 0
     if p == 2.0:
-        free = ~(fixed_one | fixed_zero)
+        free = lower < upper
         u[free], its = _linear_solve(u, kt, free, opts)
         u = project(u)
     energy, gvec = raw_energy(u, kt, with_gateaux=True)
@@ -341,16 +342,19 @@ class HardyNormResult:
     value: float
     argmax: CellSet
     sweep: tuple  # (label, ratio) per candidate, in family order
+    skipped: tuple = ()  # labels of the candidates without a ratio, in family order
 
 
 def _best_ratio(absw: np.ndarray, m: float, candidates, caps) -> HardyNormResult:
     best_val = 0.0
     best_set = candidates[0][1]
     clean = []
+    skipped = []
     for (label, cs), cap in zip(candidates, caps):
         if cap is None or cap <= 0:
             if cap is not None:
                 warnings.warn(f"candidate {label} skipped: zero capacity")
+            skipped.append(label)
             continue
         ratio = float(absw[cs.mask].sum() * m) / cap
         clean.append((label, ratio))
@@ -358,7 +362,7 @@ def _best_ratio(absw: np.ndarray, m: float, candidates, caps) -> HardyNormResult
             best_val, best_set = ratio, cs
     if not clean:
         raise DomainError("every candidate in the family was skipped")
-    return HardyNormResult(best_val, best_set, tuple(clean))
+    return HardyNormResult(best_val, best_set, tuple(clean), tuple(skipped))
 
 
 def _hardy(w: GridFunction, kt: KernelTable, family: CandidateFamily | None,

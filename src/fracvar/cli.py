@@ -252,6 +252,7 @@ def _cmd_hardy_norm(cfg: RunConfig, out, args) -> int:
             fh.write(f"{label},{ratio:.17g}\n")
     fio.write_result_json({"estimate": res.value,
                            "argmax_cells": int(res.argmax.size),
+                           "skipped_candidates": len(res.skipped),
                            "lower_bound": True},
                           _out_path(cfg, out, "hardy_norm.json"))
     fio.write_grid_function(

@@ -35,7 +35,7 @@ def spectral_descent(x, f: float, aux, direction, trial, max_iter: int) -> tuple
             s = x - prev[0]
             sy = float(s @ (d - prev[1]))
             step = float(s @ s) / sy if sy > 0 else min(step * 2.0, 1e8)
-        step = float(np.clip(step, 1e-16, 1e8))
+        step = min(max(step, 1e-16), 1e8)
         prev = (x, d)
         t = step
         for _ in range(70):

@@ -52,8 +52,7 @@ import numpy as np
 import numpy.random
 
 from .descent import spectral_descent
-from .energy import (_phi, _row_blocks, raw_energy, raw_gateaux_vector,
-                     raw_weighted_mass, stiffness_matrix)
+from .energy import _phi, _row_blocks, raw_energy, raw_weighted_mass, stiffness_matrix
 from .errors import ConvergenceError, DomainError
 from .grid import GridFunction, KernelTable, same_grid
 
@@ -105,6 +104,11 @@ class EigenOptions:
     tol: float = 1e-6              # relative weak residual
     max_iter: int = 50000
     seed: int = 0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.tol) and self.tol > 0) or self.max_iter < 1:
+            raise DomainError("tol must be finite and positive, max_iter at least 1; "
+                              f"got tol={self.tol}, max_iter={self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -182,9 +186,9 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
     project = _projector(wt, kt, previous)
     residual = np.inf
 
-    def direction(u, energy, _aux):
+    # grad, the descent's aux, comes from the pair pass of the point's trial
+    def direction(u, energy, grad):
         nonlocal residual
-        grad = raw_gateaux_vector(u, kt)
         residual_vec = project(grad - energy * wvals * _phi(u, p) * m)
         residual = float(np.max(np.abs(residual_vec))) / max(energy, 1e-300)
         return residual_vec, residual <= opts.tol
@@ -195,26 +199,26 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
         if mass <= 0:
             return None
         cand = cand / mass ** (1.0 / p)
-        energy = raw_energy(cand, kt)
-        return cand, energy, -eta * float(residual_vec @ residual_vec), energy
+        energy, grad = raw_energy(cand, kt, with_gateaux=True)
+        return cand, energy, -eta * float(residual_vec @ residual_vec), grad
 
     def unit(v):
-        """v projected and rescaled to unit mass, with its energy."""
+        """v projected and rescaled to unit mass, with its energy and Gateaux vector."""
         v = project(v)
         mass = raw_weighted_mass(v, wvals, p, m)
         if mass <= 0.0:
             raise DomainError("weighted p-mass is non-positive; iterate left the cone")
         v = v / mass ** (1.0 / p)
-        return v, raw_energy(v, kt)
+        return (v, *raw_energy(v, kt, with_gateaux=True))
 
-    u, energy = unit(np.asarray(u0, dtype=float))
+    u, energy, grad = unit(np.asarray(u0, dtype=float))
     its = 0
     # LOBPCG's basis [X, W, P] must fit in the M cells
     if p == 2.0 and kt.grid.n_cells >= 3 * (len(previous) + 1):
         x, its = _lobpcg(wt, kt, u, energy, opts, previous)
-        u, energy = unit(x)
-    u, energy, _aux, status, more = spectral_descent(u, energy, energy, direction, trial,
-                                                     opts.max_iter - its)
+        u, energy, grad = unit(x)
+    u, energy, _grad, status, more = spectral_descent(u, energy, grad, direction, trial,
+                                                      opts.max_iter - its)
     its += more
     if status == "converged":
         return _result_from(-u if u.sum() < 0 else u, energy, residual, its, wt, kt)

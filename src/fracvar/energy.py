@@ -22,19 +22,18 @@ Everything else here is a derivative of E:
 
 All pair sums come from one private pass, ``_pair_sums``, that visits each
 unordered pair once and forms no M x M temporary.  It walks row blocks
-[a, b) against the columns [a, M); the block height is at most
-max(1, 256 KiB // (8 M)) rows, so one block, in buffers kept on the table,
-stays near 256 KiB whatever the grid; grids of up to 181 cells fit in one.  A
-block covers whole runs of n rows of ``KernelTable.kernel_rows``, or rows of one run.
-Its kinds are the pair energy, the per-cell densities of
-``nonlocal_gradient``, the flux behind the Gateaux vector, and energy and
-flux together ("both"), which ``raw_energy(..., with_gateaux=True)``
-returns for the capacity solve's trials.  ``gateaux(u, v)`` is
-v . gateaux_vector(u).
-
-Each pair takes a single power, q = |u_i - u_j|^(p-1); the energy term
-|d|^p is q |d| and the flux phi(d) is copysign(q, d).  At p = 2 none is
-taken (q = d), so the p = 2 sums are those of d*d and d.
+[a, b) against the columns [a, M), whole runs of n rows of
+``KernelTable.kernel_rows`` or rows of one run, at most
+max(1, 256 KiB // (8 M)) rows high (grids of up to 181 cells fit in one), in
+two buffers kept on the table.  Its "flux" kind forms F = phi(d) K of
+d = u_i - u_j and returns F's row sums and the pair energy, the dot of F
+with d, whose terms |d|^p K are all non-negative; taken instead as u . g(u)
+by Euler's identity, the energy would cancel on a field far from zero.
+``raw_energy`` (with or without the Gateaux vector), ``seminorm_p`` and
+``raw_gateaux_vector`` each make this one pass.  Its "density" kind sums
+F d per cell for ``nonlocal_gradient``.  phi(d) takes at most one power:
+it is d at p = 2, |d|^(p-2) d above and copysign(|d|^(p-1), d) below.
+``gateaux(u, v)`` is v . gateaux_vector(u).
 
 At p = 2 the energy is a quadratic form u^T A u.  ``P2Operator``, the one
 operator of the p = 2 solves, applies A and a circulant preconditioner by
@@ -78,71 +77,61 @@ def _row_blocks(size: int, run: int) -> list:
 
 
 def _pair_sums(vals: np.ndarray, kt: KernelTable, kind: str):
-    """One pass over the unordered pairs i <= j of g(u_i - u_j) K[i,j].
+    """One pass over the unordered pairs i <= j of F = phi(u_i - u_j) K[i,j].
 
-    ``kind`` selects the output:
-
-    * ``"energy"``   the sum over ordered pairs of |u_i - u_j|^p K[i,j];
-    * ``"density"``  its row sums, sum_j |u_i - u_j|^p K[i,j] for each i;
-    * ``"flux"``     the row sums sum_j phi(u_i - u_j) K[i,j];
-    * ``"both"``     the pair (energy, flux), from the same blocks.
-
-    Each pair takes one power, q = |d|^(p-1) of d = u_i - u_j, and the
-    rest is derived from it: |d|^p = q |d| and phi(d) = copysign(q, d).
-    At p = 2 no power is taken: |d|^p is d*d and phi(d) is d itself.
-    d, |d| and q are views of ``KernelTable.pair_buffers``: one pass at a time.
+    ``kind`` "flux" returns (the sum over ordered pairs of
+    |u_i - u_j|^p K[i,j], the row sums sum_j F[i,j]); "density" returns
+    the row sums sum_j |u_i - u_j|^p K[i,j].  d and F are views of
+    ``KernelTable.pair_buffers``: one pass at a time.
 
     Row block [a, b) meets columns [a, M).  On the square [a, b) x [a, b)
     both orders of every pair are present; each pair to its right appears
-    once and stands for its mirror too, which equals it for the even
-    |t|^p and is its negative for the odd phi(t).  So the right part is
-    counted twice in the energy, and its column sums are added to
-    (density) or subtracted from (flux) the rows [b, M).  A grid that fits
-    in one block gives the same sums, bit for bit, as a dense M x M sum.
+    once and stands for its mirror too, which negates the odd F and keeps
+    the even F d.  So the energy takes twice the block less the square, and
+    the right part's column sums are subtracted from (flux) or added to
+    (density) the rows [b, M).
     """
+    if kind not in ("flux", "density"):
+        raise ValueError(f"unknown pair-sum kind {kind!r}")
     p = kt.params.p
     kern = kt.kernel_rows
     run, size = kern.shape[1:]
-    even = kind != "flux"
-    odd = kind in ("flux", "both")
-    total = 0.0
+    flux = kind == "flux"
+    mirror = -1.0 if flux else 1.0  # F is odd in d, F d even
+    energy = 0.0
     rows = np.zeros(size)
     for a, b in _row_blocks(size, run):
-        d, mag, q = (buf[:(b - a) * (size - a)].reshape(b - a, size - a)
-                     for buf in kt.pair_buffers)
+        flat_d, flat_f = (buf[:(b - a) * (size - a)] for buf in kt.pair_buffers)
+        d, f = flat_d.reshape(b - a, size - a), flat_f.reshape(b - a, size - a)
         # d = u_i - u_j; filling, then subtracting in place, runs faster
         # than numpy's two-way broadcast subtraction
         d[:] = vals[a:b, None]
         d -= vals[a:]
-        if p == 2.0:
-            q = d
-            if even:
-                power = np.square(d, out=mag if odd else d)
-        else:
-            mag = np.abs(d, out=mag if odd else d)
-            np.power(mag, p - 1.0, out=q)
-            if even:
-                power = np.multiply(q, mag, out=mag)
-            if odd:
-                np.copysign(q, d, out=q)
-        # kernel rows [a, b) x [a, M) as (runs, rows, M - a); [...] *= is in place
+        # kernel rows [a, b) x [a, M) as (runs, rows, M - a), a view that may
+        # not reshape, so the buffers take its shape; f is made F = phi(d) K
         block = kern[a // run:(b - 1) // run + 1, a % run:(b - 1) % run + 1, a:]
-        if even:
-            power.reshape(block.shape)[...] *= block
-            if kind == "density":
-                rows[a:b] += power.sum(axis=1)
-                rows[b:] += power[:, b - a:].sum(axis=0)
+        if p == 2.0:
+            np.multiply(d.reshape(block.shape), block, out=f.reshape(block.shape))
+        else:
+            np.abs(d, out=f)
+            if p > 2.0:  # |d|^(p-2) is finite, and a product beats copysign
+                f **= p - 2.0
+                f *= d
             else:
-                # twice the block, less the square that already holds both orders
-                total += 2.0 * power.sum() - power[:, :b - a].sum()
-        if odd:
-            # q is now phi(d)
-            q.reshape(block.shape)[...] *= block
-            rows[a:b] += q.sum(axis=1)
-            rows[b:] -= q[:, b - a:].sum(axis=0)
-    if kind == "energy":
-        return total
-    return (total, rows) if kind == "both" else rows
+                f **= p - 1.0
+                np.copysign(f, d, out=f)
+            f.reshape(block.shape)[...] *= block
+        if flux:
+            pairs = float(flat_f @ flat_d)
+            # twice the block, less the square that already holds both orders
+            square = pairs if b == size else np.einsum("ij,ij->", f[:, :b - a], d[:, :b - a])
+            energy += 2.0 * pairs - float(square)
+        else:
+            f *= d  # F d = |d|^p K
+        rows[a:b] += f.sum(axis=1)
+        if b < size:
+            rows[b:] += mirror * f[:, b - a:].sum(axis=0)
+    return (energy, rows) if flux else rows
 
 
 def _energy_parts(vals: np.ndarray, kt: KernelTable, pairs: float) -> tuple[float, float]:
@@ -164,25 +153,24 @@ def raw_energy(vals: np.ndarray, kt: KernelTable, with_gateaux: bool = False):
     """E(u) on a bare value array; no validation, used by inner solver loops.
 
     With ``with_gateaux`` it returns (E(u), raw_gateaux_vector(u)), both
-    from one pair pass.
+    from the one pair pass that E(u) takes anyway.
     """
-    if not with_gateaux:
-        interior, boundary = _energy_parts(vals, kt, _pair_sums(vals, kt, "energy"))
-        return interior + boundary
-    pairs, flux = _pair_sums(vals, kt, "both")
+    pairs, flux = _pair_sums(vals, kt, "flux")
     interior, boundary = _energy_parts(vals, kt, pairs)
+    if not with_gateaux:
+        return interior + boundary
     return interior + boundary, _gateaux_from_flux(vals, kt, flux)
 
 
 def raw_gateaux_vector(vals: np.ndarray, kt: KernelTable) -> np.ndarray:
     """gateaux(u, e_i) on a bare value array; equals (1/p) grad E(u)."""
-    return _gateaux_from_flux(vals, kt, _pair_sums(vals, kt, "flux"))
+    return _gateaux_from_flux(vals, kt, _pair_sums(vals, kt, "flux")[1])
 
 
 def seminorm_p(u: GridFunction, kt: KernelTable) -> SeminormValue:
     """Evaluate E(u), split into interior and boundary parts."""
     same_grid(u, kt)
-    interior, boundary = _energy_parts(u.values, kt, _pair_sums(u.values, kt, "energy"))
+    interior, boundary = _energy_parts(u.values, kt, _pair_sums(u.values, kt, "flux")[0])
     return SeminormValue(value=interior + boundary,
                          interior_part=interior,
                          boundary_part=boundary)

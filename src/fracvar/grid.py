@@ -348,14 +348,13 @@ class KernelTable:
 
     @functools.cached_property
     def pair_buffers(self) -> tuple:
-        """Three float64 arrays, d, |d| and q, the size of the energy module's
-        largest pair-pass block: every pass fills views of them instead of
-        allocating, so two passes on one table must never overlap (fracvar
-        runs everything serially)."""
+        """The energy module's pair-pass buffers d and F, each the size of its
+        largest block: every pass fills views of them instead of allocating,
+        so two passes on one table must never overlap (fracvar is serial)."""
         from .energy import _row_blocks  # energy imports this module
         cells = self.grid.n_cells
         _top, height = _row_blocks(cells, self.grid.cells_per_dim)[0]
-        return tuple(np.empty(height * cells) for _ in range(3))
+        return np.empty(height * cells), np.empty(height * cells)
 
     @functools.cached_property
     def p2_operator(self):

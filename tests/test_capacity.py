@@ -158,10 +158,22 @@ class TestCapacity:
         g = fv.build_grid(1, 1.0, 16)
         kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
         target = fv.CellSet.ball(g, (0.0,), 0.3)
-        opts = fv.CapacityOptions(tol_factor=0.0, max_iter=5)
+        # a positive target that no solve reaches (zero is refused)
+        opts = fv.CapacityOptions(tol_factor=1e-300, max_iter=5)
         with pytest.raises(ConvergenceError, match="no convergence within 5 iterations") as err:
             fv.capacity(target, kt, opts)
         assert err.value.result.iterations == 5
+
+
+class TestOptions:
+    @pytest.mark.parametrize("kwargs", [
+        {"tol_factor": float("nan")}, {"tol_factor": 0.0}, {"tol_factor": -1e-8},
+        {"tol_factor": float("inf")}, {"max_iter": 0}, {"max_iter": -3},
+    ], ids=["tol_factor=nan", "tol_factor=0", "tol_factor=-1e-8", "tol_factor=inf",
+            "max_iter=0", "max_iter=-3"])
+    def test_bad_values_refused(self, kwargs):
+        with pytest.raises(DomainError):
+            fv.CapacityOptions(**kwargs)
 
 
 class TestLinearPath:
@@ -315,6 +327,25 @@ class TestHardyNorm:
     def test_estimate_positive_for_hardy_weight(self, line_kt, line_grid):
         w = fv.sample(line_grid, fv.PowerLaw(alpha=0.8))
         assert fv.hardy_norm_estimate(w, line_kt).value > 0
+
+    def test_skipped_candidates_are_listed(self, monkeypatch, line_kt, line_grid):
+        solve = capacity_mod.capacity
+
+        def fails_on_odd_sizes(F, kt, opts=None):
+            if F.size % 2:
+                raise ConvergenceError("no convergence (forced)")
+            return solve(F, kt, opts)
+
+        monkeypatch.setattr(capacity_mod, "capacity", fails_on_odd_sizes)
+        w = fv.sample(line_grid, fv.PowerLaw(alpha=0.8))
+        with pytest.warns(UserWarning) as caught:
+            res = fv.hardy_norm_estimate(w, line_kt)
+        warned = [str(x.message).split()[1] for x in caught
+                  if " skipped: " in str(x.message)]
+        assert res.skipped and res.skipped == tuple(warned)
+        assert {label for label, _ratio in res.sweep}.isdisjoint(res.skipped)
+        monkeypatch.undo()
+        assert fv.hardy_norm_estimate(w, line_kt).skipped == ()
 
 
 class TestConcentration:

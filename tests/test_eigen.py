@@ -105,6 +105,31 @@ class TestFirstEigenpair:
         res = fv.first_eigenpair(wt, kt)
         assert res.lam == pytest.approx(raw_energy(res.u.values, kt), rel=1e-12)
 
+    def test_one_pair_pass_per_trial(self, monkeypatch, line_kt_p3):
+        # the start's pass and one per trial: an accepted trial's Gateaux
+        # vector gives the next direction, so no step makes a second pass
+        counts = {"pairs": 0, "trials": 0}
+        pair_sums = energy_mod._pair_sums
+
+        def counted_pair_sums(*args):
+            counts["pairs"] += 1
+            return pair_sums(*args)
+
+        descend = eigen_mod.spectral_descent
+
+        def counted_descent(x, f, aux, direction, trial, max_iter):
+            def counted_trial(*args):
+                counts["trials"] += 1
+                return trial(*args)
+            return descend(x, f, aux, direction, counted_trial, max_iter)
+
+        monkeypatch.setattr(energy_mod, "_pair_sums", counted_pair_sums)
+        monkeypatch.setattr(eigen_mod, "spectral_descent", counted_descent)
+        res = fv.first_eigenpair(fv.Weight.constant(line_kt_p3.grid), line_kt_p3,
+                                 fv.EigenOptions(tol=1e-8))
+        assert res.iterations > 1 and counts["trials"] >= res.iterations
+        assert counts["pairs"] == counts["trials"] + 1
+
     def test_empty_constraint_set_rejected(self, line_grid):
         kt = fv.build_kernel_table(line_grid, fv.FracParams(0.4, 2.0), 4.0)
         w1 = fv.GridFunction(line_grid, np.ones(line_grid.n_cells))
@@ -375,13 +400,23 @@ class TestLobpcgPath:
         assert res.residual <= opts.tol
         assert res.iterations < opts.max_iter
 
-    @pytest.mark.parametrize("max_iter", [0, 1, 2, 3])
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
     def test_tiny_budget_raises(self, flat_setup, max_iter):
         _g, kt, wt = flat_setup
         with pytest.raises(ConvergenceError,
                            match=f"no convergence within {max_iter} iterations") as err:
             fv.first_eigenpair(wt, kt, fv.EigenOptions(tol=1e-8, max_iter=max_iter))
         assert err.value.result.iterations == max_iter
+
+
+class TestOptions:
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": float("nan")}, {"tol": 0.0}, {"tol": -1e-6}, {"tol": float("inf")},
+        {"max_iter": 0}, {"max_iter": -3},
+    ], ids=["tol=nan", "tol=0", "tol=-1e-6", "tol=inf", "max_iter=0", "max_iter=-3"])
+    def test_bad_values_refused(self, kwargs):
+        with pytest.raises(DomainError):
+            fv.EigenOptions(**kwargs)
 
 
 class TestResidualCheck:

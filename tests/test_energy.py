@@ -164,6 +164,57 @@ class TestFusedPass:
         assert peak < 8 * g.n_cells**2
 
 
+def long_double_parts(vals, kt):
+    """Interior and boundary parts of E(u), summed in long double over the
+    dense kernel: the reference for the float64 pair pass."""
+    p = np.longdouble(kt.params.p)
+    m = np.longdouble(kt.cell_measure)
+    u = vals.astype(np.longdouble)
+    kern = kt.dense_kernel().astype(np.longdouble)
+    interior = (np.abs(u[:, None] - u) ** p * kern).sum() * m * m
+    boundary = 2 * (np.abs(u) ** p * kt.exterior_mass.astype(np.longdouble)).sum() * m
+    return interior, boundary
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                    reason="long double is no wider than float64 here")
+class TestPairEnergyAccuracy:
+    """The pair energy is the dot of the flux block F = phi(d) K with d, a
+    sum of non-negative terms, so it keeps float64 accuracy also where the
+    field sits on a large constant, which the energy taken as u . g(u)
+    loses to cancellation."""
+
+    @pytest.mark.parametrize("offset", [0.0, 10.0, 1e3])
+    @pytest.mark.parametrize("budget", [None, 1600])
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("grid_name", ["line_grid", "plane_grid"])
+    def test_energy_matches_long_double_sum(self, monkeypatch, request, rng,
+                                            grid_name, p, budget, offset):
+        grid = request.getfixturevalue(grid_name)
+        kt = fv.build_kernel_table(grid, fv.FracParams(0.2, p), 4.0)
+        if budget is None:
+            assert energy_mod._BLOCK_BYTES // (8 * grid.n_cells) >= grid.n_cells
+        else:
+            monkeypatch.setattr(energy_mod, "_BLOCK_BYTES", budget)
+        vals = rng.standard_normal(grid.n_cells) + offset
+        interior, boundary = long_double_parts(vals, kt)
+
+        def rel(ours, ref):
+            return float(abs((np.longdouble(ours) - ref) / ref))
+
+        sn = fv.seminorm_p(fv.GridFunction(grid, vals), kt)
+        assert rel(sn.interior_part, interior) <= 1e-15
+        assert rel(sn.boundary_part, boundary) <= 1e-15
+        energy = energy_mod.raw_energy(vals, kt)
+        assert rel(energy, interior + boundary) <= 1e-15
+        assert energy_mod.raw_energy(vals, kt, with_gateaux=True)[0] == energy
+
+    @pytest.mark.parametrize("kind", ["energy", "both", "Flux", ""])
+    def test_only_two_kinds(self, line_kt, rng, kind):
+        with pytest.raises(ValueError, match="kind"):
+            energy_mod._pair_sums(rng.standard_normal(32), line_kt, kind)
+
+
 class TestSeminorm:
     def test_zero_function(self, line_kt, line_grid):
         u = fv.GridFunction(line_grid, np.zeros(line_grid.n_cells))

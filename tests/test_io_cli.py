@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import fracvar as fv
 import fracvar.eigen as eig
 import fracvar.io as fio
 from fracvar.cli import RunConfig, dispatch
-from fracvar.errors import DomainError
+from fracvar.errors import ConvergenceError, DomainError
 
 
 class TestCsvRoundTrip:
@@ -135,6 +136,23 @@ class TestDispatch:
         assert dispatch([command, "--config", cfg]) == 65
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, solver", [
+        ("capacity", {"capacity_tol_factor": float("nan")}),
+        ("capacity", {"capacity_tol_factor": 0.0}),
+        ("capacity", {"capacity_tol_factor": -1e-8}),
+        ("capacity", {"max_iter": 0}),
+        ("hardy-norm", {"max_iter": -3}),
+        ("eigen", {"tol": float("nan")}),
+        ("eigen", {"tol": 0.0}),
+        ("eigen", {"tol": -1e-6}),
+        ("eigen", {"max_iter": 0}),
+    ])
+    def test_bad_solver_value_exits_65(self, tmp_path, capsys, command, solver):
+        cfg = write_config(tmp_path, solver=solver, capacity={
+            "region": {"kind": "ball", "center": [0.0], "radius": 0.3}})
+        assert dispatch([command, "--config", cfg]) == 65
+        assert "config error: solver: malformed value" in capsys.readouterr().err
+
     def test_domain_error_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lorentz={"p": 0.5, "q": 2.0})
         assert dispatch(["lorentz", "--config", cfg]) == 1
@@ -226,8 +244,28 @@ class TestDispatch:
         out = tmp_path / "out"
         hardy = json.loads((out / "hardy_norm.json").read_text())
         assert hardy["estimate"] > 0
+        assert hardy["skipped_candidates"] == 0
         prof = json.loads((out / "concentration.json").read_text())
         assert prof["extrapolated_limit"] > 0
+
+    def test_hardy_norm_counts_skipped_candidates(self, tmp_path, monkeypatch):
+        capacity_mod = importlib.import_module("fracvar.capacity")
+        solve = capacity_mod.capacity
+
+        def fails_on_odd_sizes(F, kt, opts=None):
+            if F.size % 2:
+                raise ConvergenceError("no convergence (forced)")
+            return solve(F, kt, opts)
+
+        monkeypatch.setattr(capacity_mod, "capacity", fails_on_odd_sizes)
+        cfg = write_config(tmp_path, weight={"kind": "power_law", "alpha": 0.8})
+        with pytest.warns(UserWarning, match="candidate .* skipped"):
+            assert dispatch(["hardy-norm", "--config", cfg]) == 0
+        hardy = json.loads((tmp_path / "out" / "hardy_norm.json").read_text())
+        sweep = (tmp_path / "out" / "hardy_sweep.csv").read_text().splitlines()[1:]
+        w = fv.sample(fv.build_grid(1, 1.0, 32), fv.PowerLaw(alpha=0.8))
+        candidates = capacity_mod._family_candidates(w.grid, [np.abs(w.values)], None)
+        assert hardy["skipped_candidates"] == len(candidates) - len(sweep) > 0
 
     def test_concentration_at_infinity_and_diagnostic(self, tmp_path):
         cfg = write_config(
