@@ -15,8 +15,10 @@ symmetric positive-definite system A_ff u_f = -A_fF 1 on the free cells
 on the table's ``P2Operator`` (``_linear_solve``): A and T. Chan's
 circulant preconditioner are FFT products on the whole grid, restricted to
 the free cells, and CG takes 5-14 steps on every grid tried.  The clipped
-solution then gets one fused energy-and-gradient pass and the stop test; a
-point that fails the test is handed on to the descent below as its start.
+solution then gets one fused energy-and-gradient pass and starts the
+descent below, whose first stop test it passes without a step when CG has
+converged; CG stops one step short of the iteration budget, so that test
+runs within it.
 
 At every other p, spectral projected-gradient descent
 (``descent.spectral_descent``, with the box clip as its projection) reaches
@@ -168,9 +170,7 @@ def capacity(F: CellSet, kt: KernelTable, opts: CapacityOptions | None = None,
         u[free], its = _linear_solve(u, kt, free, opts)
         u = project(u)
     energy, gvec = raw_energy(u, kt, with_gateaux=True)
-    # at p = 2 this passes for the CG solution, and no descent step is taken
-    if direction(u, energy, gvec)[1]:
-        return CapacityResult(energy, GridFunction(grid, u), its, grad_norm)
+    # at p = 2 the CG solution passes the descent's first stop test, and no step is taken
     u, energy, _gvec, status, more = spectral_descent(u, energy, gvec, direction, trial,
                                                       opts.max_iter - its)
     its += more
@@ -192,7 +192,8 @@ def _linear_solve(u: np.ndarray, kt: KernelTable, free: np.ndarray,
     """Preconditioned CG for A_ff u_f = -A_fF 1 at p = 2, from u's free values.
 
     Returns the free cells' values and the CG step count, at most
-    ``opts.max_iter``.  CG stops once the residual is below half
+    ``opts.max_iter - 1``, so that the stop test that follows runs within
+    the budget.  CG stops once the residual is below half
     ``tol_factor``: the gradient of E on the free cells is twice the
     residual, so the stop test's target tol_factor * max(1, E) is then met
     wherever the clip leaves the point unchanged.
@@ -208,7 +209,7 @@ def _linear_solve(u: np.ndarray, kt: KernelTable, free: np.ndarray,
     x = u[free]
     r = -op.apply(np.where(free, 0.0, u))[free] - on_free(op.apply, x)
     rho, direction, steps = None, None, 0
-    while np.linalg.norm(r) > 0.5 * opts.tol_factor and steps < opts.max_iter:
+    while np.linalg.norm(r) > 0.5 * opts.tol_factor and steps < opts.max_iter - 1:
         z = on_free(op.precondition, r)
         rho, rho_prev = r @ z, rho
         direction = z if direction is None else z + (rho / rho_prev) * direction
@@ -365,16 +366,28 @@ def _best_ratio(absw: np.ndarray, m: float, candidates, caps) -> HardyNormResult
     return HardyNormResult(best_val, best_set, tuple(clean), tuple(skipped))
 
 
-def _hardy(w: GridFunction, kt: KernelTable, family: CandidateFamily | None,
-           opts: CapacityOptions | None, cache: dict) -> HardyNormResult:
-    absw = np.abs(w.values)
-    candidates = _family_candidates(w.grid, [absw], family)
+def _sweep(w: GridFunction, masks, kt: KernelTable, family: CandidateFamily | None,
+           opts: CapacityOptions | None, cache: dict) -> list:
+    """A norm estimate of w restricted to each mask (``True`` keeps all of w).
+
+    All restrictions share one candidate family (the union of the families
+    each would generate on its own), so the estimates are exactly monotone
+    in nested restrictions and one capacity solve serves every restriction;
+    ``cache`` maps a candidate's mask to its capacity across sweeps.  A
+    vanishing restriction gets the zero result, and when all vanish no
+    capacity is solved.
+    """
+    restricted = [np.abs(np.where(mask, w.values, 0.0)) for mask in masks]
+    zero = HardyNormResult(0.0, CellSet.empty(w.grid), ())
+    if not any(np.any(absw) for absw in restricted):
+        return [zero] * len(restricted)
+    candidates = _family_candidates(w.grid, restricted, family)
     if not candidates:
-        if not np.any(absw):
-            return HardyNormResult(0.0, CellSet.empty(w.grid), ())
         raise DomainError("candidate family is empty")
     caps = _candidate_capacities(candidates, kt, opts, cache)
-    return _best_ratio(absw, w.grid.cell_measure, candidates, caps)
+    m = w.grid.cell_measure
+    return [_best_ratio(absw, m, candidates, caps) if np.any(absw) else zero
+            for absw in restricted]
 
 
 def hardy_norm_estimate(w: GridFunction, kt: KernelTable,
@@ -382,7 +395,7 @@ def hardy_norm_estimate(w: GridFunction, kt: KernelTable,
                         opts: CapacityOptions | None = None) -> HardyNormResult:
     """Lower bound for the capacitary weight norm by a finite-family sweep."""
     same_grid(w, kt)
-    return _hardy(w, kt, family, opts, {})
+    return _sweep(w, [True], kt, family, opts, {})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,20 +412,10 @@ class ConcentrationProfile:
 def _profile(w: GridFunction, radii, masks, kt: KernelTable,
              family: CandidateFamily | None, opts: CapacityOptions | None,
              cache: dict) -> ConcentrationProfile:
-    """Norm estimates for a nested sequence of restrictions of w.
-
-    All restrictions share one candidate family (the union of the families
-    each restriction would generate on its own).  Sharing makes the profile
-    exactly monotone in the restriction and lets one capacity solve serve
-    every radius.  The limit is the value at the last radius.
-    """
-    restricted = [np.abs(np.where(mask, w.values, 0.0)) for mask in masks]
-    candidates = _family_candidates(w.grid, restricted, family)
-    caps = _candidate_capacities(candidates, kt, opts, cache)
-    m = w.grid.cell_measure
-    estimates = [_best_ratio(absw, m, candidates, caps).value
-                 if candidates and np.any(absw) else 0.0 for absw in restricted]
-    return ConcentrationProfile(tuple(radii), tuple(estimates), estimates[-1])
+    """Norm estimates for a nested sequence of restrictions of w; the limit
+    is the value at the last radius."""
+    estimates = tuple(res.value for res in _sweep(w, masks, kt, family, opts, cache))
+    return ConcentrationProfile(tuple(radii), estimates, estimates[-1])
 
 
 def _ball_masks(grid: Grid, x, radii) -> tuple[list, list]:
@@ -420,13 +423,12 @@ def _ball_masks(grid: Grid, x, radii) -> tuple[list, list]:
     radii = [float(r) for r in radii]
     if len(radii) == 0 or np.any(np.diff(radii) >= 0):
         raise DomainError("radii must be strictly decreasing")
-    pt = np.asarray(x, dtype=float)
-    d2 = ((grid.centers - pt) ** 2).sum(axis=1)
+    center = tuple(float(c) for c in np.atleast_1d(x))
     masks = []
     for r in radii:
-        mask = d2 <= r**2
+        mask = Ball(center, r).contains(grid.centers)
         if not np.any(mask):
-            raise DomainError(f"ball of radius {r} around {tuple(pt)} contains no cells")
+            raise DomainError(f"ball of radius {r} around {center} contains no cells")
         masks.append(mask)
     return radii, masks
 
@@ -528,7 +530,7 @@ def compactness_diagnostic(w: GridFunction, kt: KernelTable,
     outer_radii = [L / 2, 5 * L / 8, 3 * L / 4, 7 * L / 8]
 
     cache: dict = {}
-    weight_norm = _hardy(w, kt, family, opts, cache).value
+    weight_norm = _sweep(w, [True], kt, family, opts, cache)[0].value
     tol = 0.5 * weight_norm
     points = _candidate_points(w)
     profiles = [_profile(w, *_ball_masks(grid, x, radii), kt, family, opts, cache)

@@ -321,22 +321,6 @@ def first_eigenpair(wt: Weight, kt: KernelTable, opts: EigenOptions | None = Non
     return res
 
 
-def _triangular_times(tri: np.ndarray, x: np.ndarray, lower: bool, out=None) -> np.ndarray:
-    """tri @ x for a lower (or upper) triangular tri, by halves, skipping
-    its zero quarter: half the flops of the dense product."""
-    size, half = tri.shape[0], tri.shape[0] // 2
-    out = np.empty(x.shape) if out is None else out
-    if size < 128:
-        return np.matmul(tri, x, out=out)
-    _triangular_times(tri[:half, :half], x[:half], lower, out[:half])
-    _triangular_times(tri[half:, half:], x[half:], lower, out[half:])
-    if lower:
-        out[half:] += tri[half:, :half] @ x[:half]
-    else:
-        out[:half] += tri[:half, half:] @ x[half:]
-    return out
-
-
 def _lower_inverse(low: np.ndarray, inv=None) -> np.ndarray:
     """L^-1 of a lower-triangular L, by halves: the inverse of
     [[L11, 0], [L21, L22]] is [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]]."""
@@ -347,8 +331,7 @@ def _lower_inverse(low: np.ndarray, inv=None) -> np.ndarray:
         return inv
     _lower_inverse(low[:half, :half], inv[:half, :half])
     _lower_inverse(low[half:, half:], inv[half:, half:])
-    _triangular_times(inv[half:, half:], -low[half:, :half] @ inv[:half, :half], lower=True,
-                      out=inv[half:, :half])
+    inv[half:, :half] = inv[half:, half:] @ (-low[half:, :half] @ inv[:half, :half])
     return inv
 
 
@@ -366,10 +349,10 @@ def linear_oracle(wt: Weight, kt: KernelTable) -> list[tuple[float, GridFunction
     # every M x M temporary is dropped as soon as it is used (_ORACLE_SQUARES)
     inv = _lower_inverse(np.linalg.cholesky(stiffness_matrix(kt)))
     wm = (wt.combined.values * kt.cell_measure)[:, None]
-    mus, vecs = np.linalg.eigh(_triangular_times(inv, wm * inv.T, lower=True))
+    mus, vecs = np.linalg.eigh(inv @ (wm * inv.T))
     cutoff = 1e-12 * max(1.0, float(np.max(np.abs(mus))))
     first = int(np.searchsorted(mus, cutoff, side="right"))
-    mus, vecs = mus[first:], _triangular_times(inv.T, vecs[:, first:], lower=False)
+    mus, vecs = mus[first:], inv.T @ vecs[:, first:]
     vecs /= np.sqrt(mus)  # unit weighted mass
     vecs *= np.where(vecs.sum(axis=0) < 0, -1.0, 1.0)
     return [(float(1.0 / mu), GridFunction(kt.grid, u))

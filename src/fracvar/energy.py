@@ -30,7 +30,7 @@ d = u_i - u_j and returns F's row sums and the pair energy, the dot of F
 with d, whose terms |d|^p K are all non-negative; taken instead as u . g(u)
 by Euler's identity, the energy would cancel on a field far from zero.
 ``raw_energy`` (with or without the Gateaux vector), ``seminorm_p`` and
-``raw_gateaux_vector`` each make this one pass.  Its "density" kind sums
+``gateaux_vector`` each make this one pass.  Its "density" kind sums
 F d per cell for ``nonlocal_gradient``.  phi(d) takes at most one power:
 it is d at p = 2, |d|^(p-2) d above and copysign(|d|^(p-1), d) below.
 ``gateaux(u, v)`` is v . gateaux_vector(u).
@@ -152,19 +152,14 @@ def _gateaux_from_flux(vals: np.ndarray, kt: KernelTable, flux: np.ndarray) -> n
 def raw_energy(vals: np.ndarray, kt: KernelTable, with_gateaux: bool = False):
     """E(u) on a bare value array; no validation, used by inner solver loops.
 
-    With ``with_gateaux`` it returns (E(u), raw_gateaux_vector(u)), both
-    from the one pair pass that E(u) takes anyway.
+    With ``with_gateaux`` it returns (E(u), gateaux(u, e_i) for every i),
+    both from the one pair pass that E(u) takes anyway.
     """
     pairs, flux = _pair_sums(vals, kt, "flux")
     interior, boundary = _energy_parts(vals, kt, pairs)
     if not with_gateaux:
         return interior + boundary
     return interior + boundary, _gateaux_from_flux(vals, kt, flux)
-
-
-def raw_gateaux_vector(vals: np.ndarray, kt: KernelTable) -> np.ndarray:
-    """gateaux(u, e_i) on a bare value array; equals (1/p) grad E(u)."""
-    return _gateaux_from_flux(vals, kt, _pair_sums(vals, kt, "flux")[1])
 
 
 def seminorm_p(u: GridFunction, kt: KernelTable) -> SeminormValue:
@@ -193,7 +188,7 @@ def gateaux_vector(u: GridFunction, kt: KernelTable) -> np.ndarray:
     where phi(t) = |t|^(p-2) t.
     """
     same_grid(u, kt)
-    return raw_gateaux_vector(u.values, kt)
+    return _gateaux_from_flux(u.values, kt, _pair_sums(u.values, kt, "flux")[1])
 
 
 def gateaux(u: GridFunction, v: GridFunction, kt: KernelTable) -> float:
@@ -203,9 +198,8 @@ def gateaux(u: GridFunction, v: GridFunction, kt: KernelTable) -> float:
     2 sum_i v_i sum_j phi(u_i - u_j) K[i,j] because phi(u_i - u_j) K[i,j] is
     antisymmetric, so the form is v . gateaux_vector(u).
     """
-    same_grid(u, kt)
     same_grid(u, v)
-    return float(v.values @ raw_gateaux_vector(u.values, kt))
+    return float(v.values @ gateaux_vector(u, kt))
 
 
 def frac_p_laplacian_apply(u: GridFunction, kt: KernelTable) -> GridFunction:

@@ -181,6 +181,9 @@ class Ball:
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         c = np.asarray(self.center, dtype=float)
+        if c.shape != pts.shape[1:]:
+            raise DomainError(f"ball center {self.center} has {c.size} coordinates, "
+                              f"the points have {pts.shape[1]}")
         return ((pts - c) ** 2).sum(axis=1) <= self.radius**2
 
 
@@ -192,7 +195,14 @@ class HalfSpace:
     threshold: float = 0.0
     side: str = "right"
 
+    def __post_init__(self):
+        if self.side not in ("left", "right"):
+            raise DomainError(f"half-space side must be 'left' or 'right', got {self.side!r}")
+
     def contains(self, pts: np.ndarray) -> np.ndarray:
+        if not 0 <= self.axis < pts.shape[1]:
+            raise DomainError(f"half-space axis {self.axis} is outside the points' "
+                              f"{pts.shape[1]} axes")
         if self.side == "right":
             return pts[:, self.axis] > self.threshold
         return pts[:, self.axis] < self.threshold
@@ -380,19 +390,13 @@ def _stencil_symbol(stencil: np.ndarray, reach: int, dtype, origin: int = 0) -> 
     (origin + k) mod the period for the signed offsets |k| <= reach of each
     axis, and zero elsewhere.  Its product with x at cell c + origin is
     sum_j T[|c - j|] x_j, with no wrapped term, when every cell j of x lies
-    within reach of c.  Rows that are zero transform to zero, so the last
-    axis is transformed on the 2 reach + 1 others only."""
+    within reach of c."""
     dim, period = stencil.ndim, _fft_period(reach)
     signed = np.arange(-reach, reach + 1)
     rows = (origin + signed) % period
-    spec = np.zeros((2 * reach + 1,) * (dim - 1) + (period,), dtype)
-    spec[..., rows] = stencil.astype(dtype)[np.ix_(*[np.abs(signed)] * dim)]
-    spec = np.fft.rfft(spec)
-    for axis in range(dim - 1):
-        full = np.zeros(spec.shape[:axis] + (period,) + spec.shape[axis + 1:], spec.dtype)
-        full[(slice(None),) * axis + (rows,)] = spec
-        spec = np.fft.fft(full, axis=axis)
-    return spec
+    spec = np.zeros((period,) * dim, dtype)
+    spec[np.ix_(*[rows] * dim)] = stencil.astype(dtype)[np.ix_(*[np.abs(signed)] * dim)]
+    return np.fft.rfftn(spec)
 
 
 def _circulant(x: np.ndarray, symbol: np.ndarray, window: tuple) -> np.ndarray:

@@ -35,8 +35,8 @@ def count_passes(monkeypatch):
     def forbidden(*_args, **_kwargs):
         raise AssertionError("the capacity solve made a separate gradient pass")
 
-    monkeypatch.setattr(energy_mod, "raw_gateaux_vector", forbidden)
-    monkeypatch.setattr(capacity_mod, "raw_gateaux_vector", forbidden, raising=False)
+    monkeypatch.setattr(energy_mod, "gateaux_vector", forbidden)
+    monkeypatch.setattr(capacity_mod, "gateaux_vector", forbidden, raising=False)
     counts = {"pairs": 0, "descents": 0, "trials": 0}
     pair_sums = energy_mod._pair_sums
 
@@ -118,11 +118,12 @@ class TestCapacity:
         assert counts["pairs"] == counts["trials"] + 1
 
     def test_converged_p2_solve_makes_one_pair_pass(self, monkeypatch, line_kt, line_grid):
-        # conjugate gradients reach the minimizer; the one pair pass verifies it
+        # conjugate gradients reach the minimizer; the one pair pass verifies
+        # it in the descent's first stop test, and no trial is made
         counts = count_passes(monkeypatch)
         res = fv.capacity(fv.CellSet.ball(line_grid, (0.0,), 0.2), line_kt)
         assert res.iterations > 1
-        assert counts == {"pairs": 1, "descents": 0, "trials": 0}
+        assert counts == {"pairs": 1, "descents": 1, "trials": 0}
 
     def test_subadditive_on_disjoint_union(self, line_kt, line_grid):
         left = fv.CellSet.ball(line_grid, (-0.6,), 0.15)
@@ -305,10 +306,37 @@ class TestGridCheck:
             sweep(w, line64)
 
 
+def no_capacity(monkeypatch):
+    def solve(*_args, **_kwargs):
+        raise AssertionError("a capacity was solved")
+
+    monkeypatch.setattr(capacity_mod, "capacity", solve)
+
+
+EMPTY_FAMILY_SWEEPS = {
+    "hardy": lambda w, kt, family: fv.hardy_norm_estimate(w, kt, family),
+    "at_point": lambda w, kt, family: fv.concentration_at(w, (0.0,), [0.5, 0.25], kt, family),
+    "at_infinity": lambda w, kt, family: fv.concentration_at_infinity(w, [0.25, 0.5], kt,
+                                                                      family),
+}
+
+
 class TestHardyNorm:
-    def test_zero_weight(self, line_kt, line_grid):
+    def test_zero_weight(self, monkeypatch, line_kt, line_grid):
+        no_capacity(monkeypatch)
         w = fv.GridFunction(line_grid, np.zeros(line_grid.n_cells))
-        assert fv.hardy_norm_estimate(w, line_kt).value == 0.0
+        res = fv.hardy_norm_estimate(w, line_kt)
+        assert res.value == 0.0
+        assert res.argmax.size == 0
+        assert res.sweep == ()
+
+    @pytest.mark.parametrize("sweep", EMPTY_FAMILY_SWEEPS.values(), ids=EMPTY_FAMILY_SWEEPS)
+    def test_empty_family_refused(self, monkeypatch, line_kt, line_grid, sweep):
+        no_capacity(monkeypatch)
+        w = fv.sample(line_grid, fv.PowerLaw(alpha=0.8))
+        empty = fv.CandidateFamily(ball_radii=(), n_quantiles=0)
+        with pytest.raises(DomainError, match="candidate family is empty"):
+            sweep(w, line_kt, empty)
 
     def test_positively_homogeneous(self, line_kt, line_grid):
         w = fv.sample(line_grid, fv.PowerLaw(alpha=0.8))
@@ -360,6 +388,15 @@ class TestConcentration:
         w = fv.GridFunction(line_grid, np.zeros(line_grid.n_cells))
         prof = fv.concentration_at(w, (0.0,), [0.5, 0.25], line_kt)
         assert prof.norm_estimates == (0.0, 0.0)
+
+    @pytest.mark.parametrize("point", [(0.5,), (0.5, 0.5, 0.0)])
+    def test_point_of_wrong_dimension_refused(self, monkeypatch, plane_kt, plane_grid, point):
+        no_capacity(monkeypatch)
+        w = fv.sample(plane_grid, fv.PowerLaw(alpha=0.8))
+        with pytest.raises(DomainError, match="coordinates"):
+            fv.concentration_at(w, point, [0.5, 0.25], plane_kt)
+        with pytest.raises(DomainError, match="coordinates"):
+            fv.CellSet.ball(plane_grid, point, 0.3)
 
     def test_unresolvable_radius_rejected(self, line_kt, line_grid):
         w = fv.sample(line_grid, fv.PowerLaw(alpha=0.0))
@@ -435,12 +472,14 @@ class TestSweepRuntime:
         monkeypatch.setattr(capacity_mod, "capacity", counting)
         verdict = fv.compactness_diagnostic(w, line_kt)
         shared = list(solved)
-        # the public functions each solve their whole family on their own
+        # the public functions each solve their whole family on their own,
+        # and give the diagnostic's values bit for bit
         solved.clear()
-        fv.hardy_norm_estimate(w, line_kt)
+        assert fv.hardy_norm_estimate(w, line_kt).value == verdict.weight_norm
         for x, prof in zip(verdict.points, verdict.profiles):
-            fv.concentration_at(w, x, prof.radii, line_kt)
-        fv.concentration_at_infinity(w, verdict.infinity_profile.radii, line_kt)
+            assert fv.concentration_at(w, x, prof.radii, line_kt) == prof
+        at_infinity = fv.concentration_at_infinity(w, verdict.infinity_profile.radii, line_kt)
+        assert at_infinity == verdict.infinity_profile
         assert len(solved) > len(shared)
         assert shared == list(dict.fromkeys(solved))
 

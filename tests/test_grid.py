@@ -280,6 +280,17 @@ class TestKernelTable:
             fv.build_kernel_table(line_grid, fv.FracParams(0.6, 2.0), 4.0)
 
 
+class TestHalfSpace:
+    @pytest.mark.parametrize("axis", [-1, 1])
+    def test_axis_outside_the_points_refused(self, line_grid, axis):
+        with pytest.raises(DomainError, match="axis"):
+            fv.HalfSpace(axis=axis).contains(line_grid.centers)
+
+    def test_side_must_be_left_or_right(self):
+        with pytest.raises(DomainError, match="side"):
+            fv.HalfSpace(side="up")
+
+
 class TestSample:
     def test_half_line_indicator(self):
         g = fv.build_grid(1, 1.0, 2)

@@ -130,6 +130,7 @@ class TestDispatch:
         ("hardy-norm", {"hardy": {"center_stride": 0}}),
         ("hardy-norm", {"hardy": {"n_quantiles": -1}}),
         ("hardy-norm", {"hardy": {"center_stride": -2}}),
+        ("capacity", {"capacity": {"region": {"kind": "halfspace", "side": "up"}}}),
     ])
     def test_malformed_value_exits_65(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -157,6 +158,24 @@ class TestDispatch:
         cfg = write_config(tmp_path, lorentz={"p": 0.5, "q": 2.0})
         assert dispatch(["lorentz", "--config", cfg]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("hardy-norm", {"hardy": {"ball_radii": [], "n_quantiles": 0}}),
+        ("concentration", {"hardy": {"ball_radii": [], "n_quantiles": 0}}),
+        ("concentration", {"hardy": {"ball_radii": [], "n_quantiles": 0},
+                           "concentration": {"at_infinity": True}}),
+        ("concentration", {"grid": {"dim": 2, "half_width": 1.0, "cells_per_dim": 8},
+                           "concentration": {"point": [0.125, 0.125, 0.0]}}),
+        ("capacity", {"capacity": {"region": {"kind": "ball", "center": [0.0, 0.5],
+                                              "radius": 0.3}}}),
+        ("capacity", {"capacity": {"region": {"kind": "halfspace", "axis": 1}}}),
+    ], ids=["hardy_empty_family", "point_empty_family", "infinity_empty_family",
+            "point_of_3_coordinates", "ball_center_of_2", "halfspace_axis_1"])
+    def test_bad_sweep_or_region_exits_1(self, tmp_path, capsys, command, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert dispatch([command, "--config", cfg]) == 1
+        assert "domain error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_oracle_at_p3_refused_before_the_solve(self, tmp_path, capsys, monkeypatch):
         def no_solve(*args, **kwargs):
