@@ -34,8 +34,8 @@ for tag, wt in (
 ):
     print(f"--- {tag} ---")
     seq = fv.eigen_sequence(wt, kt, 4, opts)
-    oracle = fv.linear_oracle(wt, kt)
-    for k, (res, (lam, _)) in enumerate(zip(seq, oracle), start=1):
+    oracle = fv.oracle_levels(wt, kt)
+    for k, (res, lam) in enumerate(zip(seq, oracle), start=1):
         print(f"  level {k}: lambda {res.lam:12.6f}  dense oracle {lam:12.6f}  "
               f"rel err {abs(res.lam / lam - 1):.1e}  sign: "
               f"{fv.sign_structure(res.u)}")

@@ -9,8 +9,8 @@ from .capacity import (BallScalingFit, CandidateFamily, CapacityOptions,
                        concentration_at_infinity, hardy_norm_estimate)
 from .eigen import (EigenOptions, EigenResult, PiconeResult, SimplicityReport,
                     Weight, eigen_sequence, first_eigenpair, linear_oracle,
-                    picone_gap, residual_check, sign_structure,
-                    simplicity_probe)
+                    oracle_levels, picone_gap, residual_check,
+                    sign_structure, simplicity_probe)
 from .energy import (SeminormValue, frac_p_laplacian_apply, gateaux,
                      gateaux_vector, nonlocal_gradient, rayleigh_quotient,
                      seminorm_p, stiffness_matrix, weighted_mass)

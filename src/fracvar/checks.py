@@ -316,9 +316,8 @@ def _chk_ds_decay(ctx, n, rng):
 def _chk_eigen_oracle_first(ctx, n, rng):
     kt = ctx.base_kt()
     wt, seq = ctx.eigen_results("flat")
-    oracle = eig.linear_oracle(wt, kt)
-    return abs(seq[0].lam / oracle[0][0] - 1.0), {"lam": seq[0].lam,
-                                                  "oracle": oracle[0][0]}
+    oracle = eig.oracle_levels(wt, kt)[0]
+    return abs(seq[0].lam / oracle - 1.0), {"lam": seq[0].lam, "oracle": oracle}
 
 
 def _chk_eigen_oracle_levels(ctx, n, rng):
@@ -326,9 +325,9 @@ def _chk_eigen_oracle_levels(ctx, n, rng):
     wt, _ = ctx.eigen_results("flat")
     opts = eig.EigenOptions(tol=1e-8, seed=ctx.config.seed)
     seq = eig.eigen_sequence(wt, kt, 4, opts)
-    oracle = eig.linear_oracle(wt, kt)
-    margin = max(abs(r.lam / o[0] - 1.0) for r, o in zip(seq, oracle))
-    return margin, {"lams": [r.lam for r in seq], "oracle": [o[0] for o in oracle[:4]]}
+    oracle = eig.oracle_levels(wt, kt)[:4]
+    margin = max(abs(r.lam / lam - 1.0) for r, lam in zip(seq, oracle))
+    return margin, {"lams": [r.lam for r in seq], "oracle": oracle}
 
 
 def _over_eigen_tags(ctx, measure):

@@ -318,10 +318,9 @@ def _cmd_eigen(cfg: RunConfig, out, args) -> int:
         "signs": [eig.sign_structure(r.u) for r in seq],
     }
     if args.oracle:
-        oracle = eig.linear_oracle(wt, kt)
-        payload["oracle_lambdas"] = [lam for lam, _ in oracle[:levels]]
-        payload["oracle_rel_err"] = [
-            abs(r.lam / lam - 1.0) for r, (lam, _) in zip(seq, oracle)]
+        oracle = eig.oracle_levels(wt, kt)
+        payload["oracle_lambdas"] = oracle[:levels]
+        payload["oracle_rel_err"] = [abs(r.lam / lam - 1.0) for r, lam in zip(seq, oracle)]
     fio.write_result_json(payload, _out_path(cfg, out, "eigen.json"))
     for idx, res in enumerate(seq, start=1):
         fio.emit_plot(res.u, _out_path(cfg, out, f"eigen_u{idx}.svg"))

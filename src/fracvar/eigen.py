@@ -36,10 +36,12 @@ the test fails, within the same iteration budget.  On the line at n = 768
 with a signed weight, two levels take 31 steps in all, where the descent
 alone took 208.
 
-A dense p = 2 cross-check (``linear_oracle``) solves M v = mu A v with the
-assembled stiffness matrix and diagonal weight matrix, by Cholesky and a
-symmetric eigensolve, restricted to directions of positive weighted mass;
-it takes no FFT product, so it checks the LOBPCG path independently.
+A dense p = 2 cross-check solves M v = mu A v with the assembled stiffness
+matrix and diagonal weight matrix, by Cholesky and a symmetric eigensolve,
+restricted to directions of positive weighted mass; it takes no FFT
+product, so it checks the LOBPCG path independently.  As numpy splits
+``eigh`` and ``eigvalsh``, ``linear_oracle`` returns eigenpairs and
+``oracle_levels`` eigenvalues alone, for callers that read nothing else.
 """
 
 from __future__ import annotations
@@ -335,6 +337,30 @@ def _lower_inverse(low: np.ndarray, inv=None) -> np.ndarray:
     return inv
 
 
+def _pencil(wt: Weight, kt: KernelTable) -> tuple[np.ndarray, np.ndarray]:
+    """C = L^-1 M L^-T and L^-1 for M v = mu A v, A = L L^T, M = diag(w m)."""
+    if kt.params.p != 2.0:
+        raise DomainError("the dense oracle applies only to p = 2")
+    same_grid(wt.w1, kt)
+    # every M x M temporary is dropped as soon as it is used (_ORACLE_SQUARES)
+    inv = _lower_inverse(np.linalg.cholesky(stiffness_matrix(kt)))
+    wm = (wt.combined.values * kt.cell_measure)[:, None]
+    return inv @ (wm * inv.T), inv
+
+
+def _first_positive(mus: np.ndarray) -> int:
+    """Index of the first ascending mu above the roundoff cutoff."""
+    cutoff = 1e-12 * max(1.0, float(np.max(np.abs(mus))))
+    return int(np.searchsorted(mus, cutoff, side="right"))
+
+
+def oracle_levels(wt: Weight, kt: KernelTable) -> list[float]:
+    """``linear_oracle``'s eigenvalues alone, ascending: ``eigvalsh`` of C, with
+    L^-1 dropped first, in about half the time and one M x M array less."""
+    mus = np.linalg.eigvalsh(_pencil(wt, kt)[0])
+    return (1.0 / mus[_first_positive(mus):][::-1]).tolist()
+
+
 def linear_oracle(wt: Weight, kt: KernelTable) -> list[tuple[float, GridFunction]]:
     """Dense p = 2 cross-check via the generalized symmetric pencil.
 
@@ -342,16 +368,12 @@ def linear_oracle(wt: Weight, kt: KernelTable) -> list[tuple[float, GridFunction
     M = diag(w m), as C y = mu y, C = L^-1 M L^-T and v = L^-T y; directions
     with mu > 0 carry positive weighted mass and map to eigenvalues lam = 1/mu,
     returned sorted ascending with eigenfunctions of unit weighted mass.
+    Callers that read only the eigenvalues take ``oracle_levels``.
     """
-    if kt.params.p != 2.0:
-        raise DomainError("the dense oracle applies only to p = 2")
-    same_grid(wt.w1, kt)
-    # every M x M temporary is dropped as soon as it is used (_ORACLE_SQUARES)
-    inv = _lower_inverse(np.linalg.cholesky(stiffness_matrix(kt)))
-    wm = (wt.combined.values * kt.cell_measure)[:, None]
-    mus, vecs = np.linalg.eigh(inv @ (wm * inv.T))
-    cutoff = 1e-12 * max(1.0, float(np.max(np.abs(mus))))
-    first = int(np.searchsorted(mus, cutoff, side="right"))
+    pencil, inv = _pencil(wt, kt)
+    mus, vecs = np.linalg.eigh(pencil)
+    del pencil
+    first = _first_positive(mus)
     mus, vecs = mus[first:], inv.T @ vecs[:, first:]
     vecs /= np.sqrt(mus)  # unit weighted mass
     vecs *= np.where(vecs.sum(axis=0) < 0, -1.0, 1.0)

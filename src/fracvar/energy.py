@@ -24,8 +24,8 @@ All pair sums come from one private pass, ``_pair_sums``, that visits each
 unordered pair once and forms no M x M temporary.  It walks row blocks
 [a, b) against the columns [a, M), whole runs of n rows of
 ``KernelTable.kernel_rows`` or rows of one run, at most
-max(1, 256 KiB // (8 M)) rows high (grids of up to 181 cells fit in one), in
-two buffers kept on the table.  Its "flux" kind forms F = phi(d) K of
+max(1, 256 KiB // (8 M)) rows high (grids of up to 181 cells fit in one),
+kept on the table with two buffers.  Its "flux" kind forms F = phi(d) K of
 d = u_i - u_j and returns F's row sums and the pair energy, the dot of F
 with d, whose terms |d|^p K are all non-negative; taken instead as u . g(u)
 by Euler's identity, the energy would cancel on a field far from zero.
@@ -81,8 +81,9 @@ def _pair_sums(vals: np.ndarray, kt: KernelTable, kind: str):
 
     ``kind`` "flux" returns (the sum over ordered pairs of
     |u_i - u_j|^p K[i,j], the row sums sum_j F[i,j]); "density" returns
-    the row sums sum_j |u_i - u_j|^p K[i,j].  d and F are views of
-    ``KernelTable.pair_buffers``: one pass at a time.
+    the row sums sum_j |u_i - u_j|^p K[i,j].  The row blocks are
+    ``_row_blocks``'s, kept in ``KernelTable.pair_buffers`` with the buffers
+    that d and F view: one pass at a time.
 
     Row block [a, b) meets columns [a, M).  On the square [a, b) x [a, b)
     both orders of every pair are present; each pair to its right appears
@@ -100,8 +101,9 @@ def _pair_sums(vals: np.ndarray, kt: KernelTable, kind: str):
     mirror = -1.0 if flux else 1.0  # F is odd in d, F d even
     energy = 0.0
     rows = np.zeros(size)
-    for a, b in _row_blocks(size, run):
-        flat_d, flat_f = (buf[:(b - a) * (size - a)] for buf in kt.pair_buffers)
+    blocks, *buffers = kt.pair_buffers
+    for a, b in blocks:
+        flat_d, flat_f = (buf[:(b - a) * (size - a)] for buf in buffers)
         d, f = flat_d.reshape(b - a, size - a), flat_f.reshape(b - a, size - a)
         # d = u_i - u_j; filling, then subtracting in place, runs faster
         # than numpy's two-way broadcast subtraction
@@ -115,7 +117,8 @@ def _pair_sums(vals: np.ndarray, kt: KernelTable, kind: str):
         else:
             np.abs(d, out=f)
             if p > 2.0:  # |d|^(p-2) is finite, and a product beats copysign
-                f **= p - 2.0
+                if p != 3.0:  # x**1.0 is x, but numpy still takes the power
+                    f **= p - 2.0
                 f *= d
             else:
                 f **= p - 1.0

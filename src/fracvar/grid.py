@@ -229,7 +229,7 @@ class PowerLaw:
 
 @dataclass(frozen=True)
 class GaussianBump:
-    """w(x) = amplitude * exp(-|x - center|^2 / (2 sigma^2))."""
+    """w(x) = amplitude * exp(-|x - center|^2 / (2 sigma^2)); center () is 0."""
 
     sigma: float
     center: tuple = ()
@@ -276,6 +276,9 @@ def _sample_spec(grid: Grid, spec) -> np.ndarray:
         return spec.amplitude * np.power(r, -spec.alpha)
     if isinstance(spec, GaussianBump):
         c = np.zeros(grid.dim) if not spec.center else np.asarray(spec.center, dtype=float)
+        if c.shape != (grid.dim,):
+            raise DomainError(f"gaussian center {spec.center} has {c.size} coordinates, "
+                              f"the grid has {grid.dim}")
         d2 = ((pts - c) ** 2).sum(axis=1)
         return spec.amplitude * np.exp(-d2 / (2.0 * spec.sigma**2))
     if isinstance(spec, Indicator):
@@ -358,13 +361,15 @@ class KernelTable:
 
     @functools.cached_property
     def pair_buffers(self) -> tuple:
-        """The energy module's pair-pass buffers d and F, each the size of its
-        largest block: every pass fills views of them instead of allocating,
-        so two passes on one table must never overlap (fracvar is serial)."""
+        """The energy module's pair-pass row blocks, and its buffers d and F,
+        each the size of the largest (first) block: every pass fills views of
+        them instead of allocating, so two passes on one table must never
+        overlap (fracvar is serial)."""
         from .energy import _row_blocks  # energy imports this module
         cells = self.grid.n_cells
-        _top, height = _row_blocks(cells, self.grid.cells_per_dim)[0]
-        return np.empty(height * cells), np.empty(height * cells)
+        blocks = _row_blocks(cells, self.grid.cells_per_dim)
+        height = blocks[0][1]
+        return blocks, np.empty(height * cells), np.empty(height * cells)
 
     @functools.cached_property
     def p2_operator(self):

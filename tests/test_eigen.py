@@ -48,8 +48,9 @@ class TestGridCheck:
         lambda wt, kt: fv.eigen_sequence(wt, kt, 2),
         lambda wt, kt: fv.simplicity_probe(wt, kt, 2),
         fv.linear_oracle,
+        fv.oracle_levels,
         lambda wt, kt: fv.residual_check(1.0, bump(kt.grid), wt, kt),
-    ], ids=["first", "sequence", "simplicity", "oracle", "residual"])
+    ], ids=["first", "sequence", "simplicity", "oracle", "oracle_levels", "residual"])
     def test_weight_on_another_grid(self, line64, spec, solve):
         with pytest.raises(DomainError, match="different grids"):
             solve(fv.Weight.constant(fv.build_grid(*spec)), line64)
@@ -160,20 +161,22 @@ class TestLinearOracle:
         assert np.max(np.abs(a - a.T)) <= 1e-12 * np.max(np.abs(a))
         assert np.linalg.eigvalsh(a).min() > 0
 
-    def test_never_builds_the_fft_operator(self, monkeypatch, line_grid):
+    @pytest.mark.parametrize("oracle", [fv.linear_oracle, fv.oracle_levels])
+    def test_never_builds_the_fft_operator(self, monkeypatch, line_grid, oracle):
         # the oracle cross-checks the FFT path, so it must not go through it
         def no_operator(_kt):
             raise AssertionError("the dense oracle built the FFT operator")
 
         monkeypatch.setattr(energy_mod, "P2Operator", no_operator)
         kt = fv.build_kernel_table(line_grid, fv.FracParams(0.4, 2.0), 4.0)
-        assert fv.linear_oracle(fv.Weight.constant(line_grid), kt)
+        assert oracle(fv.Weight.constant(line_grid), kt)
         assert "p2_operator" not in vars(kt)
 
-    def test_requires_p_two(self, line_grid):
+    @pytest.mark.parametrize("oracle", [fv.linear_oracle, fv.oracle_levels])
+    def test_requires_p_two(self, line_grid, oracle):
         kt = fv.build_kernel_table(line_grid, fv.FracParams(0.3, 3.0), 4.0)
         with pytest.raises(DomainError):
-            fv.linear_oracle(fv.Weight.constant(line_grid), kt)
+            oracle(fv.Weight.constant(line_grid), kt)
 
     def test_refuses_oracle_beyond_physical_memory(self, monkeypatch):
         # the oracle's 6 M^2 doubles (12 MiB at M = 512) against 4 MiB of
@@ -187,6 +190,8 @@ class TestLinearOracle:
                 stiffness_matrix(kt)
             with pytest.raises(DomainError, match="physical memory"):
                 fv.linear_oracle(fv.Weight.constant(g), kt)
+            with pytest.raises(DomainError, match="physical memory"):
+                fv.oracle_levels(fv.Weight.constant(g), kt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -204,6 +209,35 @@ class TestLinearOracle:
         finally:
             tracemalloc.stop()
         assert peak <= 4.1 * 8 * g.n_cells**2
+
+    def test_levels_alone_peak_at_three_squares(self):
+        # L^-1, M L^-T and C while C is formed; L^-1 is dropped before the
+        # eigensolve, whose copy of C tracemalloc does not see
+        g = fv.build_grid(1, 1.0, 256)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
+        tracemalloc.start()
+        try:
+            fv.oracle_levels(fv.Weight.constant(g), kt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * 8 * g.n_cells**2
+
+    @pytest.mark.parametrize("kind", ["flat", "signed", "swapped"])
+    @pytest.mark.parametrize("dim, n", [(1, 257), (1, 300), (2, 8)])
+    def test_levels_match_the_pairs(self, dim, n, kind):
+        # eigvalsh and eigh take different LAPACK paths, so the levels agree
+        # to roundoff, not bit for bit
+        g = fv.build_grid(dim, 1.0, n)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
+        wt = fv.Weight.constant(g) if kind == "flat" else cosine_weight(g)
+        wt = wt.swapped() if kind == "swapped" else wt
+        levels = np.array(fv.oracle_levels(wt, kt))
+        lams = np.array([lam for lam, _u in fv.linear_oracle(wt, kt)])
+        assert len(levels) == len(lams) > 4
+        rel = np.abs(levels / lams - 1.0)
+        assert rel[:4].max() <= 1e-13
+        assert rel.max() <= 1e-12
 
     @pytest.mark.parametrize("n", [257, 300])
     def test_every_pair_solves_the_pencil(self, n):

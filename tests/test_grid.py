@@ -313,6 +313,18 @@ class TestSample:
         assert np.isfinite(f.values[1])
         assert f.values[1] == pytest.approx((g.spacing / 4.0) ** -0.8, rel=1e-12)
 
+    def test_gaussian_center_defaults_to_the_origin(self, plane_grid):
+        origin = fv.sample(plane_grid, fv.GaussianBump(0.3, (0.0, 0.0)))
+        assert np.array_equal(fv.sample(plane_grid, fv.GaussianBump(0.3)).values,
+                              origin.values)
+
+    @pytest.mark.parametrize("center", [(0.5,), (0.5, 0.5, 0.5)])
+    def test_gaussian_center_of_wrong_dimension_refused(self, plane_grid, center):
+        # a 1-coordinate centre used to broadcast to (0.5, 0.5), a 3-coordinate
+        # one to fail inside numpy
+        with pytest.raises(DomainError, match="gaussian center"):
+            fv.sample(plane_grid, fv.GaussianBump(0.3, center))
+
     def test_difference_requires_nonnegative_parts(self, line_grid):
         spec = fv.Difference(fv.PowerLaw(alpha=0.0),
                              fv.GaussianBump(sigma=0.5, amplitude=0.5))

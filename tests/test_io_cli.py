@@ -169,8 +169,12 @@ class TestDispatch:
         ("capacity", {"capacity": {"region": {"kind": "ball", "center": [0.0, 0.5],
                                               "radius": 0.3}}}),
         ("capacity", {"capacity": {"region": {"kind": "halfspace", "axis": 1}}}),
+        ("seminorm", {"grid": {"dim": 2, "half_width": 1.0, "cells_per_dim": 8},
+                      "function": {"kind": "gaussian", "sigma": 0.3,
+                                   "center": [0.0, 0.0, 0.0]}}),
     ], ids=["hardy_empty_family", "point_empty_family", "infinity_empty_family",
-            "point_of_3_coordinates", "ball_center_of_2", "halfspace_axis_1"])
+            "point_of_3_coordinates", "ball_center_of_2", "halfspace_axis_1",
+            "gaussian_center_of_3"])
     def test_bad_sweep_or_region_exits_1(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **overrides)
         assert dispatch([command, "--config", cfg]) == 1
