@@ -9,6 +9,7 @@ the figure.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from typing import Sequence
@@ -127,15 +128,18 @@ def _line_svg(x: np.ndarray, y: np.ndarray) -> str:
     return "\n".join(parts)
 
 
-def _color(t: float) -> str:
-    # three-stop map: dark blue -> pale yellow -> dark red
-    stops = [(20, 40, 120), (245, 240, 180), (150, 20, 30)]
-    if t <= 0.5:
-        a, b, frac = stops[0], stops[1], 2 * t
-    else:
-        a, b, frac = stops[1], stops[2], 2 * t - 1
-    rgb = tuple(int(round(ai + (bi - ai) * frac)) for ai, bi in zip(a, b))
-    return "#%02x%02x%02x" % rgb
+# three-stop map: dark blue -> pale yellow -> dark red
+_STOPS = np.array([(20, 40, 120), (245, 240, 180), (150, 20, 30)], float)
+_HEX = ["%02x" % v for v in range(256)]
+
+
+def _colors(t: np.ndarray) -> list[str]:
+    """'#rrggbb' of the colour map at each t in [0, 1]; t = 0.5 is the middle stop."""
+    upper = (t > 0.5).astype(int)
+    a, b = _STOPS[upper], _STOPS[upper + 1]
+    frac = np.where(upper, 2 * t - 1, 2 * t)
+    rgb = np.rint(a + (b - a) * frac[:, None]).astype(int)  # half to even, as round()
+    return ["#" + _HEX[r] + _HEX[g] + _HEX[b] for r, g, b in rgb.tolist()]
 
 
 def _heat_svg(field: GridFunction) -> str:
@@ -145,14 +149,13 @@ def _heat_svg(field: GridFunction) -> str:
     span = hi - lo or 1.0
     side = min(_W, _H) - 2 * _PAD
     cell = side / n
+    xs = [f"{_PAD + i * cell:.6g}" for i in range(n)]
+    ys = [f"{_H - _PAD - (j + 1) * cell:.6g}" for j in range(n)]
+    w = f"{cell:.6g}"
     parts = _svg_header()
-    for i in range(n):
-        for j in range(n):
-            t = (vals[i, j] - lo) / span
-            x = _PAD + i * cell
-            y = _H - _PAD - (j + 1) * cell
-            parts.append(f'<rect x="{x:.6g}" y="{y:.6g}" width="{cell:.6g}" '
-                         f'height="{cell:.6g}" fill="{_color(t)}"/>')
+    parts.extend(f'<rect x="{x}" y="{y}" width="{w}" height="{w}" fill="{fill}"/>'
+                 for (x, y), fill in zip(itertools.product(xs, ys),
+                                         _colors(((vals - lo) / span).ravel())))
     parts.append(f'<text x="{_PAD}" y="{_H-_PAD+20}" font-size="11">'
                  f'range [{lo:.6g}, {hi:.6g}]</text>')
     parts.append("</svg>")

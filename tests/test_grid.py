@@ -174,11 +174,10 @@ class TestKernelTable:
                               for x in g.centers[:, 0]])
         assert np.all(np.abs(kt2.exterior_mass - kt1.exterior_mass) <= old_tails)
 
-    @pytest.mark.parametrize("dim, n", [(1, 64), (1, 768), (2, 24)])
+    @pytest.mark.parametrize("dim, n", [(1, 64), (1, 768), (2, 24), (2, 40)])
     def test_ring_sums_match_exact_summation(self, dim, n):
-        # the convolution against math.fsum over the ring, at the centre, a
-        # corner, an edge and an interior cell; a float64 FFT is off by 7e-14
-        # on the plane
+        # the strip sums against math.fsum over the ring, at the centre, three
+        # corners, an edge and an interior cell
         g = fv.build_grid(dim, 1.0, n)
         layers = grid_mod._ring_layers(g, 4.0)
         a = np.arange(n + layers)
@@ -190,20 +189,21 @@ class TestKernelTable:
         axis = range(-layers, n + layers)
         ring = [r for r in itertools.product(axis, repeat=dim)
                 if not all(0 <= i < n for i in r)]
-        for c in ((n // 2 - 1, n // 2), (0, 0), (0, n // 2), (5, 9)):
+        for c in ((n // 2 - 1, n // 2), (0, 0), (n - 1, n - 1), (n - 1, 0), (0, n // 2), (5, 9)):
             c = c[:dim]
             exact = math.fsum(stencil[tuple(abs(ci - ri) for ci, ri in zip(c, r))] for r in ring)
             assert abs(sums[c] - exact) <= 1e-15 * exact
 
     def test_rejects_grid_beyond_physical_memory(self, monkeypatch):
-        # plane n=512's ring sums need about 1.6 GB of FFT buffers, against
-        # 1 GiB of memory: refused before anything is allocated
+        # plane n=512 with the ring out to 32 half-widths: its stencil and
+        # prefix-sum table need about 1.7 GB, against 1 GiB of memory, and are
+        # refused before anything is allocated
         g = fv.build_grid(2, 1.0, 512)
         monkeypatch.setattr(grid_mod, "_physical_memory", lambda: 2**30)
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match="physical memory"):
-                fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
+                fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 32.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -228,6 +228,28 @@ class TestKernelTable:
         kt, peak, estimate = self.build_peak(n)
         assert peak <= estimate
         assert peak < 8 * kt.grid.n_cells**2
+
+    def test_plane_256_build_peak_stays_small(self):
+        # the stencil, the prefix-sum table and a few per-cell arrays: 14 MiB,
+        # where the long-double FFT that summed the ring peaked at 277 MiB
+        kt, peak, estimate = self.build_peak(256)
+        assert peak <= estimate
+        assert peak < 32 * 2**20
+
+    def test_build_takes_no_fft(self, monkeypatch):
+        g = fv.build_grid(2, 1.0, 24)
+        fp = fv.FracParams(0.4, 2.0)
+        expected = fv.build_kernel_table(g, fp, 4.0).exterior_mass
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kernel build called an FFT")
+
+        monkeypatch.setattr(np.fft, "rfftn", refuse)
+        monkeypatch.setattr(np.fft, "irfftn", refuse)
+        kt = fv.build_kernel_table(g, fp, 4.0)
+        assert np.array_equal(kt.exterior_mass, expected)
+        with pytest.raises(AssertionError, match="FFT"):
+            kt.p2_operator  # the patch reaches the grid module's FFT calls
 
     def test_plane_192_builds_without_an_m_squared_field(self):
         kt, peak, estimate = self.build_peak(192)

@@ -64,6 +64,51 @@ class TestEmitPlot:
         fio.emit_plot(f, path)
         assert path.read_text().count("<rect") == 256 + 1  # cells + background
 
+    @staticmethod
+    def per_cell_heat_svg(field):
+        # the heat map formatted cell by cell, with the colour map in scalars
+        def color(t):
+            stops = [(20, 40, 120), (245, 240, 180), (150, 20, 30)]
+            if t <= 0.5:
+                a, b, frac = stops[0], stops[1], 2 * t
+            else:
+                a, b, frac = stops[1], stops[2], 2 * t - 1
+            return "#%02x%02x%02x" % tuple(int(round(ai + (bi - ai) * frac))
+                                           for ai, bi in zip(a, b))
+
+        n = field.grid.cells_per_dim
+        vals = field.values.reshape(n, n)
+        lo, hi = float(vals.min()), float(vals.max())
+        span = hi - lo or 1.0
+        cell = (min(fio._W, fio._H) - 2 * fio._PAD) / n
+        parts = fio._svg_header()
+        for i in range(n):
+            for j in range(n):
+                x = fio._PAD + i * cell
+                y = fio._H - fio._PAD - (j + 1) * cell
+                parts.append(f'<rect x="{x:.6g}" y="{y:.6g}" width="{cell:.6g}" '
+                             f'height="{cell:.6g}" fill="{color((vals[i, j] - lo) / span)}"/>')
+        parts.append(f'<text x="{fio._PAD}" y="{fio._H - fio._PAD + 20}" font-size="11">'
+                     f'range [{lo:.6g}, {hi:.6g}]</text>')
+        parts.append("</svg>")
+        return "\n".join(parts) + "\n"
+
+    @pytest.mark.parametrize("n, kind", [(36, "random"), (7, "random"), (5, "constant"),
+                                         (9, "halves")])
+    def test_heat_map_bytes_match_per_cell_formula(self, tmp_path, n, kind):
+        g = fv.build_grid(2, 1.0, n)
+        rng = np.random.default_rng(n)
+        if kind == "random":
+            vals = rng.standard_normal(g.n_cells)
+        elif kind == "constant":  # span 0: every cell at t = 0
+            vals = np.full(g.n_cells, 2.5)
+        else:  # t = 0, 0.5 and 1 exactly, and halves of the colour steps
+            vals = rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 1.0 + 2.0**-7], g.n_cells)
+            vals[:3] = [0.0, 1.0, 2.0]
+        f = fv.GridFunction(g, vals)
+        fio.emit_plot(f, tmp_path / "field.svg")
+        assert (tmp_path / "field.svg").read_bytes() == self.per_cell_heat_svg(f).encode()
+
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(DomainError):
             fio.emit_plot(([], []), tmp_path / "empty.svg")
