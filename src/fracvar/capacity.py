@@ -160,7 +160,7 @@ def capacity(F: CellSet, kt: KernelTable, opts: CapacityOptions | None = None,
 
     def trial(u, grad, t):
         cand = project(u - t * grad)
-        energy, gvec = raw_energy(cand, kt, with_gateaux=True)
+        energy, gvec = raw_energy(cand, kt)
         return cand, energy, float(grad @ (cand - u)), gvec
 
     u = project(np.zeros(grid.n_cells) if start is None else GridFunction(grid, start).values)
@@ -169,7 +169,7 @@ def capacity(F: CellSet, kt: KernelTable, opts: CapacityOptions | None = None,
         free = lower < upper
         u[free], its = _linear_solve(u, kt, free, opts)
         u = project(u)
-    energy, gvec = raw_energy(u, kt, with_gateaux=True)
+    energy, gvec = raw_energy(u, kt)
     # at p = 2 the CG solution passes the descent's first stop test, and no step is taken
     u, energy, _gvec, status, more = spectral_descent(u, energy, gvec, direction, trial,
                                                       opts.max_iter - its)
@@ -477,7 +477,10 @@ class CompactnessVerdict:
     weight_norm: float
 
 
-def _candidate_points(w: GridFunction, max_maxima: int = 8) -> list:
+_MAX_MAXIMA = 8  # strongest local maxima of |w| among the candidate points
+
+
+def _candidate_points(w: GridFunction) -> list:
     grid = w.grid
     pts = []
     L = grid.half_width
@@ -499,7 +502,7 @@ def _candidate_points(w: GridFunction, max_maxima: int = 8) -> list:
                   & (a >= padded[1:-1, :-2]) & (a >= padded[1:-1, 2:])).ravel()
     maxima = np.flatnonzero(is_max)
     order = np.lexsort((maxima, -absw[maxima]))
-    for idx in maxima[order][:max_maxima]:
+    for idx in maxima[order][:_MAX_MAXIMA]:
         pts.append(tuple(grid.centers[idx]))
 
     unique = []

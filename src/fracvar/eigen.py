@@ -54,9 +54,9 @@ import numpy as np
 import numpy.random
 
 from .descent import spectral_descent
-from .energy import _phi, _row_blocks, raw_energy, raw_weighted_mass, stiffness_matrix
+from .energy import _phi, raw_energy, raw_weighted_mass, stiffness_matrix
 from .errors import ConvergenceError, DomainError
-from .grid import GridFunction, KernelTable, same_grid
+from .grid import GridFunction, KernelTable, _row_blocks, same_grid
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
         if mass <= 0:
             return None
         cand = cand / mass ** (1.0 / p)
-        energy, grad = raw_energy(cand, kt, with_gateaux=True)
+        energy, grad = raw_energy(cand, kt)
         return cand, energy, -eta * float(residual_vec @ residual_vec), grad
 
     def unit(v):
@@ -211,7 +211,7 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
         if mass <= 0.0:
             raise DomainError("weighted p-mass is non-positive; iterate left the cone")
         v = v / mass ** (1.0 / p)
-        return (v, *raw_energy(v, kt, with_gateaux=True))
+        return (v, *raw_energy(v, kt))
 
     u, energy, grad = unit(np.asarray(u0, dtype=float))
     its = 0
@@ -430,7 +430,7 @@ def residual_check(lam: float, u: GridFunction, wt: Weight, kt: KernelTable) -> 
     if not np.any(u.values):
         raise DomainError("residual check requires a nonzero function")
     p, m = kt.params.p, kt.cell_measure
-    energy, gate = raw_energy(u.values, kt, with_gateaux=True)
+    energy, gate = raw_energy(u.values, kt)
     rhs = lam * wt.combined.values * _phi(u.values, p) * m
     return float(np.max(np.abs(gate - rhs))) / energy
 
@@ -452,7 +452,7 @@ def picone_gap(u: GridFunction, v: GridFunction, p: float,
     non-negative over all pairs for u >= 0, v > 0, vanishing exactly on the
     ray u = c v.  Returns the per-cell minimum over partners and the global
     minimum (the diagonal contributes zeros).  The term is formed in row
-    blocks of ``energy._row_blocks``, so no M x M array is ever allocated.
+    blocks of ``grid._row_blocks``, so no M x M array is ever allocated.
     """
     same_grid(u, v)
     if np.any(u.values < 0):
@@ -537,8 +537,8 @@ def simplicity_probe(wt: Weight, kt: KernelTable, restarts: int,
     phi1 = np.abs(results[0].u.values)
     phi2 = np.abs(results[1].u.values)
     midpoint = ((phi1**p + phi2**p) / 2.0) ** (1.0 / p)
-    j_mid = raw_energy(midpoint, kt)
-    mean_energy = 0.5 * (raw_energy(phi1, kt) + raw_energy(phi2, kt))
+    j_mid = raw_energy(midpoint, kt)[0]
+    mean_energy = 0.5 * (raw_energy(phi1, kt)[0] + raw_energy(phi2, kt)[0])
     w_mid = raw_weighted_mass(midpoint, wvals, p, m)
     lam1 = float(lams.min())
     return SimplicityReport(

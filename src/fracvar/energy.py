@@ -25,11 +25,12 @@ unordered pair once and forms no M x M temporary.  It walks row blocks
 [a, b) against the columns [a, M), whole runs of n rows of
 ``KernelTable.kernel_rows`` or rows of one run, at most
 max(1, 256 KiB // (8 M)) rows high (grids of up to 181 cells fit in one),
-kept on the table with two buffers.  Its "flux" kind forms F = phi(d) K of
+kept on the table with two buffers (``grid._row_blocks``,
+``KernelTable.pair_buffers``).  Its "flux" kind forms F = phi(d) K of
 d = u_i - u_j and returns F's row sums and the pair energy, the dot of F
 with d, whose terms |d|^p K are all non-negative; taken instead as u . g(u)
 by Euler's identity, the energy would cancel on a field far from zero.
-``raw_energy`` (with or without the Gateaux vector), ``seminorm_p`` and
+``raw_energy`` (the energy and the Gateaux vector), ``seminorm_p`` and
 ``gateaux_vector`` each make this one pass.  Its "density" kind sums
 F d per cell for ``nonlocal_gradient``.  phi(d) takes at most one power:
 it is d at p = 2, |d|^(p-2) d above and copysign(|d|^(p-1), d) below.
@@ -37,8 +38,8 @@ it is d at p = 2, |d|^(p-2) d above and copysign(|d|^(p-1), d) below.
 
 At p = 2 the energy is a quadratic form u^T A u.  ``P2Operator``, the one
 operator of the p = 2 solves, applies A and a circulant preconditioner by
-FFT through the grid module's circulant embedding of the kernel table's
-stencil; ``stiffness_matrix`` is its dense reference.  Only the pair pass
+FFT through its own circulant embedding of the kernel table's stencil;
+``stiffness_matrix`` is its dense reference.  Only the pair pass
 and ``KernelTable.dense_kernel`` read the kernel rows.
 """
 
@@ -47,10 +48,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft
 
 from .errors import DomainError
-from .grid import (_BLOCK_BYTES, GridFunction, KernelTable, _check_fits, _circulant,
-                   _stencil_symbol, same_grid)
+from .grid import GridFunction, KernelTable, _check_fits, same_grid
 
 
 @dataclass(frozen=True)
@@ -63,17 +64,6 @@ class SeminormValue:
 def _phi(t: np.ndarray, p: float) -> np.ndarray:
     """|t|^(p-2) t with the continuous extension 0 at t = 0 (valid for p > 1)."""
     return np.sign(t) * np.abs(t) ** (p - 1.0)
-
-
-def _row_blocks(size: int, run: int) -> list:
-    """Row blocks [a, b) of at most max(1, _BLOCK_BYTES // (8 size)) rows:
-    whole runs of ``run`` rows, or rows of one run, never straddling two."""
-    height = max(1, _BLOCK_BYTES // (8 * size))
-    if height >= run:
-        height -= height % run
-        return [(a, min(a + height, size)) for a in range(0, size, height)]
-    return [(a, min(a + height, r + run)) for r in range(0, size, run)
-            for a in range(r, r + run, height)]
 
 
 def _pair_sums(vals: np.ndarray, kt: KernelTable, kind: str):
@@ -152,16 +142,11 @@ def _gateaux_from_flux(vals: np.ndarray, kt: KernelTable, flux: np.ndarray) -> n
     return 2.0 * flux * m * m + 2.0 * _phi(vals, p) * kt.exterior_mass * m
 
 
-def raw_energy(vals: np.ndarray, kt: KernelTable, with_gateaux: bool = False):
-    """E(u) on a bare value array; no validation, used by inner solver loops.
-
-    With ``with_gateaux`` it returns (E(u), gateaux(u, e_i) for every i),
-    both from the one pair pass that E(u) takes anyway.
-    """
+def raw_energy(vals: np.ndarray, kt: KernelTable) -> tuple[float, np.ndarray]:
+    """(E(u), gateaux(u, e_i) for every i) on a bare value array, both from
+    one pair pass; no validation, used by inner solver loops."""
     pairs, flux = _pair_sums(vals, kt, "flux")
     interior, boundary = _energy_parts(vals, kt, pairs)
-    if not with_gateaux:
-        return interior + boundary
     return interior + boundary, _gateaux_from_flux(vals, kt, flux)
 
 
@@ -240,7 +225,7 @@ class P2Operator:
 
     K depends only on the cell offset, so it is Toeplitz on the line and
     BTTB on the plane.  Its stencil over the signed offsets 1-n .. n-1 of
-    each axis, in the grid module's even circulant embedding, multiplies a
+    each axis, in an even circulant of power-of-two period, multiplies a
     zero-padded field exactly.  ``symbol`` is that circulant's spectrum,
     which also gives the row sums r = K 1 on A's diagonal.
 
@@ -262,7 +247,12 @@ class P2Operator:
         self.shape, self._window = (n,) * dim, (slice(0, n),) * dim
         # offsets beyond n - 1 pair no two box cells; offset 0 at index 0
         # makes the embedding even in every axis, so its spectrum is real
-        self.symbol = np.ascontiguousarray(_stencil_symbol(kt.stencil, n - 1, float).real)
+        period = 1 << (2 * n - 2).bit_length()
+        self._period = (period,) * dim
+        signed = np.arange(1 - n, n)
+        embedding = np.zeros(self._period)
+        embedding[np.ix_(*[signed % period] * dim)] = kt.stencil[np.ix_(*[np.abs(signed)] * dim)]
+        self.symbol = np.ascontiguousarray(np.fft.rfftn(embedding).real)
         self._scale = 2.0 * kt.cell_measure**2
         self.diagonal = (self._scale * self.kernel_product(np.ones(kt.grid.n_cells))
                          + 2.0 * kt.cell_measure * kt.exterior_mass)
@@ -271,8 +261,11 @@ class P2Operator:
         self._inverse_symbol = 1.0 / self.preconditioner_symbol
 
     def _product(self, x: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-        box = x.reshape(self.shape + x.shape[1:])
-        return _circulant(box, symbol, self._window).reshape(x.shape)
+        """The circulant of spectrum ``symbol`` times x, (M,) or (M, k), zero-padded."""
+        axes = tuple(range(len(self.shape)))
+        spec = np.fft.rfftn(x.reshape(self.shape + x.shape[1:]), self._period, axes)
+        spec *= symbol.reshape(symbol.shape + (1,) * (x.ndim - 1))
+        return np.fft.irfftn(spec, self._period, axes)[self._window].reshape(x.shape)
 
     def kernel_product(self, x: np.ndarray) -> np.ndarray:
         """K x for a field (M,) or a block of fields (M, k)."""

@@ -13,18 +13,18 @@ b^2))^(-(dim + s*p))`` over integer cell offsets, which the table keeps.
 K is Toeplitz on the line and BTTB on the plane, so the table stores no
 other kernel array: each kernel row is a run of a row source gathered
 from T on the first read of ``KernelTable.kernel_rows``, the p = 2 energy
-matrix multiplies by FFT over T (``KernelTable.p2_operator``), and the
-exterior mass sums T over a ring of cells (same spacing, out to
-``ext_radius``) plus the radial tail
+matrix multiplies by FFT over T (``KernelTable.p2_operator``, which owns
+the circulant embedding), and the exterior mass sums T over a ring of
+cells (same spacing, out to ``ext_radius``) plus the radial tail
 
     integral_{|z| > R} |z|^(-(dim + s*p)) dz = sigma_{dim-1} * R^(-s*p) / (s*p)
 
-at ``R = ext_radius - |x_i|`` (sigma_0 = 2, sigma_1 = 2*pi).  The FFT
-products go through one circulant embedding of the stencil
-(``_stencil_symbol``, ``_circulant``).  The ring sums take no FFT: the ring
-is two strips on the line and four on the plane, and a strip's sum is a
-difference of suffix sums of the stencil's row prefix sums
-(``_ring_sums``), O((n + layers)^dim) work in long double.  With an
+at ``R = ext_radius - |x_i|`` (sigma_0 = 2, sigma_1 = 2*pi).  One byte
+budget, ``_BLOCK_BYTES``, sets the energy module's pair-pass row blocks
+(``_row_blocks``) and whether ``kernel_rows`` is copied contiguous.  The
+ring sums take no FFT: the ring is two strips on the line and four on the
+plane, and a strip's sum is a difference of suffix sums of the stencil's
+row prefix sums (``_ring_sums``), O((n + layers)^dim) work in long double.  With an
 80-bit long double the sums equal the correctly rounded ones at every cell
 checked (in float64, as on Windows and macOS arm64, they are within about
 2.4e-15 relative).  Each cell reads its symmetry class's sum, so cells
@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-import numpy.fft
 
 from .errors import DomainError
 
@@ -122,6 +121,12 @@ def build_grid(dim: int, half_width: float, cells_per_dim: int) -> Grid:
         raise DomainError(f"cells_per_dim must be >= 2, got {cells_per_dim}")
     if not half_width > 0:
         raise DomainError(f"half_width must be positive, got {half_width}")
+    h = 2.0 * half_width / cells_per_dim
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"half_width {half_width} over {cells_per_dim} cells gives "
+                          f"the spacing {h}; it must be positive and finite")
+    # the centres and, on the plane, the meshgrid's two temporaries
+    _check_fits(8 * dim**2 * cells_per_dim**dim, f"a grid of {cells_per_dim**dim} cells")
     axis = _axis_centers(half_width, cells_per_dim)
     if dim == 1:
         centers = axis.reshape(-1, 1)
@@ -129,7 +134,6 @@ def build_grid(dim: int, half_width: float, cells_per_dim: int) -> Grid:
         xx, yy = np.meshgrid(axis, axis, indexing="ij")
         centers = np.column_stack([xx.ravel(), yy.ravel()])
     centers.setflags(write=False)
-    h = 2.0 * half_width / cells_per_dim
     return Grid(
         dim=dim,
         half_width=float(half_width),
@@ -320,6 +324,17 @@ def sample(grid: Grid, spec) -> GridFunction:
 _BLOCK_BYTES = 256 * 1024
 
 
+def _row_blocks(size: int, run: int) -> list:
+    """Row blocks [a, b) of at most max(1, _BLOCK_BYTES // (8 size)) rows:
+    whole runs of ``run`` rows, or rows of one run, never straddling two."""
+    height = max(1, _BLOCK_BYTES // (8 * size))
+    if height >= run:
+        height -= height % run
+        return [(a, min(a + height, size)) for a in range(0, size, height)]
+    return [(a, min(a + height, r + run)) for r in range(0, size, run)
+            for a in range(r, r + run, height)]
+
+
 @dataclass(frozen=True)
 class KernelTable:
     """Pairwise singular kernel plus exterior-interaction mass for a grid."""
@@ -365,11 +380,10 @@ class KernelTable:
 
     @functools.cached_property
     def pair_buffers(self) -> tuple:
-        """The energy module's pair-pass row blocks, and its buffers d and F,
-        each the size of the largest (first) block: every pass fills views of
-        them instead of allocating, so two passes on one table must never
-        overlap (fracvar is serial)."""
-        from .energy import _row_blocks  # energy imports this module
+        """The energy module's pair-pass row blocks (``_row_blocks``), and its
+        buffers d and F, each the size of the largest (first) block: every
+        pass fills views of them instead of allocating, so two passes on one
+        table must never overlap (fracvar is serial)."""
         cells = self.grid.n_cells
         blocks = _row_blocks(cells, self.grid.cells_per_dim)
         height = blocks[0][1]
@@ -387,33 +401,6 @@ class KernelTable:
 def _ring_layers(grid: Grid, ext_radius: float) -> int:
     """Number of cell layers the exterior ring adds on each side of the box."""
     return int(math.ceil((ext_radius - grid.half_width) / grid.spacing - 1e-12))
-
-
-def _fft_period(reach: int) -> int:
-    """A power of two at least 2 reach + 1, the signed stencil's length."""
-    return 1 << (2 * reach).bit_length()
-
-
-def _stencil_symbol(stencil: np.ndarray, reach: int, dtype) -> np.ndarray:
-    """Spectrum of the circulant embedding that holds T[|k|] at index
-    k mod the period for the signed offsets |k| <= reach of each axis, and
-    zero elsewhere.  Its product with x at cell c is sum_j T[|c - j|] x_j,
-    with no wrapped term, when every cell j of x lies within reach of c."""
-    dim, period = stencil.ndim, _fft_period(reach)
-    signed = np.arange(-reach, reach + 1)
-    spec = np.zeros((period,) * dim, dtype)
-    spec[np.ix_(*[signed % period] * dim)] = stencil.astype(dtype)[np.ix_(*[np.abs(signed)] * dim)]
-    return np.fft.rfftn(spec)
-
-
-def _circulant(x: np.ndarray, symbol: np.ndarray, window: tuple) -> np.ndarray:
-    """``window`` of the circulant with spectrum ``symbol`` applied to x
-    zero-padded to the period; x's axes beyond the symbol's hold a block."""
-    axes = tuple(range(symbol.ndim))
-    shape = (2 * (symbol.shape[-1] - 1),) * symbol.ndim
-    spec = np.fft.rfftn(x, shape, axes)
-    spec *= symbol.reshape(symbol.shape + (1,) * (x.ndim - symbol.ndim))
-    return np.fft.irfftn(spec, shape, axes)[window]
 
 
 def _ring_sums(stencil: np.ndarray, n: int, layers: int) -> np.ndarray:
@@ -498,10 +485,11 @@ def build_kernel_table(grid: Grid, fp: FracParams, ext_radius: float) -> KernelT
     tail covers the remainder.
     """
     fp.validate_for_dim(grid.dim)
-    if ext_radius < 2.0 * grid.half_width:
+    if not (ext_radius >= 2.0 * grid.half_width
+            and math.isfinite((ext_radius - grid.half_width) / grid.spacing)):
         raise DomainError(
-            f"ext_radius {ext_radius} must be at least twice the half-width "
-            f"{grid.half_width}"
+            f"ext_radius {ext_radius} must be finite and at least twice the "
+            f"half-width {grid.half_width}"
         )
     n, dim = grid.cells_per_dim, grid.dim
     layers = _ring_layers(grid, ext_radius)

@@ -41,14 +41,15 @@ def write_grid_function(gf: GridFunction, path) -> None:
 
 
 def read_grid_function(grid: Grid, path) -> GridFunction:
-    """Grid function from the value column of a CSV (coordinates are ignored)."""
+    """Grid function from the last column of a CSV after its header line, one
+    row per cell; coordinate columns, if any, are ignored."""
     try:
-        raw = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float)
+        raw = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float, ndmin=2)
     except OSError as err:
         raise DomainError(f"cannot read grid-function file {path!r}: {err}") from err
     if raw.size == 0:
         raise DomainError(f"grid-function file {path!r} is empty")
-    vals = np.atleast_2d(raw)[:, -1]
+    vals = raw[:, -1]
     if vals.shape != (grid.n_cells,):
         raise DomainError(
             f"file {path!r} holds {vals.shape[0]} values, grid has {grid.n_cells} cells"

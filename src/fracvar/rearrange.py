@@ -53,16 +53,6 @@ class StepFunction:
     def widths(self) -> np.ndarray:
         return np.diff(self.breakpoints)
 
-    def __call__(self, t: float) -> float:
-        """Value at t in (0, total]; 0 beyond the support."""
-        if t <= 0:
-            raise DomainError("step functions are defined for t > 0 only")
-        if t > self.total_measure:
-            return 0.0
-        k = int(np.searchsorted(self.breakpoints, t, side="left")) - 1
-        k = max(k, 0)
-        return float(self.levels[k])
-
 
 def distribution_function(f: GridFunction, levels: Sequence[float]) -> np.ndarray:
     """measure{|f| > s} for each requested level s >= 0."""
@@ -110,16 +100,15 @@ def schwarz_symmetrization(f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, out)
 
 
-def _lorentz_from_step(step: StepFunction, p: float, q) -> float:
-    if p < 1:
+def _lorentz_from_step(step: StepFunction, p: float, q: float) -> float:
+    if not p >= 1:
         raise DomainError(f"Lorentz first index must be >= 1, got {p}")
+    if not q >= 1:
+        raise DomainError(f"Lorentz second index must be >= 1 or infinity, got {q}")
     t_right = step.breakpoints[1:]
     lv = step.levels
-    if q == np.inf or q == "inf":
+    if q == np.inf:
         return float(np.max(lv * t_right ** (1.0 / p), initial=0.0))
-    q = float(q)
-    if q < 1:
-        raise DomainError(f"Lorentz second index must be >= 1 or infinity, got {q}")
     t_left = step.breakpoints[:-1]
     # integral over [t_{k-1}, t_k) of [t^(1/p - 1/q) * level]^q dt, closed form
     weights = (p / q) * (t_right ** (q / p) - t_left ** (q / p))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import fracvar as fv
 import fracvar.energy as energy_mod
+import fracvar.grid as grid_mod
 from fracvar.energy import stiffness_matrix
 from fracvar.errors import DomainError
 
@@ -76,8 +77,8 @@ class TestBlockedPass:
     @pytest.mark.parametrize("budget", [1, 1600, 12288, 2**18])
     @pytest.mark.parametrize("size,run", [(32, 32), (64, 8), (1296, 36), (4096, 64)])
     def test_row_blocks_never_straddle_runs(self, monkeypatch, size, run, budget):
-        monkeypatch.setattr(energy_mod, "_BLOCK_BYTES", budget)
-        blocks = list(energy_mod._row_blocks(size, run))
+        monkeypatch.setattr(grid_mod, "_BLOCK_BYTES", budget)
+        blocks = list(grid_mod._row_blocks(size, run))
         assert [a for a, _b in blocks] == [0] + [b for _a, b in blocks[:-1]]
         assert blocks[-1][1] == size
         height = max(1, budget // (8 * size))
@@ -86,11 +87,23 @@ class TestBlockedPass:
             # whole runs, or rows of one run
             assert (a % run == 0 and b % run == 0) or a // run == (b - 1) // run
 
+    @pytest.mark.parametrize("grid_name", ["line_grid", "plane_grid"])
+    def test_one_budget_sets_blocks_and_rows(self, monkeypatch, request, grid_name):
+        # the budget has one binding: patched before a fresh table's first
+        # pass, it cuts several blocks and leaves the rows strided, the
+        # layout of every grid above 181 cells
+        grid = request.getfixturevalue(grid_name)
+        kt = fv.build_kernel_table(grid, fv.FracParams(0.3, 3.0), 4.0)
+        monkeypatch.setattr(grid_mod, "_BLOCK_BYTES", 1600)
+        fv.seminorm_p(fv.GridFunction(grid, np.ones(grid.n_cells)), kt)
+        assert len(kt.pair_buffers[0]) > 1
+        assert not kt.kernel_rows.flags.c_contiguous
+
     @staticmethod
     def check_blocks(monkeypatch, grid, rng, p, budget):
         kt = fv.build_kernel_table(grid, fv.FracParams(0.3, p), 4.0)
         assert max(1, budget // (8 * grid.n_cells)) < grid.n_cells
-        monkeypatch.setattr(energy_mod, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(grid_mod, "_BLOCK_BYTES", budget)
         u = fv.GridFunction(grid, rng.standard_normal(grid.n_cells))
         v = fv.GridFunction(grid, rng.standard_normal(grid.n_cells))
         m = kt.cell_measure
@@ -116,12 +129,12 @@ class TestBlockedPass:
         assert form == pytest.approx(v.values @ ours, rel=1e-13)
         unfolded = cross * m * m + 2.0 * (phi_u * v.values * rho).sum() * m
         assert form == pytest.approx(unfolded, rel=1e-12)
-        return list(energy_mod._row_blocks(grid.n_cells, grid.cells_per_dim))
+        return list(grid_mod._row_blocks(grid.n_cells, grid.cells_per_dim))
 
 
 class TestFusedPass:
-    """raw_energy(..., with_gateaux=True) takes the energy and the Gateaux
-    vector from one pair pass, in one block or in several."""
+    """raw_energy takes the energy and the Gateaux vector from one pair
+    pass, in one block or in several."""
 
     @pytest.mark.parametrize("budget", [None, 1600])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -131,12 +144,11 @@ class TestFusedPass:
         grid = request.getfixturevalue(grid_name)
         kt = fv.build_kernel_table(grid, fv.FracParams(0.3, p), 4.0)
         if budget is None:
-            assert energy_mod._BLOCK_BYTES // (8 * grid.n_cells) >= grid.n_cells
+            assert grid_mod._BLOCK_BYTES // (8 * grid.n_cells) >= grid.n_cells
         else:
-            monkeypatch.setattr(energy_mod, "_BLOCK_BYTES", budget)
+            monkeypatch.setattr(grid_mod, "_BLOCK_BYTES", budget)
         u = fv.GridFunction(grid, rng.standard_normal(grid.n_cells))
-        energy, gate = energy_mod.raw_energy(u.values, kt, with_gateaux=True)
-        assert energy == energy_mod.raw_energy(u.values, kt)
+        energy, gate = energy_mod.raw_energy(u.values, kt)
         assert np.array_equal(gate, energy_mod.gateaux_vector(u, kt))
 
         interior, boundary = brute_force_seminorm(u, kt)
@@ -154,10 +166,10 @@ class TestFusedPass:
         g = fv.build_grid(2, 1.0, 12)
         kt = fv.build_kernel_table(g, fv.FracParams(0.3, 3.0), 4.0)
         u = rng.standard_normal(g.n_cells)
-        energy_mod.raw_energy(u, kt, with_gateaux=True)
+        energy_mod.raw_energy(u, kt)
         tracemalloc.start()
         try:
-            energy_mod.raw_energy(u, kt, with_gateaux=True)
+            energy_mod.raw_energy(u, kt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -193,9 +205,9 @@ class TestPairEnergyAccuracy:
         grid = request.getfixturevalue(grid_name)
         kt = fv.build_kernel_table(grid, fv.FracParams(0.2, p), 4.0)
         if budget is None:
-            assert energy_mod._BLOCK_BYTES // (8 * grid.n_cells) >= grid.n_cells
+            assert grid_mod._BLOCK_BYTES // (8 * grid.n_cells) >= grid.n_cells
         else:
-            monkeypatch.setattr(energy_mod, "_BLOCK_BYTES", budget)
+            monkeypatch.setattr(grid_mod, "_BLOCK_BYTES", budget)
         vals = rng.standard_normal(grid.n_cells) + offset
         interior, boundary = long_double_parts(vals, kt)
 
@@ -205,9 +217,8 @@ class TestPairEnergyAccuracy:
         sn = fv.seminorm_p(fv.GridFunction(grid, vals), kt)
         assert rel(sn.interior_part, interior) <= 1e-15
         assert rel(sn.boundary_part, boundary) <= 1e-15
-        energy = energy_mod.raw_energy(vals, kt)
+        energy = energy_mod.raw_energy(vals, kt)[0]
         assert rel(energy, interior + boundary) <= 1e-15
-        assert energy_mod.raw_energy(vals, kt, with_gateaux=True)[0] == energy
 
     @pytest.mark.parametrize("kind", ["energy", "both", "Flux", ""])
     def test_only_two_kinds(self, line_kt, rng, kind):

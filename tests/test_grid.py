@@ -31,11 +31,28 @@ class TestBuildGrid:
         assert g.centers[0, 0] == -1.75
         assert g.centers[-1, 0] == 1.75
 
+    # an infinite half-width, or one whose spacing 2 L / n overflows (1e308)
+    # or underflows (5e-324), has no cells to place
     @pytest.mark.parametrize("dim,L,n", [(3, 1.0, 4), (0, 1.0, 4),
-                                         (1, 1.0, 1), (1, -1.0, 4), (1, 0.0, 4)])
+                                         (1, 1.0, 1), (1, -1.0, 4), (1, 0.0, 4),
+                                         (1, math.inf, 8), (2, math.inf, 4),
+                                         (1, 1e308, 8), (2, 1e308, 4), (1, 5e-324, 4)])
     def test_rejects_bad_arguments(self, dim, L, n):
         with pytest.raises(DomainError):
             fv.build_grid(dim, L, n)
+
+    def test_refuses_oversized_grid_before_allocating(self, monkeypatch):
+        # plane n = 2048: the centres and the meshgrid temporaries, 32 bytes a
+        # cell (128 MiB), against 4 MiB of memory
+        monkeypatch.setattr(grid_mod, "_physical_memory", lambda: 4 * 1024 * 1024)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="physical memory"):
+                fv.build_grid(2, 1.0, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
 
     def test_centers_strictly_inside(self):
         for dim in (1, 2):
@@ -249,7 +266,7 @@ class TestKernelTable:
         kt = fv.build_kernel_table(g, fp, 4.0)
         assert np.array_equal(kt.exterior_mass, expected)
         with pytest.raises(AssertionError, match="FFT"):
-            kt.p2_operator  # the patch reaches the grid module's FFT calls
+            kt.p2_operator  # the patch reaches P2Operator's FFT calls
 
     def test_plane_192_builds_without_an_m_squared_field(self):
         kt, peak, estimate = self.build_peak(192)
@@ -293,9 +310,12 @@ class TestKernelTable:
         g = fv.build_grid(2, 1.0, 64)
         assert grid_mod._build_bytes(g, grid_mod._ring_layers(g, 4.0)) < 2**30
 
-    def test_rejects_small_ext_radius(self, line_grid):
-        with pytest.raises(DomainError):
-            fv.build_kernel_table(line_grid, fv.FracParams(0.4, 2.0), 1.5)
+    # 1e308 is finite, but its ring of (R - L) / h cells overflows
+    @pytest.mark.parametrize("ext_radius", [1.5, math.nan, math.inf, 1e308])
+    def test_rejects_bad_ext_radius(self, line_grid, plane_grid, ext_radius):
+        for g in (line_grid, plane_grid):
+            with pytest.raises(DomainError, match="at least twice the half-width"):
+                fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), ext_radius)
 
     def test_rejects_sp_above_dim(self, line_grid):
         with pytest.raises(DomainError):

@@ -9,6 +9,7 @@ import pytest
 
 import fracvar as fv
 import fracvar.eigen as eig
+import fracvar.grid as grid_mod
 import fracvar.io as fio
 from fracvar.cli import RunConfig, dispatch
 from fracvar.errors import ConvergenceError, DomainError
@@ -44,6 +45,29 @@ class TestCsvRoundTrip:
     def test_missing_file_rejected(self, line_grid):
         with pytest.raises(DomainError):
             fio.read_grid_function(line_grid, "/nonexistent/file.csv")
+
+    @staticmethod
+    def write_values(path, vals):
+        path.write_text("value\n" + "".join(f"{float(v)!r}\n" for v in vals))
+
+    @pytest.mark.parametrize("dim,n", [(1, 8), (2, 4)])
+    def test_value_only_file(self, tmp_path, rng, dim, n):
+        grid = fv.build_grid(dim, 1.0, n)
+        vals = rng.standard_normal(grid.n_cells)
+        path = tmp_path / "values.csv"
+        self.write_values(path, vals)
+        assert np.array_equal(fio.read_grid_function(grid, path).values, vals)
+        cfg = RunConfig.load(write_config(
+            tmp_path, grid={"dim": dim, "half_width": 1.0, "cells_per_dim": n},
+            function={"kind": "from_file", "path": str(path)}))
+        assert np.array_equal(cfg.function().values, vals)
+
+    @pytest.mark.parametrize("rows", [1, 5, 9])
+    def test_value_only_file_of_wrong_length(self, tmp_path, rows):
+        path = tmp_path / "values.csv"
+        self.write_values(path, np.arange(rows, dtype=float))
+        with pytest.raises(DomainError, match=f"holds {rows} values, grid has 8 cells"):
+            fio.read_grid_function(fv.build_grid(1, 1.0, 8), path)
 
 
 class TestEmitPlot:
@@ -203,6 +227,39 @@ class TestDispatch:
         cfg = write_config(tmp_path, lorentz={"p": 0.5, "q": 2.0})
         assert dispatch(["lorentz", "--config", cfg]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("lorentz", [{"p": float("nan")}, {"q": float("nan")},
+                                         {"p": 2.0, "q": float("nan")}])
+    def test_nan_lorentz_index_exits_1(self, tmp_path, capsys, lorentz):
+        cfg = write_config(tmp_path, lorentz=lorentz)
+        assert dispatch(["lorentz", "--config", cfg]) == 1
+        assert "domain error: Lorentz" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "lorentz.json").exists()
+
+    @pytest.mark.parametrize("grid, code", [
+        ('"half_width": 1e400', 65),
+        ('"half_width": 1e308', 65),
+        ('"half_width": 1.0, "ext_radius": NaN', 1),
+        ('"half_width": 1.0, "ext_radius": Infinity', 1),
+        ('"half_width": 1.0, "ext_radius": 1e308', 1),
+    ])
+    def test_non_finite_geometry_exits_with_a_message(self, tmp_path, capsys, grid, code):
+        # json reads 1e400 as inf; 1e308 overflows the spacing or the ring
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": 1, "grid": {"dim": 1, "cells_per_dim": 8, ' + grid
+                        + '}, "frac": {"s": 0.4, "p": 2.0}, '
+                        '"function": {"kind": "gaussian", "sigma": 0.3}}')
+        assert dispatch(["seminorm", "--config", str(path), "--out",
+                         str(tmp_path / "out")]) == code
+        assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_oversized_grid_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(grid_mod, "_physical_memory", lambda: 4 * 1024 * 1024)
+        cfg = write_config(tmp_path, grid={"dim": 2, "half_width": 1.0,
+                                           "cells_per_dim": 2048})
+        assert dispatch(["seminorm", "--config", cfg]) == 65
+        assert "physical memory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, overrides", [
         ("hardy-norm", {"hardy": {"ball_radii": [], "n_quantiles": 0}}),

@@ -191,6 +191,14 @@ class TestLorentz:
         with pytest.raises(DomainError):
             fv.lorentz_quasi_norm(f, 0.5, 2.0)
 
+    @pytest.mark.parametrize("p,q", [(np.nan, 2.0), (np.nan, np.inf),
+                                     (2.0, np.nan), (2.0, 0.5)])
+    @pytest.mark.parametrize("norm", [fv.lorentz_quasi_norm, fv.lorentz_norm])
+    def test_rejects_nan_or_small_indices(self, unit_grid, norm, p, q):
+        f = fv.GridFunction(unit_grid, np.ones(12))
+        with pytest.raises(DomainError, match="Lorentz"):
+            norm(f, p, q)
+
 
 class TestPowerLawRearrangement:
     @pytest.mark.parametrize("dim,n,s,p", [(1, 256, 0.4, 2.0), (2, 24, 0.5, 2.0)])
