@@ -193,10 +193,9 @@ def _cmd_seminorm(cfg: RunConfig, out, args) -> int:
 def _cmd_gradient(cfg: RunConfig, out, args) -> int:
     kt = cfg.kernel_table()
     u = cfg.function()
-    grad = en.nonlocal_gradient(u, kt)
+    energy, grad = en.energy_and_nonlocal_gradient(u, kt)
     fio.emit_plot(grad, _out_path(cfg, out, "gradient.svg"))
-    fio.write_result_json({"sup": float(np.max(grad.values)),
-                           "energy": en.seminorm_p(u, kt).value},
+    fio.write_result_json({"sup": float(np.max(grad.values)), "energy": energy},
                           _out_path(cfg, out, "gradient.json"))
     return 0
 

@@ -15,7 +15,9 @@ Everything else here is a derivative of E:
 * ``nonlocal_gradient``     the field |Du|(x_i) with |Du|^p(x_i)
                             = sum_j |u_i-u_j|^p K[i,j] m + |u_i|^p rho_i,
                             so that sum_i |Du|^p(x_i) m + sum_i |u_i|^p rho_i m
-                            reproduces E(u) exactly;
+                            reproduces E(u) exactly, a sum of non-negative
+                            terms; ``energy_and_nonlocal_gradient`` returns
+                            that E(u) with the field;
 * ``gateaux``               the bilinear-in-v form (1/p) d/dt E(u + t v)|_0;
 * ``frac_p_laplacian_apply``the weak residual density gateaux(u, e_i)/m;
 * ``rayleigh_quotient``     E(u) divided by the weighted p-mass.
@@ -32,7 +34,8 @@ with d, whose terms |d|^p K are all non-negative; taken instead as u . g(u)
 by Euler's identity, the energy would cancel on a field far from zero.
 ``raw_energy`` (the energy and the Gateaux vector), ``seminorm_p`` and
 ``gateaux_vector`` each make this one pass.  Its "density" kind sums
-F d per cell for ``nonlocal_gradient``.  phi(d) takes at most one power:
+F d per cell for ``nonlocal_gradient``; the gradient command reads E(u)
+from that same pass and makes no flux pass.  phi(d) takes at most one power:
 it is d at p = 2, |d|^(p-2) d above and copysign(|d|^(p-1), d) below.
 ``gateaux(u, v)`` is v . gateaux_vector(u).
 
@@ -159,14 +162,22 @@ def seminorm_p(u: GridFunction, kt: KernelTable) -> SeminormValue:
                          boundary_part=boundary)
 
 
-def nonlocal_gradient(u: GridFunction, kt: KernelTable) -> GridFunction:
-    """The field |Du|(x_i), the p-th root of the per-cell energy density."""
+def energy_and_nonlocal_gradient(u: GridFunction,
+                                 kt: KernelTable) -> tuple[float, GridFunction]:
+    """(E(u), the field |Du|) from one density pass: E(u) is the cell sum of
+    |Du|^p m plus the other half of the boundary part, sum_i |u_i|^p rho_i m."""
     same_grid(u, kt)
     p = kt.params.p
+    m = kt.cell_measure
     vals = u.values
-    dens = _pair_sums(vals, kt, "density") * kt.cell_measure
-    dens = dens + np.abs(vals) ** p * kt.exterior_mass
-    return GridFunction(u.grid, dens ** (1.0 / p))
+    outside = np.abs(vals) ** p * kt.exterior_mass
+    dens = _pair_sums(vals, kt, "density") * m + outside
+    return float((dens.sum() + outside.sum()) * m), GridFunction(u.grid, dens ** (1.0 / p))
+
+
+def nonlocal_gradient(u: GridFunction, kt: KernelTable) -> GridFunction:
+    """The field |Du|(x_i), the p-th root of the per-cell energy density."""
+    return energy_and_nonlocal_gradient(u, kt)[1]
 
 
 def gateaux_vector(u: GridFunction, kt: KernelTable) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Grid functions serialize one row per cell, coordinates first, then the
 value, all printed with 17 significant digits so the float64 round-trip is
-exact.  Plots are small self-contained SVG files: a polyline for 1-d data,
+exact.  Every CSV row is one ``%`` of a row format, "%.17g" once per
+column joined by commas, on the row's floats; rows are formatted and
+written in chunks of ``_CHUNK_ROWS``, so no string of the whole file is
+built.  Plots are small self-contained SVG files: a polyline for 1-d data,
 a cell heat map for 2-d fields; the raw data always lands in a CSV next to
 the figure.
 """
@@ -21,6 +24,7 @@ from .grid import Grid, GridFunction
 from .rearrange import StepFunction
 
 _FMT = "%.17g"
+_CHUNK_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -28,11 +32,15 @@ _FMT = "%.17g"
 # ---------------------------------------------------------------------------
 
 def _write_rows(path, header: str, columns) -> None:
-    """A CSV of ``columns`` under ``header``, one line per row."""
+    """A CSV of ``columns`` under ``header``, one line per row, written
+    ``_CHUNK_ROWS`` rows at a time."""
+    columns = [np.asarray(c, float) for c in columns]
+    row = ",".join([_FMT] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_FMT % float(v) for v in row) + "\n")
+        for a in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = (c[a:a + _CHUNK_ROWS].tolist() for c in columns)
+            fh.write("".join([row % values for values in zip(*chunk)]))
 
 
 def write_grid_function(gf: GridFunction, path) -> None:

@@ -9,7 +9,10 @@ Lorentz integrals are evaluated in closed form per constancy interval
 (power-function antiderivatives), never by quadrature.  For q = infinity
 the supremum of t^(1/p) f*(t) over a constancy interval sits at the right
 endpoint, since t^(1/p) increases; the sup is therefore a maximum over
-right endpoints.
+right endpoints.  A finite q scales every interval's integral by that
+maximum to the power q, so no power overflows and a huge q tends to the
+q = infinity value.  p = infinity admits only q = infinity, because
+L^(inf, q) holds only 0 for finite q.
 """
 
 from __future__ import annotations
@@ -105,14 +108,18 @@ def _lorentz_from_step(step: StepFunction, p: float, q: float) -> float:
         raise DomainError(f"Lorentz first index must be >= 1, got {p}")
     if not q >= 1:
         raise DomainError(f"Lorentz second index must be >= 1 or infinity, got {q}")
+    if p == np.inf and q != np.inf:
+        raise DomainError(f"Lorentz space L^(inf, {q}) holds only 0; q must be infinity")
     t_right = step.breakpoints[1:]
-    lv = step.levels
-    if q == np.inf:
-        return float(np.max(lv * t_right ** (1.0 / p), initial=0.0))
+    peaks = step.levels * t_right ** (1.0 / p)
+    top = float(np.max(peaks, initial=0.0))
+    if q == np.inf or top == 0.0:
+        return top
     t_left = step.breakpoints[:-1]
-    # integral over [t_{k-1}, t_k) of [t^(1/p - 1/q) * level]^q dt, closed form
-    weights = (p / q) * (t_right ** (q / p) - t_left ** (q / p))
-    return float(np.sum(lv**q * weights) ** (1.0 / q))
+    # integral over [t_{k-1}, t_k) of [t^(1/p - 1/q) * level]^q dt, closed form,
+    # = peak^q (p/q) (1 - (t_{k-1}/t_k)^(q/p)); scaled by top^q, no power overflows
+    weights = (p / q) * (1.0 - (t_left / t_right) ** (q / p))
+    return top * float(np.sum((peaks / top) ** q * weights) ** (1.0 / q))
 
 
 def lorentz_quasi_norm(f: GridFunction, p: float, q) -> float:

@@ -358,6 +358,35 @@ class TestNonlocalGradient:
         ).sum() * kt.cell_measure
         assert total == pytest.approx(fv.seminorm_p(u, kt).value, rel=1e-12)
 
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 8), (2, 16)])  # (2, 16): several blocks
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_one_pass_energy_matches_seminorm(self, rng, dim, n, p):
+        g = fv.build_grid(dim, 1.0, n)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.3, p), 4.0)
+        u = fv.GridFunction(g, 1.0 + rng.standard_normal(g.n_cells))
+        energy, grad = fv.energy_and_nonlocal_gradient(u, kt)
+        assert energy == pytest.approx(fv.seminorm_p(u, kt).value, rel=1e-13)
+        assert np.array_equal(grad.values, fv.nonlocal_gradient(u, kt).values)
+
+    @pytest.mark.parametrize("grid_name,p", [("line_grid", 3.0), ("plane_grid", 1.5)])
+    def test_gradient_field_is_the_density_formula(self, request, rng, grid_name, p):
+        # the field as it was formed before the energy came from the same pass
+        g = request.getfixturevalue(grid_name)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.3, p), 4.0)
+        vals = rng.standard_normal(g.n_cells)
+        dens = energy_mod._pair_sums(vals, kt, "density") * kt.cell_measure
+        dens = dens + np.abs(vals) ** p * kt.exterior_mass
+        got = fv.nonlocal_gradient(fv.GridFunction(g, vals), kt).values
+        assert np.array_equal(got, dens ** (1.0 / p))
+
+    def test_one_pass_needs_no_energy_function(self, monkeypatch, line_kt_p3, line_grid, rng):
+        u = fv.GridFunction(line_grid, rng.standard_normal(line_grid.n_cells))
+        expected = fv.seminorm_p(u, line_kt_p3).value
+        for name in ("raw_energy", "seminorm_p"):
+            monkeypatch.delattr(energy_mod, name)
+        energy, _ = energy_mod.energy_and_nonlocal_gradient(u, line_kt_p3)
+        assert energy == pytest.approx(expected, rel=1e-13)
+
     def test_dilation_scaling(self, rng):
         # |D u_r|^p on the r-dilated grid equals r^(-s p) |D u|^p
         fp = fv.FracParams(0.4, 2.0)

@@ -9,6 +9,7 @@ import pytest
 
 import fracvar as fv
 import fracvar.eigen as eig
+import fracvar.energy as energy_mod
 import fracvar.grid as grid_mod
 import fracvar.io as fio
 from fracvar.cli import RunConfig, dispatch
@@ -68,6 +69,65 @@ class TestCsvRoundTrip:
         self.write_values(path, np.arange(rows, dtype=float))
         with pytest.raises(DomainError, match=f"holds {rows} values, grid has 8 cells"):
             fio.read_grid_function(fv.build_grid(1, 1.0, 8), path)
+
+
+class TestCsvBytes:
+    @staticmethod
+    def per_value_csv(header, columns):
+        # the CSV formatted value by value
+        rows = [",".join("%.17g" % float(v) for v in row) for row in zip(*columns)]
+        return "".join(line + "\n" for line in [header, *rows]).encode()
+
+    FINITE = [0.0, -0.0, 5e-324, -2.5e-310, np.finfo(float).tiny, np.finfo(float).max,
+              -1.0 / 3.0]
+
+    @staticmethod
+    def wide_values(rng, size, specials):
+        # magnitudes over 1e-300 .. 1e300, with the special values at random rows
+        vals = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300.0, 300.0, size)
+        vals[rng.choice(size, len(specials), replace=False)] = specials
+        return vals
+
+    @pytest.mark.parametrize("n", [4, 72])  # 72 x 72 cells span two write chunks
+    def test_grid_function_bytes_and_round_trip(self, tmp_path, n):
+        g = fv.build_grid(2, 1.0, n)
+        vals = self.wide_values(np.random.default_rng(n), g.n_cells, self.FINITE)
+        path = tmp_path / "f.csv"
+        fio.write_grid_function(fv.GridFunction(g, vals), path)
+        assert path.read_bytes() == self.per_value_csv("x,y,value", [*g.centers.T, vals])
+        back = fio.read_grid_function(g, path).values
+        assert np.array_equal(back, vals, equal_nan=True)
+        assert np.array_equal(np.signbit(back), np.signbit(vals))
+
+    def test_series_with_non_finite_values(self, tmp_path):
+        rng = np.random.default_rng(3)
+        x, y = (self.wide_values(rng, 300, self.FINITE + [np.inf, -np.inf, np.nan])
+                for _ in range(2))
+        path = tmp_path / "s.csv"
+        fio.write_series(x, y, path)
+        assert path.read_bytes() == self.per_value_csv("x,y", [x, y])
+
+    def test_series_of_integers_and_floats(self, tmp_path):
+        x = [0, 1, -7, 2**53 + 1, 10**20, 3]
+        y = [0.1, -0.0, 1e-310, float("nan"), 1e300, float("-inf")]
+        path = tmp_path / "s.csv"
+        fio.write_series(x, y, path)
+        assert path.read_bytes() == self.per_value_csv("x,y", [x, y])
+
+    def test_step_function_and_plot_csv(self, tmp_path):
+        rng = np.random.default_rng(7)
+        widths = 10.0 ** rng.uniform(-300.0, 300.0, 50)
+        levels = rng.standard_normal(50) * 10.0 ** rng.uniform(-300.0, 300.0, 50)
+        sf = fv.StepFunction(np.concatenate([[0.0], np.cumsum(np.sort(widths))]), levels)
+        expected = self.per_value_csv("breakpoint,level", [sf.breakpoints[1:], sf.levels])
+        fio.write_step_function(sf, tmp_path / "sf.csv")
+        assert (tmp_path / "sf.csv").read_bytes() == expected
+        fio.emit_plot(sf, tmp_path / "sf_plot.svg")
+        assert (tmp_path / "sf_plot.csv").read_bytes() == expected
+
+    def test_empty_series_writes_the_header(self, tmp_path):
+        fio.write_series([], [], tmp_path / "empty.csv")
+        assert (tmp_path / "empty.csv").read_bytes() == b"x,y\n"
 
 
 class TestEmitPlot:
@@ -229,7 +289,8 @@ class TestDispatch:
         capsys.readouterr()
 
     @pytest.mark.parametrize("lorentz", [{"p": float("nan")}, {"q": float("nan")},
-                                         {"p": 2.0, "q": float("nan")}])
+                                         {"p": 2.0, "q": float("nan")},
+                                         {"p": float("inf"), "q": 2.0}])  # L^(inf, 2) is {0}
     def test_nan_lorentz_index_exits_1(self, tmp_path, capsys, lorentz):
         cfg = write_config(tmp_path, lorentz=lorentz)
         assert dispatch(["lorentz", "--config", cfg]) == 1
@@ -324,6 +385,25 @@ class TestDispatch:
         for name in ("gradient.svg", "gradient.csv", "rearrangement.csv",
                      "maximal.csv", "symmetrized.csv"):
             assert (out / name).exists()
+
+    def test_gradient_makes_one_pair_pass(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, grid={"dim": 2, "half_width": 1.0,
+                                           "cells_per_dim": 8, "ext_radius": 4.0},
+                           frac={"s": 0.5, "p": 3.0})
+        loaded = RunConfig.load(cfg)
+        expected = fv.seminorm_p(loaded.function(), loaded.kernel_table()).value
+        passes = []
+        pair_sums = energy_mod._pair_sums
+
+        def counting(vals, kt, kind):
+            passes.append(kind)
+            return pair_sums(vals, kt, kind)
+
+        monkeypatch.setattr(energy_mod, "_pair_sums", counting)
+        assert dispatch(["gradient", "--config", cfg]) == 0
+        assert passes == ["density"]
+        payload = json.loads((tmp_path / "out" / "gradient.json").read_text())
+        assert payload["energy"] == pytest.approx(expected, rel=1e-13)
 
     def test_capacity_command(self, tmp_path):
         cfg = write_config(tmp_path, capacity={

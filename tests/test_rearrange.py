@@ -186,13 +186,34 @@ class TestLorentz:
             rhs = fv.lorentz_norm(a, 2.0, q) + fv.lorentz_norm(b, 2.0, q)
             assert lhs <= rhs * (1 + 1e-12) + 1e-12
 
+    @pytest.mark.parametrize("norm", [fv.lorentz_quasi_norm, fv.lorentz_norm])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 7.5])
+    def test_huge_q_tends_to_the_sup(self, unit_grid, rng, norm, p):
+        f = fv.GridFunction(unit_grid, rng.standard_normal(12) * 1e-3)
+        sup = norm(f, p, np.inf)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert norm(f, p, 1e308) == pytest.approx(sup, rel=1e-12)
+            assert norm(f, p, 1e6) == pytest.approx(sup, rel=1e-4)
+
+    @given(vals=field_strategy())
+    def test_sup_form_is_the_largest_peak(self, unit_grid, vals):
+        # the q = infinity value, formed as max over right endpoints of t^(1/p) f*(t)
+        f = fv.GridFunction(unit_grid, vals)
+        for step, norm in [(fv.decreasing_rearrangement(f), fv.lorentz_quasi_norm),
+                           (fv.maximal_function(fv.decreasing_rearrangement(f)),
+                            fv.lorentz_norm)]:
+            expected = float(np.max(step.levels * step.breakpoints[1:] ** (1.0 / 1.5),
+                                    initial=0.0))
+            assert norm(f, 1.5, np.inf) == expected
+
     def test_rejects_p_below_one(self, unit_grid):
         f = fv.GridFunction(unit_grid, np.ones(12))
         with pytest.raises(DomainError):
             fv.lorentz_quasi_norm(f, 0.5, 2.0)
 
     @pytest.mark.parametrize("p,q", [(np.nan, 2.0), (np.nan, np.inf),
-                                     (2.0, np.nan), (2.0, 0.5)])
+                                     (2.0, np.nan), (2.0, 0.5),
+                                     (np.inf, 2.0)])  # L^(inf, q) holds only 0
     @pytest.mark.parametrize("norm", [fv.lorentz_quasi_norm, fv.lorentz_norm])
     def test_rejects_nan_or_small_indices(self, unit_grid, norm, p, q):
         f = fv.GridFunction(unit_grid, np.ones(12))
