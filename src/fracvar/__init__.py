@@ -11,9 +11,8 @@ from .eigen import (EigenOptions, EigenResult, PiconeResult, SimplicityReport,
                     Weight, eigen_sequence, first_eigenpair, linear_oracle,
                     oracle_levels, picone_gap, residual_check,
                     sign_structure, simplicity_probe)
-from .energy import (SeminormValue, energy_and_nonlocal_gradient,
-                     frac_p_laplacian_apply, gateaux, gateaux_vector,
-                     nonlocal_gradient, rayleigh_quotient, seminorm_p,
+from .energy import (SeminormValue, energy_and_nonlocal_gradient, gateaux,
+                     gateaux_vector, nonlocal_gradient, seminorm_p,
                      stiffness_matrix, weighted_mass)
 from .errors import ConfigError, ConvergenceError, DomainError
 from .grid import (Ball, Difference, FracParams, FromFile, GaussianBump, Grid,

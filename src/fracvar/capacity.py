@@ -1,28 +1,26 @@
 """Variational capacity, Maz'ya-type weight norms, and concentration profiles.
 
 The capacity of a cell set F is the minimum of the nonlocal p-energy over
-fields equal to 1 on F, confined to [0, 1] elsewhere, and (for relative
-capacities) pinned to 0 outside a prescribed subdomain.  The problem is
-convex, and it is solved on one of two paths.
+fields equal to 1 on F and confined to [0, 1] elsewhere (and zero outside
+the box).  The problem is convex, and it is solved on one of two paths.
 
 The energy is a Dirichlet form: the unit contraction u -> min(max(u, 0), 1)
 moves no pair of values further apart and shrinks every |u_i|, so it never
-raises the energy, and the minimizer with u = 1 on F (and 0 off the
-subdomain) already lies in [0, 1].  The box constraint is inactive.  At
-p = 2 the energy is the quadratic form u^T A u, and the capacity is the
-symmetric positive-definite system A_ff u_f = -A_fF 1 on the free cells
-(those outside F and inside the subdomain).  Conjugate gradients solve it
-on the table's ``P2Operator`` (``_linear_solve``): A and T. Chan's
-circulant preconditioner are FFT products on the whole grid, restricted to
-the free cells, and CG takes 5-14 steps on every grid tried.  The clipped
-solution then gets one fused energy-and-gradient pass and starts the
-descent below, whose first stop test it passes without a step when CG has
-converged; CG stops one step short of the iteration budget, so that test
-runs within it.
+raises the energy, and the minimizer with u = 1 on F already lies in
+[0, 1].  The box constraint is inactive.  At p = 2 the energy is the
+quadratic form u^T A u, and the capacity is the symmetric positive-definite
+system A_ff u_f = -A_fF 1 on the free cells (those outside F).  Conjugate
+gradients solve it from u_f = 0 on the table's ``P2Operator``
+(``_linear_solve``): A and T. Chan's circulant preconditioner are FFT
+products on the whole grid, restricted to the free cells, and CG takes
+5-14 steps on every grid tried.  The clipped solution then gets one fused
+energy-and-gradient pass and starts the descent below, whose first stop
+test it passes without a step when CG has converged; CG stops one step
+short of the iteration budget, so that test runs within it.
 
 At every other p, spectral projected-gradient descent
 (``descent.spectral_descent``, with the box clip as its projection) reaches
-the value to solver tolerance from any start.
+the value to solver tolerance from the indicator of F.
 
 The weight norm
 
@@ -88,12 +86,6 @@ class CellSet:
         return CellSet.from_region(grid, Ball(tuple(np.atleast_1d(center)), radius))
 
     @staticmethod
-    def from_indices(grid: Grid, indices) -> "CellSet":
-        mask = np.zeros(grid.n_cells, dtype=bool)
-        mask[np.asarray(indices, dtype=int)] = True
-        return CellSet(grid, mask)
-
-    @staticmethod
     def empty(grid: Grid) -> "CellSet":
         return CellSet(grid, np.zeros(grid.n_cells, dtype=bool))
 
@@ -118,34 +110,27 @@ class CapacityResult:
     degenerate: bool = False
 
 
-def capacity(F: CellSet, kt: KernelTable, opts: CapacityOptions | None = None,
-             domain: CellSet | None = None,
-             start: np.ndarray | None = None) -> CapacityResult:
-    """Minimize the p-energy over {u = 1 on F, 0 <= u <= 1, u = 0 off domain}.
+def capacity(F: CellSet, kt: KernelTable,
+             opts: CapacityOptions | None = None) -> CapacityResult:
+    """Minimize the p-energy over {u = 1 on F, 0 <= u <= 1}.
 
     An empty F yields the degenerate zero result (flagged) rather than an
-    error; an F or ``domain`` on another grid than the table's, or a
-    ``start`` that is not M finite values, a DomainError before any solve.
-    Non-convergence raises ConvergenceError carrying the last iterate.
+    error; an F on another grid than the table's, a DomainError before any
+    solve.  Non-convergence raises ConvergenceError carrying the last iterate.
     """
     opts = opts or CapacityOptions()
     grid = kt.grid
     same_grid(F, kt)
-    if domain is not None:
-        same_grid(domain, kt)
     if F.size == 0:
         warnings.warn("capacity target is empty; returning the degenerate zero result")
         zero = GridFunction(grid, np.zeros(grid.n_cells))
         return CapacityResult(0.0, zero, 0, 0.0, degenerate=True)
 
-    # per-cell bounds: [1, 1] on F, [0, 0] off the domain, [0, 1] elsewhere
+    # per-cell bounds: [1, 1] on F, [0, 1] elsewhere
     lower = F.mask.astype(float)
-    upper = np.ones(grid.n_cells) if domain is None else domain.mask.astype(float)
-    if np.any(lower > upper):
-        raise DomainError("capacity target must lie inside the relative domain")
 
     def project(vals: np.ndarray) -> np.ndarray:
-        return np.clip(vals, lower, upper)
+        return np.clip(vals, lower, 1.0)
 
     p = kt.params.p
     grad_norm = np.inf
@@ -163,11 +148,10 @@ def capacity(F: CellSet, kt: KernelTable, opts: CapacityOptions | None = None,
         energy, gvec = raw_energy(cand, kt)
         return cand, energy, float(grad @ (cand - u)), gvec
 
-    u = project(np.zeros(grid.n_cells) if start is None else GridFunction(grid, start).values)
+    u = lower.copy()  # the indicator of F
     its = 0
     if p == 2.0:
-        free = lower < upper
-        u[free], its = _linear_solve(u, kt, free, opts)
+        u[~F.mask], its = _linear_solve(F.mask, kt, opts)
         u = project(u)
     energy, gvec = raw_energy(u, kt)
     # at p = 2 the CG solution passes the descent's first stop test, and no step is taken
@@ -187,27 +171,28 @@ def capacity(F: CellSet, kt: KernelTable, opts: CapacityOptions | None = None,
     raise ConvergenceError(message, result=result)
 
 
-def _linear_solve(u: np.ndarray, kt: KernelTable, free: np.ndarray,
+def _linear_solve(fixed: np.ndarray, kt: KernelTable,
                   opts: CapacityOptions) -> tuple[np.ndarray, int]:
-    """Preconditioned CG for A_ff u_f = -A_fF 1 at p = 2, from u's free values.
+    """Preconditioned CG for A_ff u_f = -A_fF 1 at p = 2, from u_f = 0.
 
-    Returns the free cells' values and the CG step count, at most
-    ``opts.max_iter - 1``, so that the stop test that follows runs within
-    the budget.  CG stops once the residual is below half
+    ``fixed`` is the mask of F.  Returns the free cells' values and the CG
+    step count, at most ``opts.max_iter - 1``, so that the stop test that
+    follows runs within the budget.  CG stops once the residual is below half
     ``tol_factor``: the gradient of E on the free cells is twice the
     residual, so the stop test's target tol_factor * max(1, E) is then met
     wherever the clip leaves the point unchanged.
     """
     op = kt.p2_operator
-    full = np.zeros(u.size)  # its fixed cells stay zero
+    free = ~fixed
+    full = np.zeros(fixed.size)  # its fixed cells stay zero
 
     def on_free(full_map, x):
         # R_f full_map R_f^T x on the free cells; SPD for A and for P, as A and P are
         full[free] = x
         return full_map(full)[free]
 
-    x = u[free]
-    r = -op.apply(np.where(free, 0.0, u))[free] - on_free(op.apply, x)
+    r = -op.apply(fixed.astype(float))[free]
+    x = np.zeros(r.size)
     rho, direction, steps = None, None, 0
     while np.linalg.norm(r) > 0.5 * opts.tol_factor and steps < opts.max_iter - 1:
         z = on_free(op.precondition, r)
@@ -228,8 +213,8 @@ class BallScalingFit:
     values: tuple
 
 
-def capacity_ball_scaling(radii, fp: FracParams, dim: int, cells_per_dim: int = 32,
-                          opts: CapacityOptions | None = None) -> BallScalingFit:
+def capacity_ball_scaling(radii, fp: FracParams, dim: int,
+                          cells_per_dim: int = 32) -> BallScalingFit:
     """Capacity of origin-centered balls versus radius, as a log-log slope.
 
     Each radius r gets its own grid of ``cells_per_dim`` cells per axis on
@@ -247,7 +232,7 @@ def capacity_ball_scaling(radii, fp: FracParams, dim: int, cells_per_dim: int = 
     for r in radii:
         kt = build_kernel_table(build_grid(dim, 2.0 * r, cells_per_dim), fp, 8.0 * r)
         F = CellSet.ball(kt.grid, np.zeros(dim), r)
-        values.append(capacity(F, kt, opts).value)
+        values.append(capacity(F, kt).value)
     slope = float(np.polyfit(np.log(radii), np.log(values), 1)[0])
     return BallScalingFit(slope=slope, radii=tuple(radii), values=tuple(values))
 
@@ -419,10 +404,10 @@ def _profile(w: GridFunction, radii, masks, kt: KernelTable,
 
 
 def _ball_masks(grid: Grid, x, radii) -> tuple[list, list]:
-    """Radii, checked strictly decreasing, and the balls around x as masks."""
+    """Radii, checked finite, >= 0 and strictly decreasing, and the balls around x as masks."""
     radii = [float(r) for r in radii]
-    if len(radii) == 0 or np.any(np.diff(radii) >= 0):
-        raise DomainError("radii must be strictly decreasing")
+    if not (radii and all(0 <= r < np.inf for r in radii) and np.all(np.diff(radii) < 0)):
+        raise DomainError(f"radii must be finite, non-negative and strictly decreasing: {radii}")
     center = tuple(float(c) for c in np.atleast_1d(x))
     masks = []
     for r in radii:
@@ -434,11 +419,11 @@ def _ball_masks(grid: Grid, x, radii) -> tuple[list, list]:
 
 
 def _exterior_masks(grid: Grid, radii) -> tuple[list, list]:
-    """Radii, checked strictly increasing, and the complements of the
-    origin-centered balls as masks."""
+    """Radii, checked finite, non-negative and strictly increasing, and the
+    complements of the origin-centered balls as masks."""
     radii = [float(r) for r in radii]
-    if len(radii) == 0 or np.any(np.diff(radii) <= 0):
-        raise DomainError("radii must be strictly increasing")
+    if not (radii and all(0 <= r < np.inf for r in radii) and np.all(np.diff(radii) > 0)):
+        raise DomainError(f"radii must be finite, non-negative and strictly increasing: {radii}")
     r2 = (grid.centers**2).sum(axis=1)
     return radii, [r2 > r**2 for r in radii]
 
@@ -523,8 +508,9 @@ def compactness_diagnostic(w: GridFunction, kt: KernelTable,
     cell width h the profile of a genuinely compact-class weight is still of
     size O(h^sp), which an absolute cutoff on a coarse grid could never
     reach.  Candidate points combine a coarse lattice and the strongest
-    local maxima of |w|.  The local radii halve from L/2 down to the cell
-    width; the radii at infinity run from L/2 to 7L/8.
+    local maxima of |w|.  The local radii halve from L/2 to L/64 whatever
+    the cell width h, dropping those below h (L/2 alone when all are); the
+    radii at infinity run from L/2 to 7L/8.
     """
     same_grid(w, kt)
     grid = w.grid

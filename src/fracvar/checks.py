@@ -488,9 +488,27 @@ _REGISTRY = (
 CHECK_NAMES = tuple(name for name, *_ in _REGISTRY)
 
 
+def _validated(config: VerifyConfig | None) -> VerifyConfig:
+    """The config (the default one for None), or a ConfigError when an
+    override names no registered check, a sample count is below 1 or a
+    tolerance is not finite and >= 0."""
+    config = config or VerifyConfig()
+    unknown = sorted((set(config.samples) | set(config.tolerances)) - set(CHECK_NAMES))
+    if unknown:
+        raise ConfigError(f"overrides name unknown checks {unknown}; "
+                          f"known: {', '.join(CHECK_NAMES)}")
+    for name, count in config.samples.items():
+        if int(count) < 1:
+            raise ConfigError(f"check {name!r} needs at least one sample")
+    for name, tol in config.tolerances.items():
+        if not 0 <= float(tol) < math.inf:
+            raise ConfigError(f"check {name!r}: tolerance {tol} is not finite and >= 0")
+    return config
+
+
 def run_check(name: str, config: VerifyConfig | None = None) -> CheckRecord:
     """Run a single named check; every check is independently runnable."""
-    ctx = _Context(config or VerifyConfig())
+    ctx = _Context(_validated(config))
     for idx, row in enumerate(_REGISTRY):
         if row[0] == name:
             return _run_one(ctx, idx, *row)
@@ -517,10 +535,7 @@ def run_suite(config: VerifyConfig | None = None) -> PropertyReport:
     worker count: random streams are keyed by registration index and the
     records are merged in registration order.
     """
-    config = config or VerifyConfig()
-    for name, _check, samples, *_ in _REGISTRY:
-        if int(config.samples.get(name, samples)) < 1:
-            raise ConfigError(f"check {name!r} needs at least one sample")
+    config = _validated(config)
     FracParams(config.s, config.p).validate_for_dim(config.dim)
     ctx = _Context(config)
     # solve the shared eigen results before the first check, so that no

@@ -84,12 +84,8 @@ class Weight:
         return Weight(GridFunction(w.grid, pos), GridFunction(w.grid, neg))
 
     @staticmethod
-    def constant(grid, value: float = 1.0) -> "Weight":
-        if value <= 0:
-            raise DomainError("constant weight must be positive")
-        ones = GridFunction(grid, np.full(grid.n_cells, value))
-        zero = GridFunction(grid, np.zeros(grid.n_cells))
-        return Weight(ones, zero)
+    def constant(grid) -> "Weight":
+        return Weight.from_function(GridFunction(grid, np.ones(grid.n_cells)))
 
     def swapped(self) -> "Weight":
         """The weight -w, with the roles of the parts exchanged.
@@ -441,8 +437,7 @@ class PiconeResult:
     min_value: float
 
 
-def picone_gap(u: GridFunction, v: GridFunction, p: float,
-               eps: float = 1e-8) -> PiconeResult:
+def picone_gap(u: GridFunction, v: GridFunction, p: float) -> PiconeResult:
     """Pairwise comparison term
 
         K(i, j) = |u_i - u_j|^p
@@ -450,15 +445,16 @@ def picone_gap(u: GridFunction, v: GridFunction, p: float,
                                                    - u_j^p / v_j^(p-1)),
 
     non-negative over all pairs for u >= 0, v > 0, vanishing exactly on the
-    ray u = c v.  Returns the per-cell minimum over partners and the global
-    minimum (the diagonal contributes zeros).  The term is formed in row
-    blocks of ``grid._row_blocks``, so no M x M array is ever allocated.
+    ray u = c v; v below 1e-8 in any cell is refused.  Returns the per-cell
+    minimum over partners and the global minimum (the diagonal contributes
+    zeros).  The term is formed in row blocks of ``grid._row_blocks``, so no
+    M x M array is ever allocated.
     """
     same_grid(u, v)
     if np.any(u.values < 0):
         raise DomainError("the comparison term requires u >= 0")
-    if np.any(v.values < eps):
-        raise DomainError(f"the comparison term requires v >= {eps} cellwise")
+    if np.any(v.values < 1e-8):
+        raise DomainError("the comparison term requires v >= 1e-08 cellwise")
     cells = u.grid.n_cells
     uv = u.values
     vv = v.values
@@ -482,14 +478,14 @@ def picone_gap(u: GridFunction, v: GridFunction, p: float,
     return PiconeResult(GridFunction(u.grid, per_cell), float(per_cell.min()))
 
 
-def sign_structure(u: GridFunction, tol: float = 1e-8) -> str:
+def sign_structure(u: GridFunction) -> str:
     """Classify as nonnegative / nonpositive / sign_changing at threshold
-    tol * max|u|.  The zero function classifies as nonnegative."""
+    1e-8 max|u|.  The zero function classifies as nonnegative."""
     peak = float(np.max(np.abs(u.values)))
     if peak == 0.0:
         warnings.warn("sign classification of the zero function is degenerate")
         return "nonnegative"
-    thr = tol * peak
+    thr = 1e-8 * peak
     has_pos = bool(np.any(u.values > thr))
     has_neg = bool(np.any(u.values < -thr))
     if has_pos and has_neg:

@@ -18,9 +18,7 @@ Everything else here is a derivative of E:
                             reproduces E(u) exactly, a sum of non-negative
                             terms; ``energy_and_nonlocal_gradient`` returns
                             that E(u) with the field;
-* ``gateaux``               the bilinear-in-v form (1/p) d/dt E(u + t v)|_0;
-* ``frac_p_laplacian_apply``the weak residual density gateaux(u, e_i)/m;
-* ``rayleigh_quotient``     E(u) divided by the weighted p-mass.
+* ``gateaux``               the bilinear-in-v form (1/p) d/dt E(u + t v)|_0.
 
 All pair sums come from one private pass, ``_pair_sums``, that visits each
 unordered pair once and forms no M x M temporary.  It walks row blocks
@@ -201,11 +199,6 @@ def gateaux(u: GridFunction, v: GridFunction, kt: KernelTable) -> float:
     return float(v.values @ gateaux_vector(u, kt))
 
 
-def frac_p_laplacian_apply(u: GridFunction, kt: KernelTable) -> GridFunction:
-    """Weak residual density: gateaux(u, e_i) divided by the cell measure."""
-    return GridFunction(u.grid, gateaux_vector(u, kt) / kt.cell_measure)
-
-
 def raw_weighted_mass(vals: np.ndarray, wvals: np.ndarray, p: float, m: float) -> float:
     """W(u) = sum_i w_i |u_i|^p m on bare value arrays; no validation."""
     return float((wvals * np.abs(vals) ** p).sum() * m)
@@ -216,14 +209,6 @@ def weighted_mass(u: GridFunction, w: GridFunction, kt: KernelTable) -> float:
     same_grid(u, kt)
     same_grid(u, w)
     return raw_weighted_mass(u.values, w.values, kt.params.p, kt.cell_measure)
-
-
-def rayleigh_quotient(u: GridFunction, w: GridFunction, kt: KernelTable) -> float:
-    """E(u) / W(u); defined only where the weighted mass is positive."""
-    wu = weighted_mass(u, w, kt)
-    if wu <= 0.0:
-        raise DomainError(f"weighted p-mass is {wu}; the quotient requires W(u) > 0")
-    return seminorm_p(u, kt).value / wu
 
 
 # Peak float64 M x M arrays of the dense p = 2 oracle, while eigh runs: L^-1,

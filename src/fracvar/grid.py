@@ -94,10 +94,6 @@ class Grid:
     def n_cells(self) -> int:
         return self.centers.shape[0]
 
-    @property
-    def total_measure(self) -> float:
-        return self.n_cells * self.cell_measure
-
     def radii(self) -> np.ndarray:
         """Euclidean distance of each cell center from the origin."""
         return np.sqrt((self.centers**2).sum(axis=1))
@@ -301,14 +297,11 @@ def _sample_spec(grid: Grid, spec) -> np.ndarray:
         from .io import read_grid_function
 
         return read_grid_function(grid, spec.path).values
-    if callable(spec):
-        vals = np.array([float(spec(*xy)) for xy in pts])
-        return vals
     raise DomainError(f"unrecognized weight specification {spec!r}")
 
 
 def sample(grid: Grid, spec) -> GridFunction:
-    """Collocate a weight spec or analytic callable at the cell centers."""
+    """Collocate a weight spec at the cell centers."""
     vals = _sample_spec(grid, spec)
     if not np.all(np.isfinite(vals)):
         raise DomainError("sampled field contains NaN or infinity")

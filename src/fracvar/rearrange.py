@@ -49,10 +49,6 @@ class StepFunction:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "levels", lv)
 
-    @property
-    def total_measure(self) -> float:
-        return float(self.breakpoints[-1])
-
     def widths(self) -> np.ndarray:
         return np.diff(self.breakpoints)
 

@@ -13,12 +13,18 @@ from fracvar.errors import ConvergenceError, DomainError
 capacity_mod = importlib.import_module("fracvar.capacity")
 
 
-def qp_capacity_oracle(mask, kt, domain=None):
+def cells(grid, indices):
+    mask = np.zeros(grid.n_cells, dtype=bool)
+    mask[indices] = True
+    return fv.CellSet(grid, mask)
+
+
+def qp_capacity_oracle(mask, kt):
     """Dense p = 2 oracle: solve the KKT system on the free cells, clamp,
-    and verify feasibility.  Cells outside ``domain`` (a mask) are 0."""
+    and verify feasibility."""
     a = stiffness_matrix(kt)
     fixed = mask
-    free = ~fixed if domain is None else ~fixed & domain
+    free = ~fixed
     rhs = -a[np.ix_(free, fixed)] @ np.ones(fixed.sum())
     uf = np.linalg.solve(a[np.ix_(free, free)], rhs)
     assert uf.min() > -1e-12 and uf.max() < 1 + 1e-12, "clamp would activate"
@@ -67,7 +73,7 @@ class TestCapacity:
         assert np.all(res.minimizer.values == 0.0)
 
     def test_single_cell_matches_qp_oracle(self, line_kt, line_grid):
-        target = fv.CellSet.from_indices(line_grid, [line_grid.n_cells // 2])
+        target = cells(line_grid, [line_grid.n_cells // 2])
         res = fv.capacity(target, line_kt)
         oracle_value, oracle_u = qp_capacity_oracle(target.mask, line_kt)
         assert res.value == pytest.approx(oracle_value, rel=1e-6)
@@ -85,27 +91,10 @@ class TestCapacity:
     def test_monotone_in_the_target(self, line_kt, line_grid, rng):
         for _ in range(5):
             idx = rng.choice(line_grid.n_cells, size=6, replace=False)
-            small = fv.CellSet.from_indices(line_grid, idx[:3])
-            large = fv.CellSet.from_indices(line_grid, idx)
+            small = cells(line_grid, idx[:3])
+            large = cells(line_grid, idx)
             assert (fv.capacity(small, line_kt).value
                     <= fv.capacity(large, line_kt).value * (1 + 1e-9))
-
-    def test_start_independent_value(self, line_kt, line_grid, rng):
-        target = fv.CellSet.ball(line_grid, (0.0,), 0.2)
-        a = fv.capacity(target, line_kt, start=np.zeros(line_grid.n_cells))
-        b = fv.capacity(target, line_kt,
-                        start=rng.uniform(0, 1, line_grid.n_cells))
-        assert a.value == pytest.approx(b.value, rel=1e-6)
-
-    @pytest.mark.parametrize("bad", [np.zeros(5), np.full(32, np.nan)])
-    def test_bad_start_refused_before_any_solve(self, monkeypatch, line_kt, line_grid, bad):
-        def no_solve(*_args, **_kwargs):
-            raise AssertionError("a solve ran")
-
-        monkeypatch.setattr(capacity_mod, "_linear_solve", no_solve)
-        monkeypatch.setattr(capacity_mod, "raw_energy", no_solve)
-        with pytest.raises(DomainError):
-            fv.capacity(fv.CellSet.ball(line_grid, (0.0,), 0.2), line_kt, start=bad)
 
     @pytest.mark.parametrize("kt_name", ["line_kt_p3"])
     def test_one_pair_pass_per_trial(self, monkeypatch, request, line_grid, kt_name):
@@ -134,27 +123,6 @@ class TestCapacity:
         cu = fv.capacity(union, line_kt).value
         assert cu <= (cl + cr) * (1 + 1e-9)
 
-    def test_relative_capacity_localization(self, line_kt, line_grid):
-        # pinning the complement of B_2r to zero shrinks the admissible
-        # class, so the relative value dominates; ratio stays bounded
-        target_all = fv.CellSet.ball(line_grid, (0.0,), 0.4)
-        ratios = []
-        for r in (0.2, 0.3, 0.4):
-            ball_r = fv.CellSet.ball(line_grid, (0.0,), r)
-            target = fv.CellSet(line_grid, target_all.mask & ball_r.mask)
-            dom = fv.CellSet.ball(line_grid, (0.0,), 2 * r)
-            rel = fv.capacity(target, line_kt, domain=dom).value
-            full = fv.capacity(target, line_kt).value
-            assert rel >= full * (1 - 1e-9)
-            ratios.append(rel / full)
-        assert max(ratios) < 10.0
-
-    def test_target_outside_domain_rejected(self, line_kt, line_grid):
-        target = fv.CellSet.ball(line_grid, (0.6,), 0.1)
-        domain = fv.CellSet.ball(line_grid, (0.0,), 0.3)
-        with pytest.raises(DomainError):
-            fv.capacity(target, line_kt, domain=domain)
-
     def test_budget_exhaustion_is_reported_as_such(self):
         g = fv.build_grid(1, 1.0, 16)
         kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
@@ -181,9 +149,8 @@ class TestLinearPath:
     """At p = 2 the capacity is one linear solve on the free cells."""
 
     @staticmethod
-    def check_against_oracle(res, target, kt, domain=None):
-        oracle_value, oracle_u = qp_capacity_oracle(
-            target.mask, kt, None if domain is None else domain.mask)
+    def check_against_oracle(res, target, kt):
+        oracle_value, oracle_u = qp_capacity_oracle(target.mask, kt)
         assert res.value == pytest.approx(oracle_value, rel=1e-12)
         # the stop test bounds the gradient by tol_factor (1e-8), so the field
         # error by that over A_ff's least eigenvalue (about 1 on these grids);
@@ -200,20 +167,21 @@ class TestLinearPath:
         self.check_against_oracle(fv.capacity(target, kt), target, kt)
 
     @pytest.mark.parametrize("kt_name", ["line_kt", "plane_kt"])
-    def test_relative_capacity_matches_qp_oracle(self, request, kt_name):
+    def test_one_operator_product_per_cg_step_and_one_more(self, monkeypatch, request,
+                                                           kt_name):
+        # the right-hand side takes one product; the zero start takes none
         kt = request.getfixturevalue(kt_name)
-        target = fv.CellSet.ball(kt.grid, np.zeros(kt.grid.dim), 0.3)
-        domain = fv.CellSet.ball(kt.grid, np.zeros(kt.grid.dim), 0.6)
-        res = fv.capacity(target, kt, domain=domain)
-        self.check_against_oracle(res, target, kt, domain)
-        assert np.all(res.minimizer.values[~domain.mask] == 0.0)
+        products = []
+        apply = energy_mod.P2Operator.apply
 
-    @pytest.mark.parametrize("kt_name", ["line_kt", "plane_kt"])
-    def test_random_start_matches_qp_oracle(self, request, kt_name, rng):
-        kt = request.getfixturevalue(kt_name)
-        target = fv.CellSet.ball(kt.grid, np.zeros(kt.grid.dim), 0.3)
-        start = rng.uniform(-0.5, 1.5, kt.grid.n_cells)
-        self.check_against_oracle(fv.capacity(target, kt, start=start), target, kt)
+        def counted_apply(op, x):
+            products.append(x.shape)
+            return apply(op, x)
+
+        monkeypatch.setattr(energy_mod.P2Operator, "apply", counted_apply)
+        res = fv.capacity(fv.CellSet.ball(kt.grid, np.zeros(kt.grid.dim), 0.3), kt)
+        assert res.iterations > 1
+        assert len(products) == res.iterations + 1
 
     @pytest.mark.parametrize("dim, n", [(1, 1024), (2, 64)])
     def test_preconditioned_cg_takes_few_steps(self, dim, n):
@@ -224,26 +192,28 @@ class TestLinearPath:
         res = fv.capacity(fv.CellSet.ball(g, np.zeros(dim), 0.3), kt)
         assert res.iterations <= 15
 
-    def test_poor_cg_iterate_finished_by_descent(self, monkeypatch, line_kt, line_grid):
-        target = fv.CellSet.ball(line_grid, (0.0,), 0.2)
+    @pytest.mark.parametrize("kt_name", ["line_kt", "plane_kt"])
+    def test_poor_cg_iterate_finished_by_descent(self, monkeypatch, request, kt_name):
+        kt = request.getfixturevalue(kt_name)
+        target = fv.CellSet.ball(kt.grid, np.zeros(kt.grid.dim), 0.2)
 
-        def poor_cg(_u, _kt, free, _opts):
+        def poor_cg(fixed, _kt, _opts):
             # three CG steps that end at a poor iterate
-            return np.full(free.sum(), 0.5), 3
+            return np.full((~fixed).sum(), 0.5), 3
 
         monkeypatch.setattr(capacity_mod, "_linear_solve", poor_cg)
         counts = count_passes(monkeypatch)
         opts = fv.CapacityOptions()
-        res = fv.capacity(target, line_kt, opts)
+        res = fv.capacity(target, kt, opts)
         assert counts["descents"] == 1 and counts["trials"] > 0
         assert res.iterations > 3
         assert res.grad_norm <= opts.tol_factor * max(1.0, res.value)
-        oracle_value, _ = qp_capacity_oracle(target.mask, line_kt)
+        oracle_value, _ = qp_capacity_oracle(target.mask, kt)
         assert res.value == pytest.approx(oracle_value, rel=1e-6)
 
         tiny = fv.CapacityOptions(max_iter=4)
         with pytest.raises(ConvergenceError, match="no convergence within 4 iterations") as err:
-            fv.capacity(target, line_kt, tiny)
+            fv.capacity(target, kt, tiny)
         assert err.value.result.iterations == 4
 
 
@@ -288,10 +258,7 @@ class TestGridCheck:
     def test_capacity(self, line64, spec):
         other = fv.build_grid(*spec)
         with pytest.raises(DomainError, match="different grids"):
-            fv.capacity(fv.CellSet.from_indices(other, [27, 28]), line64)
-        inside = fv.CellSet.from_indices(line64.grid, [31, 32])
-        with pytest.raises(DomainError, match="different grids"):
-            fv.capacity(inside, line64, domain=fv.CellSet(other, np.ones(64, dtype=bool)))
+            fv.capacity(cells(other, [27, 28]), line64)
 
     @pytest.mark.parametrize("spec", STRANGERS)
     @pytest.mark.parametrize("sweep", [
@@ -407,6 +374,24 @@ class TestConcentration:
         w = fv.sample(line_grid, fv.PowerLaw(alpha=0.0))
         with pytest.raises(DomainError):
             fv.concentration_at(w, (0.0,), [0.25, 0.5], line_kt)
+
+    @pytest.mark.parametrize("radii", [[0.25, np.nan], [0.25, np.inf], [-0.5, 0.25]],
+                             ids=["nan", "inf", "negative_first"])
+    def test_bad_radius_at_infinity_refused(self, monkeypatch, line_kt, line_grid, radii):
+        # a negative first radius is increasing, but r2 > r**2 makes it no
+        # ball, and the masks would not nest
+        no_capacity(monkeypatch)
+        w = fv.sample(line_grid, fv.PowerLaw(alpha=0.8))
+        with pytest.raises(DomainError, match="finite, non-negative"):
+            fv.concentration_at_infinity(w, radii, line_kt)
+
+    @pytest.mark.parametrize("radii", [[0.5, np.nan], [np.inf, 0.5], [0.5, -0.25]],
+                             ids=["nan", "inf", "negative_last"])
+    def test_bad_radius_at_point_refused(self, monkeypatch, line_kt, line_grid, radii):
+        no_capacity(monkeypatch)
+        w = fv.sample(line_grid, fv.PowerLaw(alpha=0.8))
+        with pytest.raises(DomainError, match="finite, non-negative"):
+            fv.concentration_at(w, (0.0,), radii, line_kt)
 
     def test_infinity_profile_vanishes_beyond_support(self, line_kt, line_grid):
         w = fv.sample(line_grid, fv.Indicator(fv.Ball((0.0,), 0.3)))

@@ -148,6 +148,43 @@ class TestRunCheck:
             chk.run_check("no_such_check")
 
 
+BAD_OVERRIDES = {
+    "zero_samples": {"samples": {"homogeneity": 0}},
+    "unknown_sample_name": {"samples": {"homogenity": 5}},
+    "unknown_tolerance_name": {"tolerances": {"homogenity": 1e-12}},
+    "infinite_tolerance": {"tolerances": {"eigen_oracle_first": math.inf}},
+    "nan_tolerance": {"tolerances": {"homogeneity": math.nan}},
+    "negative_tolerance": {"tolerances": {"homogeneity": -1e-12}},
+}
+
+
+class TestOverrides:
+    """Both entry points refuse overrides the registry cannot honour before
+    any check runs."""
+
+    @pytest.mark.parametrize("entry", ["run_check", "run_suite"])
+    @pytest.mark.parametrize("overrides", BAD_OVERRIDES.values(), ids=BAD_OVERRIDES)
+    def test_refused(self, monkeypatch, entry, overrides):
+        def no_check(*_args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(chk, "_run_one", no_check)
+        cfg = chk.VerifyConfig(s=0.3, p=3.0, **overrides)
+        with pytest.raises(ConfigError):
+            if entry == "run_check":
+                chk.run_check("homogeneity", cfg)
+            else:
+                chk.run_suite(cfg)
+
+    def test_infinite_tolerance_cannot_pass_a_failed_solve(self):
+        # at p = 3 the dense oracle check is a FAIL record of margin +inf
+        cfg = chk.VerifyConfig(s=0.3, p=3.0, tolerances={"eigen_oracle_first": math.inf})
+        with pytest.raises(ConfigError, match="tolerance inf"):
+            chk.run_check("eigen_oracle_first", cfg)
+        rec = chk.run_check("eigen_oracle_first", chk.VerifyConfig(s=0.3, p=3.0))
+        assert rec.worst_margin == math.inf and not rec.passed
+
+
 class TestThreadCap:
     def test_map_runs_serially_in_input_order(self):
         from fracvar.runtime import ordered_map

@@ -283,6 +283,14 @@ class TestDispatch:
         assert dispatch([command, "--config", cfg]) == 65
         assert "config error: solver: malformed value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verify", [{"tolerances": {"homogeneity": float("inf")}},
+                                        {"samples": {"homogenity": 5}}])
+    def test_bad_verify_override_exits_65(self, tmp_path, capsys, verify):
+        cfg = write_config(tmp_path, verify=verify)
+        assert dispatch(["verify", "--config", cfg]) == 65
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_domain_error_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lorentz={"p": 0.5, "q": 2.0})
         assert dispatch(["lorentz", "--config", cfg]) == 1
@@ -335,9 +343,13 @@ class TestDispatch:
         ("seminorm", {"grid": {"dim": 2, "half_width": 1.0, "cells_per_dim": 8},
                       "function": {"kind": "gaussian", "sigma": 0.3,
                                    "center": [0.0, 0.0, 0.0]}}),
+        ("concentration", {"concentration": {"at_infinity": True,
+                                             "radii": [0.5, float("nan")]}}),
+        ("concentration", {"concentration": {"at_infinity": True, "radii": [-0.5, 0.5]}}),
     ], ids=["hardy_empty_family", "point_empty_family", "infinity_empty_family",
             "point_of_3_coordinates", "ball_center_of_2", "halfspace_axis_1",
-            "gaussian_center_of_3"])
+            "gaussian_center_of_3", "nan_radius_at_infinity",
+            "negative_radius_at_infinity"])
     def test_bad_sweep_or_region_exits_1(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **overrides)
         assert dispatch([command, "--config", cfg]) == 1

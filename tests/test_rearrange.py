@@ -38,7 +38,8 @@ class TestDistributionFunction:
 
     def test_zero_level_gives_total_measure(self, unit_grid):
         f = fv.GridFunction(unit_grid, np.arange(1.0, 13.0))
-        assert fv.distribution_function(f, [0.0])[0] == unit_grid.total_measure
+        total = unit_grid.n_cells * unit_grid.cell_measure
+        assert fv.distribution_function(f, [0.0])[0] == total
 
     def test_negative_level_rejected(self, unit_grid):
         f = fv.GridFunction(unit_grid, np.ones(12))
