@@ -10,8 +10,9 @@ along the tangent residual
 
 each trial steps u <- u - eta g and rescales it so W(u) = 1 exactly (the
 constraint is p-homogeneous, so radial rescaling is exact and cheap), and
-eta is halved until the weighted mass stays positive and the Armijo test
-on the energy holds.  Note g is tangent to the constraint at u, since
+eta is halved until the weighted mass stays positive and the nonmonotone
+Armijo test on the energy holds, against the largest of the last 10
+accepted energies.  Note g is tangent to the constraint at u, since
 <g, u> = E(u) - lam = 0.
 
 Higher eigenvalues come from deflation: previously found eigenfunctions

@@ -35,7 +35,8 @@ by Euler's identity, the energy would cancel on a field far from zero.
 F d per cell for ``nonlocal_gradient``; the gradient command reads E(u)
 from that same pass and makes no flux pass.  phi(d) takes at most one power:
 it is d at p = 2, |d|^(p-2) d above and copysign(|d|^(p-1), d) below.
-``gateaux(u, v)`` is v . gateaux_vector(u).
+``raw_energy``'s two boundary terms, |u|^p rho and phi(u) rho, likewise
+share the one power |u|^(p-1).  ``gateaux(u, v)`` is v . gateaux_vector(u).
 
 At p = 2 the energy is a quadratic form u^T A u.  ``P2Operator``, the one
 operator of the p = 2 solves, applies A and a circulant preconditioner by
@@ -128,33 +129,43 @@ def _pair_sums(vals: np.ndarray, kt: KernelTable, kind: str):
     return (energy, rows) if flux else rows
 
 
-def _energy_parts(vals: np.ndarray, kt: KernelTable, pairs: float) -> tuple[float, float]:
-    """Interior and boundary parts of E(u), given the pair sum of _pair_sums."""
-    p = kt.params.p
+def _energy_parts(kt: KernelTable, pairs: float, size_p: np.ndarray) -> tuple[float, float]:
+    """Interior and boundary parts of E(u), given the pair sum of _pair_sums
+    and |u|^p."""
     m = kt.cell_measure
     interior = float(pairs * m * m)
-    boundary = float(2.0 * (np.abs(vals) ** p * kt.exterior_mass).sum() * m)
+    boundary = float(2.0 * (size_p * kt.exterior_mass).sum() * m)
     return interior, boundary
 
 
-def _gateaux_from_flux(vals: np.ndarray, kt: KernelTable, flux: np.ndarray) -> np.ndarray:
-    p = kt.params.p
+def _gateaux_from_flux(kt: KernelTable, flux: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """gateaux(u, e_i) for every i, given the row sums of _pair_sums and phi(u)."""
     m = kt.cell_measure
-    return 2.0 * flux * m * m + 2.0 * _phi(vals, p) * kt.exterior_mass * m
+    return 2.0 * flux * m * m + 2.0 * phi * kt.exterior_mass * m
 
 
 def raw_energy(vals: np.ndarray, kt: KernelTable) -> tuple[float, np.ndarray]:
     """(E(u), gateaux(u, e_i) for every i) on a bare value array, both from
-    one pair pass; no validation, used by inner solver loops."""
+    one pair pass; no validation, used by inner solver loops.
+
+    Both boundary terms take one power, as the pass does: |u|^p is
+    |u|^(p-1) |u| and phi(u) is copysign(|u|^(p-1), u).  At p = 2 the power
+    is |u| exactly, and |u| |u| and copysign(|u|, u) are |u|^2 and phi(u)
+    bit for bit.
+    """
     pairs, flux = _pair_sums(vals, kt, "flux")
-    interior, boundary = _energy_parts(vals, kt, pairs)
-    return interior + boundary, _gateaux_from_flux(vals, kt, flux)
+    size = np.abs(vals)
+    power = size ** (kt.params.p - 1.0)
+    interior, boundary = _energy_parts(kt, pairs, power * size)
+    return interior + boundary, _gateaux_from_flux(kt, flux, np.copysign(power, vals))
 
 
 def seminorm_p(u: GridFunction, kt: KernelTable) -> SeminormValue:
     """Evaluate E(u), split into interior and boundary parts."""
     same_grid(u, kt)
-    interior, boundary = _energy_parts(u.values, kt, _pair_sums(u.values, kt, "flux")[0])
+    vals = u.values
+    interior, boundary = _energy_parts(kt, _pair_sums(vals, kt, "flux")[0],
+                                       np.abs(vals) ** kt.params.p)
     return SeminormValue(value=interior + boundary,
                          interior_part=interior,
                          boundary_part=boundary)
@@ -185,7 +196,8 @@ def gateaux_vector(u: GridFunction, kt: KernelTable) -> np.ndarray:
     where phi(t) = |t|^(p-2) t.
     """
     same_grid(u, kt)
-    return _gateaux_from_flux(u.values, kt, _pair_sums(u.values, kt, "flux")[1])
+    vals = u.values
+    return _gateaux_from_flux(kt, _pair_sums(vals, kt, "flux")[1], _phi(vals, kt.params.p))
 
 
 def gateaux(u: GridFunction, v: GridFunction, kt: KernelTable) -> float:

@@ -114,6 +114,25 @@ class TestCapacity:
         assert res.iterations > 1
         assert counts == {"pairs": 1, "descents": 1, "trials": 0}
 
+    def test_p3_plane_ball_pair_pass_bound(self, monkeypatch):
+        # 24 pair passes measured: 22 accepted steps, a halving and the start
+        g = fv.build_grid(2, 1.0, 12)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.3, 3.0), 4.0)
+        counts = count_passes(monkeypatch)
+        res = fv.capacity(fv.CellSet.ball(g, (0.0, 0.0), 0.3), kt)
+        assert res.grad_norm <= fv.CapacityOptions().tol_factor * max(1.0, res.value)
+        assert counts["descents"] == 1
+        assert counts["pairs"] == counts["trials"] + 1 <= 24
+
+    def test_p15_line_ball_stagnates_before_the_budget(self):
+        # at p < 2 this ball stops short of the tolerance at the roundoff
+        # floor (at step 180) and says so, instead of running out its budget
+        g = fv.build_grid(1, 1.0, 64)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.5, 1.5), 4.0)
+        with pytest.raises(ConvergenceError, match="stagnated") as err:
+            fv.capacity(fv.CellSet.ball(g, (0.0,), 0.3), kt)
+        assert err.value.result.iterations < fv.CapacityOptions().max_iter
+
     def test_subadditive_on_disjoint_union(self, line_kt, line_grid):
         left = fv.CellSet.ball(line_grid, (-0.6,), 0.15)
         right = fv.CellSet.ball(line_grid, (0.6,), 0.15)
