@@ -2,7 +2,9 @@
 
 The capacity of a cell set F is the minimum of the nonlocal p-energy over
 fields equal to 1 on F and confined to [0, 1] elsewhere (and zero outside
-the box).  The problem is convex, and it is solved on one of two paths.
+the box).  The problem is convex, and it is solved in one of three
+regimes: conjugate gradients at p = 2, Newton steps then the descent at
+p > 2, and the descent alone at p < 2.
 
 The energy is a Dirichlet form: the unit contraction u -> min(max(u, 0), 1)
 moves no pair of values further apart and shrinks every |u_i|, so it never
@@ -18,14 +20,30 @@ energy-and-gradient pass and starts the descent below, whose first stop
 test it passes without a step when CG has converged; CG stops one step
 short of the iteration budget, so that test runs within it.
 
-At every other p, spectral projected-gradient descent
+For p >= 2 the energy is C^2, and at p > 2 damped inexact Newton steps
+(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982) run from the
+indicator of F before the descent below (``_newton_steps``).  The Hessian
+on the free cells is 2p(p-1) m^2 (diag(W 1) - W) + 2p(p-1) m diag(|u|^(p-2)
+rho), a weighted graph Laplacian plus a diagonal, with W = |u_i - u_j|^(p-2)
+K formed once per step as one M x M array; Jacobi-preconditioned CG solves
+it to the forcing term min(1/2, sqrt(|g|)), and a projected Armijo
+backtrack from the full step accepts it.  The p = 3 plane n = 12
+capacities of the concentration diagnostic take 5-8 Newton steps of 1.8 CG
+products on average, after which the descent's first stop test passes
+without a step.  When no trial of a step is accepted, the Newton steps end
+and the descent continues from the last point; where W (and a dense copy
+of K, unless ``kernel_rows`` is contiguous) would not fit in memory, no
+Newton step is taken.  Newton steps count toward ``max_iter`` and stop one
+short of it, as CG does.
+
+Below p = 2 the energy is not C^2, and spectral projected-gradient descent
 (``descent.spectral_descent``, with the box clip as its projection) reaches
 the value to solver tolerance from the indicator of F.  Its Armijo test is
 nonmonotone: a trial's energy is measured against the largest of the last
 10 accepted energies, so the energy may rise for a step or two on the way.
 Each trial costs one pair pass (``energy.raw_energy``), which also yields
 the Gateaux vector of the next direction; its boundary terms share one
-power of |u|.
+power of |u|.  Each Newton trial costs the same pass.
 
 The weight norm
 
@@ -56,10 +74,10 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.ma  # np.quantile loads it on first use, through np.unique
 
-from .descent import spectral_descent
+from .descent import iteration_budget, spectral_descent
 from .energy import raw_energy
 from .errors import ConvergenceError, DomainError
-from .grid import (Ball, FracParams, Grid, GridFunction, KernelTable,
+from .grid import (Ball, FracParams, Grid, GridFunction, KernelTable, _check_fits,
                    build_grid, build_kernel_table, same_grid)
 
 
@@ -101,15 +119,17 @@ class CapacityOptions:
     max_iter: int = 20000
 
     def __post_init__(self):
-        if not (np.isfinite(self.tol_factor) and self.tol_factor > 0) or self.max_iter < 1:
-            raise DomainError("tol_factor must be finite and positive, max_iter at least 1; "
-                              f"got tol_factor={self.tol_factor}, max_iter={self.max_iter}")
+        if not (np.isfinite(self.tol_factor) and self.tol_factor > 0):
+            raise DomainError(f"tol_factor must be finite and positive, got {self.tol_factor}")
+        object.__setattr__(self, "max_iter", iteration_budget(self.max_iter))
 
 
 @dataclass(frozen=True)
 class CapacityResult:
     value: float
     minimizer: GridFunction
+    # CG steps at p = 2 or Newton steps at p > 2, plus the descent's accepted
+    # steps (and its failed one when it stalls)
     iterations: int
     grad_norm: float
     degenerate: bool = False
@@ -160,7 +180,11 @@ def capacity(F: CellSet, kt: KernelTable,
         u[~F.mask], its = _linear_solve(F.mask, kt, opts)
         u = project(u)
     energy, gvec = raw_energy(u, kt)
-    # at p = 2 the CG solution passes the descent's first stop test, and no step is taken
+    if p > 2.0:
+        u, energy, gvec, its = _newton_steps(u, energy, gvec, F.mask, kt, direction,
+                                             project, opts.max_iter - 1)
+    # a converged CG or Newton solution passes the descent's first stop test,
+    # and no step is taken
     u, energy, _gvec, status, more = spectral_descent(u, energy, gvec, direction, trial,
                                                       opts.max_iter - its)
     its += more
@@ -177,6 +201,40 @@ def capacity(F: CellSet, kt: KernelTable,
     raise ConvergenceError(message, result=result)
 
 
+def _on_free(full_map, free: np.ndarray):
+    """x -> R_f full_map(R_f^T x) on the free cells, through one field whose
+    fixed cells stay zero: symmetric positive definite where full_map is."""
+    full = np.zeros(free.size)
+
+    def restricted(x: np.ndarray) -> np.ndarray:
+        full[free] = x
+        return full_map(full)[free]
+
+    return restricted
+
+
+def _cg(apply, precondition, r: np.ndarray, target: float, cap: int) -> tuple[np.ndarray, int]:
+    """Preconditioned CG for A x = r from x = 0: stops once the residual is
+    at most ``target``, after ``cap`` steps, or at a direction without
+    positive curvature.  Returns x and the step count; r becomes the
+    residual."""
+    x = np.zeros(r.size)
+    rho, direction, steps = None, None, 0
+    while np.linalg.norm(r) > target and steps < cap:
+        z = precondition(r)
+        rho, rho_prev = r @ z, rho
+        direction = z if direction is None else z + (rho / rho_prev) * direction
+        q = apply(direction)
+        curvature = direction @ q
+        if curvature <= 0.0:
+            break
+        alpha = rho / curvature
+        x += alpha * direction
+        r -= alpha * q
+        steps += 1
+    return x, steps
+
+
 def _linear_solve(fixed: np.ndarray, kt: KernelTable,
                   opts: CapacityOptions) -> tuple[np.ndarray, int]:
     """Preconditioned CG for A_ff u_f = -A_fF 1 at p = 2, from u_f = 0.
@@ -190,26 +248,113 @@ def _linear_solve(fixed: np.ndarray, kt: KernelTable,
     """
     op = kt.p2_operator
     free = ~fixed
-    full = np.zeros(fixed.size)  # its fixed cells stay zero
-
-    def on_free(full_map, x):
-        # R_f full_map R_f^T x on the free cells; SPD for A and for P, as A and P are
-        full[free] = x
-        return full_map(full)[free]
-
     r = -op.apply(fixed.astype(float))[free]
-    x = np.zeros(r.size)
-    rho, direction, steps = None, None, 0
-    while np.linalg.norm(r) > 0.5 * opts.tol_factor and steps < opts.max_iter - 1:
-        z = on_free(op.precondition, r)
-        rho, rho_prev = r @ z, rho
-        direction = z if direction is None else z + (rho / rho_prev) * direction
-        q = on_free(op.apply, direction)
-        alpha = rho / (direction @ q)
-        x += alpha * direction
-        r -= alpha * q
+    return _cg(_on_free(op.apply, free), _on_free(op.precondition, free), r,
+               0.5 * opts.tol_factor, opts.max_iter - 1)
+
+
+_NEWTON_HALVINGS = 30  # Armijo trials of a Newton step beyond the full one
+
+
+def _hessian_kernel(kt: KernelTable) -> np.ndarray | None:
+    """K as one (M, M) array for ``_hessian``, or None when it and the
+    Hessian's own (M, M) buffer would not fit in memory: a view of
+    ``kernel_rows`` where they are contiguous, a dense copy elsewhere."""
+    rows, cells = kt.kernel_rows, kt.grid.n_cells
+    squares = 1 if rows.flags.c_contiguous else 2
+    try:
+        _check_fits(8 * squares * cells**2, f"a Hessian of {cells} cells")
+    except DomainError:
+        return None
+    return rows.reshape(cells, cells) if squares == 1 else kt.dense_kernel()
+
+
+def _hessian(u: np.ndarray, kt: KernelTable, kernel: np.ndarray,
+             w: np.ndarray) -> tuple[np.ndarray, object]:
+    """The Hessian of E at u, at p > 2, as its diagonal and the map v -> H v.
+
+    With W = |u_i - u_j|^(p-2) K, formed in the (M, M) buffer ``w``, the
+    Hessian is 2p(p-1) m^2 (diag(W 1) - W) + 2p(p-1) m diag(|u|^(p-2) rho),
+    so a product is one matrix-vector product.
+    """
+    p, m = kt.params.p, kt.cell_measure
+    scale = 2.0 * p * (p - 1.0)
+    w[...] = u[:, None]  # then subtracting in place beats np.subtract.outer
+    w -= u
+    np.abs(w, out=w)
+    if p != 3.0:  # |d|^1 is |d|
+        w **= p - 2.0
+    w *= kernel
+    diagonal = scale * (m * m * (w @ np.ones(u.size))
+                        + m * np.abs(u) ** (p - 2.0) * kt.exterior_mass)
+
+    def product(v: np.ndarray) -> np.ndarray:
+        return diagonal * v - (scale * m * m) * (w @ v)
+
+    return diagonal, product
+
+
+def _newton_direction(grad: np.ndarray, free: np.ndarray, diagonal: np.ndarray,
+                      product) -> np.ndarray:
+    """An inexact solution s of H s = -g on the free cells (zero on the
+    others), g the gradient there, by Jacobi-preconditioned ``_cg`` to the
+    forcing term min(1/2, sqrt(|g|)) |g|."""
+    r = -grad[free]
+    size = float(np.linalg.norm(r))
+    inverse = 1.0 / diagonal[free]
+    x, _steps = _cg(_on_free(product, free), lambda v: inverse * v, r,
+                    min(0.5, np.sqrt(size)) * size, r.size)
+    s = np.zeros(free.size)
+    s[free] = x
+    return s
+
+
+def _armijo(u: np.ndarray, energy: float, grad: np.ndarray, s: np.ndarray,
+            kt: KernelTable, project) -> tuple | None:
+    """The first of t = 1, 1/2, ... (up to ``_NEWTON_HALVINGS`` halvings)
+    whose projected point u(t) = project(u + t s) satisfies
+    E(u(t)) <= E(u) + 1e-4 g . (u(t) - u), with g . (u(t) - u) < 0, as
+    (u(t), E(u(t)), its Gateaux vector), or None.  Each trial is one
+    ``raw_energy`` pass."""
+    t = 1.0
+    for _ in range(_NEWTON_HALVINGS + 1):
+        cand = project(u + t * s)
+        decrease = float(grad @ (cand - u))
+        if decrease >= 0.0:
+            return None
+        cand_energy, cand_gvec = raw_energy(cand, kt)
+        if cand_energy <= energy + 1e-4 * decrease:
+            return cand, cand_energy, cand_gvec
+        t *= 0.5
+    return None
+
+
+def _newton_steps(u: np.ndarray, energy: float, gvec: np.ndarray, fixed: np.ndarray,
+                  kt: KernelTable, direction, project, max_steps: int) -> tuple:
+    """Damped inexact Newton steps at p > 2 from u, whose energy is E(u) and
+    Gateaux vector gvec: at most ``max_steps``, each a Newton-CG direction
+    (``_newton_direction``) with a projected Armijo backtrack (``_armijo``).
+
+    The steps end when ``direction``, the capacity's stop test, is met, when
+    no trial is accepted, or before the first when the Hessian would not fit
+    in memory (``_hessian_kernel``).  Returns (u, E(u), its Gateaux vector,
+    steps).
+    """
+    kernel = _hessian_kernel(kt) if max_steps > 0 else None
+    w = None if kernel is None else np.empty(kernel.shape)  # W, formed anew at each step
+    free = ~fixed
+    steps = 0
+    while kernel is not None and steps < max_steps:
+        grad, done = direction(u, energy, gvec)
+        if done:
+            break
+        s = _newton_direction(grad, free, *_hessian(u, kt, kernel, w))
+        accepted = _armijo(u, energy, grad, s, kt, project)
+        if accepted is None:
+            break
+        u, energy, gvec = accepted
         steps += 1
-    return x, steps
+    return u, energy, gvec, steps
 
 
 @dataclass(frozen=True)

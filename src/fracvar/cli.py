@@ -150,7 +150,7 @@ class RunConfig:
         s = self.raw.get("solver", {})
         return CapacityOptions(
             tol_factor=float(s.get("capacity_tol_factor", 1e-8)),
-            max_iter=int(s.get("max_iter", 20000)),
+            max_iter=s.get("max_iter", 20000),  # a whole number, checked there
         )
 
     @_reading("solver")
@@ -158,7 +158,7 @@ class RunConfig:
         s = self.raw.get("solver", {})
         return eig.EigenOptions(
             tol=float(s.get("tol", 1e-6)),
-            max_iter=int(s.get("max_iter", 50000)),
+            max_iter=s.get("max_iter", 50000),  # a whole number, checked there
             seed=self.seed,
         )
 

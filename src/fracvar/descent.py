@@ -12,7 +12,10 @@ each step.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
+
+from .errors import DomainError
 
 _WINDOW = 10  # accepted values of f that the Armijo test takes its reference from
 # accepted steps in a row without a new minimum; converging descents take <= 7
@@ -20,6 +23,15 @@ _WINDOW = 10  # accepted values of f that the Armijo test takes its reference fr
 # suite at (0.4, 2) and (0.3, 3))
 _FLAT_STEPS = 20
 _FLAT_ULPS = 16  # a new minimum lies this many ulps of the old one below it
+
+
+def iteration_budget(max_iter) -> int:
+    """``max_iter`` as an int, or a DomainError unless it is a whole number
+    at least 1; a bool, NaN and the infinities are none."""
+    if (isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Real)
+            or not math.isfinite(max_iter) or max_iter != int(max_iter) or max_iter < 1):
+        raise DomainError(f"max_iter must be a whole number at least 1, got {max_iter!r}")
+    return int(max_iter)
 
 
 def spectral_descent(x, f: float, aux, direction, trial, max_iter: int) -> tuple:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random
 
-from .descent import spectral_descent
+from .descent import iteration_budget, spectral_descent
 from .energy import _phi, raw_energy, raw_weighted_mass, stiffness_matrix
 from .errors import ConvergenceError, DomainError
 from .grid import GridFunction, KernelTable, _row_blocks, same_grid
@@ -105,9 +105,9 @@ class EigenOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.tol) and self.tol > 0) or self.max_iter < 1:
-            raise DomainError("tol must be finite and positive, max_iter at least 1; "
-                              f"got tol={self.tol}, max_iter={self.max_iter}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise DomainError(f"tol must be finite and positive, got tol={self.tol}")
+        object.__setattr__(self, "max_iter", iteration_budget(self.max_iter))
 
 
 @dataclass(frozen=True)

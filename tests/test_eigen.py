@@ -446,11 +446,17 @@ class TestLobpcgPath:
 class TestOptions:
     @pytest.mark.parametrize("kwargs", [
         {"tol": float("nan")}, {"tol": 0.0}, {"tol": -1e-6}, {"tol": float("inf")},
-        {"max_iter": 0}, {"max_iter": -3},
-    ], ids=["tol=nan", "tol=0", "tol=-1e-6", "tol=inf", "max_iter=0", "max_iter=-3"])
+        {"max_iter": 0}, {"max_iter": -3}, {"max_iter": 2.5}, {"max_iter": float("nan")},
+        {"max_iter": float("inf")}, {"max_iter": True},
+    ], ids=["tol=nan", "tol=0", "tol=-1e-6", "tol=inf", "max_iter=0", "max_iter=-3",
+            "max_iter=2.5", "max_iter=nan", "max_iter=inf", "max_iter=True"])
     def test_bad_values_refused(self, kwargs):
         with pytest.raises(DomainError):
             fv.EigenOptions(**kwargs)
+
+    def test_whole_budget_is_an_int(self):
+        opts = fv.EigenOptions(max_iter=7.0)
+        assert opts.max_iter == 7 and type(opts.max_iter) is int
 
 
 class TestResidualCheck:

@@ -276,6 +276,13 @@ class TestDispatch:
         ("eigen", {"tol": 0.0}),
         ("eigen", {"tol": -1e-6}),
         ("eigen", {"max_iter": 0}),
+        ("capacity", {"max_iter": float("inf")}),
+        ("capacity", {"max_iter": float("nan")}),
+        ("capacity", {"max_iter": 2.7}),
+        ("capacity", {"max_iter": True}),
+        ("eigen", {"max_iter": float("inf")}),
+        ("eigen", {"max_iter": 2.7}),
+        ("eigen", {"max_iter": True}),
     ])
     def test_bad_solver_value_exits_65(self, tmp_path, capsys, command, solver):
         cfg = write_config(tmp_path, solver=solver, capacity={
