@@ -2,9 +2,14 @@
 
 The capacity of a cell set F is the minimum of the nonlocal p-energy over
 fields equal to 1 on F and confined to [0, 1] elsewhere (and zero outside
-the box).  The problem is convex, and it is solved in one of three
-regimes: conjugate gradients at p = 2, Newton steps then the descent at
-p > 2, and the descent alone at p < 2.
+the box).  The problem is convex, and every solve is one spectral
+projected-gradient descent (``descent.spectral_descent``, with the box clip
+as its projection), from conjugate gradients' solution at p = 2 and from
+the indicator of F elsewhere.  Its Armijo test is nonmonotone: a trial's
+energy is measured against the largest of the last 10 accepted energies,
+so the energy may rise for a step or two.  Each trial costs one pair pass
+(``energy.raw_energy``), which also yields the Gateaux vector of the next
+direction; its boundary terms share one power of |u|.
 
 The energy is a Dirichlet form: the unit contraction u -> min(max(u, 0), 1)
 moves no pair of values further apart and shrinks every |u_i|, so it never
@@ -16,34 +21,22 @@ gradients solve it from u_f = 0 on the table's ``P2Operator``
 (``_linear_solve``): A and T. Chan's circulant preconditioner are FFT
 products on the whole grid, restricted to the free cells, and CG takes
 5-14 steps on every grid tried.  The clipped solution then gets one fused
-energy-and-gradient pass and starts the descent below, whose first stop
-test it passes without a step when CG has converged; CG stops one step
-short of the iteration budget, so that test runs within it.
+energy-and-gradient pass and starts the descent, whose first stop test it
+passes without a step when CG has converged; CG stops one step short of
+the iteration budget, so that test runs within it.
 
-For p >= 2 the energy is C^2, and at p > 2 damped inexact Newton steps
-(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982) run from the
-indicator of F before the descent below (``_newton_steps``).  The Hessian
-on the free cells is 2p(p-1) m^2 (diag(W 1) - W) + 2p(p-1) m diag(|u|^(p-2)
-rho), a weighted graph Laplacian plus a diagonal, with W = |u_i - u_j|^(p-2)
-K formed once per step as one M x M array; Jacobi-preconditioned CG solves
-it to the forcing term min(1/2, sqrt(|g|)), and a projected Armijo
-backtrack from the full step accepts it.  The p = 3 plane n = 12
-capacities of the concentration diagnostic take 5-8 Newton steps of 1.8 CG
-products on average, after which the descent's first stop test passes
-without a step.  When no trial of a step is accepted, the Newton steps end
-and the descent continues from the last point; where W (and a dense copy
-of K, unless ``kernel_rows`` is contiguous) would not fit in memory, no
-Newton step is taken.  Newton steps count toward ``max_iter`` and stop one
-short of it, as CG does.
-
-Below p = 2 the energy is not C^2, and spectral projected-gradient descent
-(``descent.spectral_descent``, with the box clip as its projection) reaches
-the value to solver tolerance from the indicator of F.  Its Armijo test is
-nonmonotone: a trial's energy is measured against the largest of the last
-10 accepted energies, so the energy may rise for a step or two on the way.
-Each trial costs one pair pass (``energy.raw_energy``), which also yields
-the Gateaux vector of the next direction; its boundary terms share one
-power of |u|.  Each Newton trial costs the same pass.
+For p >= 2 the energy is C^2, and at p > 2 the descent's directions are
+inexact Newton steps (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
+19, 1982), each tried first at its full length.  The Hessian on the free
+cells is 2p(p-1) m^2 (diag(W 1) - W) + 2p(p-1) m diag(|u|^(p-2) rho), with
+W = |u_i - u_j|^(p-2) K formed once per step as one M x M array, and
+Jacobi-preconditioned CG solves it to the forcing term min(1/2, sqrt(|g|))
+|g|.  The p = 3 plane n = 12 capacities of the concentration diagnostic
+take 5-8 Newton steps of 1.8 CG products on average.  A Newton step whose
+projected path does not descend, at the full step and near zero, gives way
+to the gradient and its BB step, as all do where W (and a dense copy of K,
+unless ``kernel_rows`` is contiguous) would not fit in memory.  Below
+p = 2 the energy is not C^2, and every step is a gradient step.
 
 The weight norm
 
@@ -128,8 +121,8 @@ class CapacityOptions:
 class CapacityResult:
     value: float
     minimizer: GridFunction
-    # CG steps at p = 2 or Newton steps at p > 2, plus the descent's accepted
-    # steps (and its failed one when it stalls)
+    # CG steps at p = 2, plus the descent's accepted steps, Newton or
+    # gradient (and its failed one when it stalls)
     iterations: int
     grad_norm: float
     degenerate: bool = False
@@ -159,32 +152,45 @@ def capacity(F: CellSet, kt: KernelTable,
         return np.minimum(np.maximum(vals, lower), 1.0)
 
     p = kt.params.p
-    grad_norm = np.inf
+    grad_norm, grad = np.inf, None  # grad: the gradient where the direction was taken
+    kernel = _hessian_kernel(kt) if p > 2.0 else None
+    w = None if kernel is None else np.empty(kernel.shape)  # W, formed anew at each step
+    free = ~F.mask
 
     # each trial's pair pass also yields its Gateaux vector, handed on as the
     # descent's aux, so the direction at an accepted point needs no pass
     def direction(u, energy, gvec):
-        nonlocal grad_norm
+        nonlocal grad, grad_norm
         grad = p * gvec
         grad_norm = float(np.linalg.norm(u - project(u - grad)))
-        return grad, grad_norm <= opts.tol_factor * max(1.0, energy)
+        if grad_norm <= opts.tol_factor * max(1.0, energy):
+            return grad, True, None
+        if kernel is not None:
+            s = _newton_direction(grad, free, *_hessian(u, kt, kernel, w))
+            # project(u + t s) must descend at t = 1, the first trial, and as t -> 0,
+            # where the halvings end and it runs along s on the cells that move
+            step = project(u + s) - u
+            if grad @ step < 0.0 and grad @ np.where(step != 0.0, s, 0.0) < 0.0:
+                return -s, False, 1.0
+        return grad, False, None
 
-    def trial(u, grad, t):
-        cand = project(u - t * grad)
+    # a trial that ascends is rejected; a projected gradient step never does
+    def trial(u, d, t):
+        cand = project(u - t * d)
+        decrease = float(grad @ (cand - u))
+        if decrease > 0.0:
+            return None
         energy, gvec = raw_energy(cand, kt)
-        return cand, energy, float(grad @ (cand - u)), gvec
+        return cand, energy, decrease, gvec
 
     u = lower.copy()  # the indicator of F
     its = 0
     if p == 2.0:
-        u[~F.mask], its = _linear_solve(F.mask, kt, opts)
+        u[free], its = _linear_solve(F.mask, kt, opts)
         u = project(u)
     energy, gvec = raw_energy(u, kt)
-    if p > 2.0:
-        u, energy, gvec, its = _newton_steps(u, energy, gvec, F.mask, kt, direction,
-                                             project, opts.max_iter - 1)
-    # a converged CG or Newton solution passes the descent's first stop test,
-    # and no step is taken
+    # a converged CG solution passes the descent's first stop test, and no
+    # step is taken
     u, energy, _gvec, status, more = spectral_descent(u, energy, gvec, direction, trial,
                                                       opts.max_iter - its)
     its += more
@@ -253,9 +259,6 @@ def _linear_solve(fixed: np.ndarray, kt: KernelTable,
                0.5 * opts.tol_factor, opts.max_iter - 1)
 
 
-_NEWTON_HALVINGS = 30  # Armijo trials of a Newton step beyond the full one
-
-
 def _hessian_kernel(kt: KernelTable) -> np.ndarray | None:
     """K as one (M, M) array for ``_hessian``, or None when it and the
     Hessian's own (M, M) buffer would not fit in memory: a view of
@@ -307,54 +310,6 @@ def _newton_direction(grad: np.ndarray, free: np.ndarray, diagonal: np.ndarray,
     s = np.zeros(free.size)
     s[free] = x
     return s
-
-
-def _armijo(u: np.ndarray, energy: float, grad: np.ndarray, s: np.ndarray,
-            kt: KernelTable, project) -> tuple | None:
-    """The first of t = 1, 1/2, ... (up to ``_NEWTON_HALVINGS`` halvings)
-    whose projected point u(t) = project(u + t s) satisfies
-    E(u(t)) <= E(u) + 1e-4 g . (u(t) - u), with g . (u(t) - u) < 0, as
-    (u(t), E(u(t)), its Gateaux vector), or None.  Each trial is one
-    ``raw_energy`` pass."""
-    t = 1.0
-    for _ in range(_NEWTON_HALVINGS + 1):
-        cand = project(u + t * s)
-        decrease = float(grad @ (cand - u))
-        if decrease >= 0.0:
-            return None
-        cand_energy, cand_gvec = raw_energy(cand, kt)
-        if cand_energy <= energy + 1e-4 * decrease:
-            return cand, cand_energy, cand_gvec
-        t *= 0.5
-    return None
-
-
-def _newton_steps(u: np.ndarray, energy: float, gvec: np.ndarray, fixed: np.ndarray,
-                  kt: KernelTable, direction, project, max_steps: int) -> tuple:
-    """Damped inexact Newton steps at p > 2 from u, whose energy is E(u) and
-    Gateaux vector gvec: at most ``max_steps``, each a Newton-CG direction
-    (``_newton_direction``) with a projected Armijo backtrack (``_armijo``).
-
-    The steps end when ``direction``, the capacity's stop test, is met, when
-    no trial is accepted, or before the first when the Hessian would not fit
-    in memory (``_hessian_kernel``).  Returns (u, E(u), its Gateaux vector,
-    steps).
-    """
-    kernel = _hessian_kernel(kt) if max_steps > 0 else None
-    w = None if kernel is None else np.empty(kernel.shape)  # W, formed anew at each step
-    free = ~fixed
-    steps = 0
-    while kernel is not None and steps < max_steps:
-        grad, done = direction(u, energy, gvec)
-        if done:
-            break
-        s = _newton_direction(grad, free, *_hessian(u, kt, kernel, w))
-        accepted = _armijo(u, energy, grad, s, kt, project)
-        if accepted is None:
-            break
-        u, energy, gvec = accepted
-        steps += 1
-    return u, energy, gvec, steps
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from . import eigen as eig
 from . import energy as en
 from . import rearrange as rr
 from .capacity import capacity_ball_scaling, hardy_norm_estimate
+from .descent import is_whole
 from .errors import ConfigError, ConvergenceError, DomainError
 from .grid import (Ball, FracParams, GaussianBump, GridFunction, Indicator,
                    PowerLaw, build_grid, build_kernel_table, sample)
@@ -489,17 +490,20 @@ CHECK_NAMES = tuple(name for name, *_ in _REGISTRY)
 
 
 def _validated(config: VerifyConfig | None) -> VerifyConfig:
-    """The config (the default one for None), or a ConfigError when an
-    override names no registered check, a sample count is below 1 or a
-    tolerance is not finite and >= 0."""
+    """The config (the default one for None), or a ConfigError when the
+    seed is not a whole number >= 0, an override names no registered check,
+    a sample count is not a whole number >= 1 or a tolerance is not finite
+    and >= 0."""
     config = config or VerifyConfig()
+    if not is_whole(config.seed) or config.seed < 0:
+        raise ConfigError(f"seed must be a whole number at least 0, got {config.seed!r}")
     unknown = sorted((set(config.samples) | set(config.tolerances)) - set(CHECK_NAMES))
     if unknown:
         raise ConfigError(f"overrides name unknown checks {unknown}; "
                           f"known: {', '.join(CHECK_NAMES)}")
     for name, count in config.samples.items():
-        if int(count) < 1:
-            raise ConfigError(f"check {name!r} needs at least one sample")
+        if not is_whole(count) or count < 1:
+            raise ConfigError(f"check {name!r} needs a whole number of samples, at least 1")
     for name, tol in config.tolerances.items():
         if not 0 <= float(tol) < math.inf:
             raise ConfigError(f"check {name!r}: tolerance {tol} is not finite and >= 0")

@@ -30,6 +30,7 @@ from .capacity import (CandidateFamily, CapacityOptions, CellSet,
                        compactness_diagnostic, concentration_at,
                        concentration_at_infinity, hardy_norm_estimate)
 from .capacity import capacity as capacity_solve
+from .descent import is_whole
 from .errors import ConfigError, ConvergenceError, DomainError
 from .grid import (Ball, Difference, FracParams, FromFile, GaussianBump,
                    Grid, GridFunction, HalfSpace, Indicator, KernelTable,
@@ -62,8 +63,16 @@ def _reading(section: str):
         yield
     except KeyError as err:
         raise ConfigError(f"{section}: missing required key {err}") from err
-    except (AttributeError, TypeError, ValueError) as err:
+    except (AttributeError, OverflowError, TypeError, ValueError) as err:
         raise ConfigError(f"{section}: malformed value: {err}") from err
+
+
+def _whole(value) -> int:
+    """An integer field's value as an int: a whole number, never a bool, a
+    string, NaN or an infinity (3.0 reads as 3)."""
+    if not is_whole(value):
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
 
 
 @_reading("region")
@@ -72,7 +81,7 @@ def _region_from(d: dict):
     if kind == "ball":
         return Ball(tuple(float(c) for c in d["center"]), float(d["radius"]))
     if kind == "halfspace":
-        return HalfSpace(int(d.get("axis", 0)), float(d.get("threshold", 0.0)),
+        return HalfSpace(_whole(d.get("axis", 0)), float(d.get("threshold", 0.0)),
                          str(d.get("side", "right")))
     raise ConfigError(f"unknown region kind {kind!r}")
 
@@ -113,11 +122,13 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path!r}: {err}") from err
         try:
             with _reading("config"):
-                seed = int(raw["seed"])
+                seed = _whole(raw["seed"])
+                if seed < 0:
+                    raise ValueError(f"seed must be at least 0, got {seed}")
                 gspec = raw["grid"]
                 fspec = raw["frac"]
-                grid = build_grid(int(gspec["dim"]), float(gspec["half_width"]),
-                                  int(gspec["cells_per_dim"]))
+                grid = build_grid(_whole(gspec["dim"]), float(gspec["half_width"]),
+                                  _whole(gspec["cells_per_dim"]))
                 params = FracParams(float(fspec["s"]), float(fspec["p"]))
                 params.validate_for_dim(grid.dim)
                 ext_radius = float(gspec.get("ext_radius", 4.0 * grid.half_width))
@@ -165,7 +176,7 @@ class RunConfig:
     @_reading("hardy")
     def family(self) -> CandidateFamily:
         h = self.raw.get("hardy", {})
-        casts = {"ball_radii": tuple, "center_stride": int, "n_quantiles": int}
+        casts = {"ball_radii": tuple, "center_stride": _whole, "n_quantiles": _whole}
         return replace(CandidateFamily.default(self.grid),
                        **{key: cast(h[key]) for key, cast in casts.items() if key in h})
 
@@ -304,7 +315,7 @@ def _cmd_eigen(cfg: RunConfig, out, args) -> int:
     wt = cfg.weight_pair()
     opts = cfg.eigen_options()
     with _reading("eigen"):
-        levels = args.levels if args.levels is not None else int(
+        levels = args.levels if args.levels is not None else _whole(
             cfg.raw.get("eigen", {}).get("levels", 1))
     if args.oracle and kt.params.p != 2.0:
         raise DomainError("--oracle requires p = 2")
@@ -338,7 +349,7 @@ def _cmd_verify(cfg: RunConfig, out, args) -> int:
             ext_radius=cfg.ext_radius,
             s=cfg.params.s,
             p=cfg.params.p,
-            samples={str(k): int(v) for k, v in spec.get("samples", {}).items()},
+            samples={str(k): _whole(v) for k, v in spec.get("samples", {}).items()},
             tolerances={str(k): float(v) for k, v in spec.get("tolerances", {}).items()},
             # an integer or null, never a string or a float
             threads=None if threads is None else operator.index(threads),

@@ -25,24 +25,34 @@ _FLAT_STEPS = 20
 _FLAT_ULPS = 16  # a new minimum lies this many ulps of the old one below it
 
 
+def is_whole(value) -> bool:
+    """Whether value is a whole number; a bool, a string, NaN and the
+    infinities are not."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value) and value == int(value))
+
+
 def iteration_budget(max_iter) -> int:
-    """``max_iter`` as an int, or a DomainError unless it is a whole number
-    at least 1; a bool, NaN and the infinities are none."""
-    if (isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Real)
-            or not math.isfinite(max_iter) or max_iter != int(max_iter) or max_iter < 1):
+    """``max_iter`` as an int, or a DomainError unless whole and at least 1."""
+    if not is_whole(max_iter) or max_iter < 1:
         raise DomainError(f"max_iter must be a whole number at least 1, got {max_iter!r}")
     return int(max_iter)
 
 
 def spectral_descent(x, f: float, aux, direction, trial, max_iter: int) -> tuple:
-    """Descend from x, whose objective is f, along -direction(x, f, aux)[0].
+    """Descend from x, whose objective is f, along -d for (d, done, step) =
+    direction(x, f, aux), until done.
 
-    ``direction`` returns (d, done); ``trial(x, d, t)`` returns (cand,
-    f_cand, decrease, aux), or None to reject the step t.  A trial is
-    accepted when f_cand <= max(last ``_WINDOW`` accepted f) + 1e-4 *
-    decrease, the start counting as accepted, halving t up to 70 times from
-    the BB step s's / s'y (1 at first; the last step doubled when
-    s'y <= 0), clipped to [1e-16, 1e8].
+    A ``step`` is the first trial step of a direction that brings its own,
+    such as a Newton step's 1.  None marks d as the gradient, whose first
+    trial is the BB step s's / s'y from the last pair of gradients, twice
+    the last accepted step when s'y <= 0, and the last accepted step (1 at
+    first) before the first pair, clipped to [1e-16, 1e8].  A direction
+    with its own step makes no pair.
+    ``trial(x, d, t)`` returns (cand, f_cand, decrease, aux), or None to
+    reject the step t.  A trial is accepted when f_cand <= max(last
+    ``_WINDOW`` accepted f) + 1e-4 * decrease, the start counting as
+    accepted, halving t up to 70 times.
 
     Returns (x, f, aux, status, iterations) of the last accepted point, with
     status "converged", "stalled" or "exhausted"; ``iterations`` counts the
@@ -56,17 +66,17 @@ def spectral_descent(x, f: float, aux, direction, trial, max_iter: int) -> tuple
     step, prev, flat = 1.0, None, 0
     recent, best = deque([f], maxlen=_WINDOW), f
     for it in range(1, max_iter + 1):
-        d, done = direction(x, f, aux)
+        d, done, t = direction(x, f, aux)
         if done:
             return x, f, aux, "converged", it - 1
-        if prev is not None:
-            s = x - prev[0]
-            sy = float(s @ (d - prev[1]))
-            step = float(s @ s) / sy if sy > 0 else min(step * 2.0, 1e8)
-        step = min(max(step, 1e-16), 1e8)
-        prev = (x, d)
+        if t is None:
+            if prev is not None:
+                s = x - prev[0]
+                sy = float(s @ (d - prev[1]))
+                step = float(s @ s) / sy if sy > 0 else min(step * 2.0, 1e8)
+            step = t = min(max(step, 1e-16), 1e8)
+            prev = (x, d)
         reference = max(recent)
-        t = step
         for _ in range(70):
             out = trial(x, d, t)
             if out is not None and out[1] <= reference + 1e-4 * out[2]:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random
 
-from .descent import iteration_budget, spectral_descent
+from .descent import is_whole, iteration_budget, spectral_descent
 from .energy import _phi, raw_energy, raw_weighted_mass, stiffness_matrix
 from .errors import ConvergenceError, DomainError
 from .grid import GridFunction, KernelTable, _row_blocks, same_grid
@@ -108,6 +108,9 @@ class EigenOptions:
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise DomainError(f"tol must be finite and positive, got tol={self.tol}")
         object.__setattr__(self, "max_iter", iteration_budget(self.max_iter))
+        if not is_whole(self.seed) or self.seed < 0:
+            raise DomainError(f"seed must be a whole number at least 0, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -190,7 +193,7 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
         nonlocal residual
         residual_vec = project(grad - energy * wvals * _phi(u, p) * m)
         residual = float(np.max(np.abs(residual_vec))) / max(energy, 1e-300)
-        return residual_vec, residual <= opts.tol
+        return residual_vec, residual <= opts.tol, None
 
     def trial(u, residual_vec, eta):
         cand = u - eta * residual_vec

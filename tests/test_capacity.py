@@ -116,14 +116,16 @@ class TestCapacity:
         assert counts == {"pairs": 1, "descents": 1, "trials": 0}
 
     def test_p3_plane_ball_pair_pass_bound(self, monkeypatch):
-        # 9 pair passes measured: the start and 8 full Newton steps, after
-        # which the descent's first stop test passes without a trial
+        # 9 pair passes measured: the start and the 8 trials of 7 Newton
+        # steps (one halved once) in the one descent, after which the stop
+        # test passes
         g = fv.build_grid(2, 1.0, 12)
         kt = fv.build_kernel_table(g, fv.FracParams(0.3, 3.0), 4.0)
         counts = count_passes(monkeypatch)
         res = fv.capacity(fv.CellSet.ball(g, (0.0, 0.0), 0.3), kt)
         assert res.grad_norm <= fv.CapacityOptions().tol_factor * max(1.0, res.value)
-        assert counts["descents"] == 1 and counts["trials"] == 0
+        assert counts["descents"] == 1 and counts["trials"] == 8
+        assert res.iterations == 7
         assert counts["pairs"] <= 9
 
     def test_p15_line_ball_stagnates_before_the_budget(self):
@@ -195,7 +197,7 @@ def lbfgsb_capacity(target, kt):
 
 
 class TestNewtonPath:
-    """At p > 2 damped Newton-CG steps run before the descent."""
+    """At p > 2 the descent's directions are Newton-CG steps."""
 
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
     @pytest.mark.parametrize("dim, n", [(1, 16), (2, 6)])
@@ -253,8 +255,65 @@ class TestNewtonPath:
         assert res.grad_norm <= fv.CapacityOptions().tol_factor * max(1.0, res.value)
         assert res.value == pytest.approx(newton.value, rel=1e-12)
 
+    @staticmethod
+    def ball_and_refused_value(monkeypatch):
+        """A p = 3 ball on plane n = 8, and its capacity with the Hessian
+        refused, by gradient steps alone."""
+        g = fv.build_grid(2, 1.0, 8)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.3, 3.0), 4.0)
+        target = fv.CellSet.ball(g, (0.0, 0.0), 0.4)
+        with monkeypatch.context() as m:
+            m.setattr(capacity_mod, "_hessian_kernel", lambda _kt: None)
+            return kt, target, fv.capacity(target, kt).value
+
+    def test_ascending_newton_step_is_replaced_by_the_gradient(self, monkeypatch):
+        kt, target, refused = self.ball_and_refused_value(monkeypatch)
+        # +g on the free cells: every projected trial ascends
+        monkeypatch.setattr(capacity_mod, "_newton_direction",
+                            lambda grad, free, *_: np.where(free, grad, 0.0))
+        counts = count_passes(monkeypatch)
+        res = fv.capacity(target, kt)
+        assert res.grad_norm <= fv.CapacityOptions().tol_factor * max(1.0, res.value)
+        assert res.value == pytest.approx(refused, rel=1e-12)
+        assert counts["pairs"] == counts["trials"] + 1
+
+    def test_newton_step_ascending_near_zero_is_replaced_by_the_gradient(self, monkeypatch):
+        # the Newton step with one free cell's entry set to -1e6, where that
+        # cell can move down and the step still descends at t = 1: the cell
+        # clips at once, so the path ascends for small t but not at t = 1
+        kt, target, refused = self.ball_and_refused_value(monkeypatch)
+        lower = target.mask.astype(float)
+        newton_direction, hessian = capacity_mod._newton_direction, capacity_mod._hessian
+        at, crafted = [], []
+
+        def recording_hessian(u, *args):
+            at.append(u)
+            return hessian(u, *args)
+
+        def clipping_direction(grad, free, *args):
+            s = newton_direction(grad, free, *args)
+            u = at[-1]
+            movable = np.flatnonzero(free & (u > 0.0) & (grad < 0.0))
+            for j in movable[np.argsort(-grad[movable] * u[movable])]:
+                v = s.copy()
+                v[j] = -1e6
+                at_one = grad @ (np.clip(u + v, lower, 1.0) - u)
+                if at_one < 0.0:
+                    # the entries that move as t -> 0 give the path's slope there
+                    blocked = ((v < 0.0) & (u <= lower)) | ((v > 0.0) & (u >= 1.0))
+                    crafted.append((at_one, grad @ np.where(blocked, 0.0, v)))
+                    return v
+            return s
+
+        monkeypatch.setattr(capacity_mod, "_hessian", recording_hessian)
+        monkeypatch.setattr(capacity_mod, "_newton_direction", clipping_direction)
+        res = fv.capacity(target, kt)
+        assert crafted and all(at_one < 0.0 < near_zero for at_one, near_zero in crafted)
+        assert res.grad_norm <= fv.CapacityOptions().tol_factor * max(1.0, res.value)
+        assert res.value == pytest.approx(refused, rel=1e-12)
+
     def test_newton_steps_count_toward_the_budget(self, monkeypatch, line_kt_p3, line_grid):
-        # two Newton steps, one short of the budget, then the descent's one
+        # three Newton steps, the whole budget, in the one descent
         target = fv.CellSet.ball(line_grid, (0.0,), 0.2)
         counts = count_passes(monkeypatch)
         with pytest.raises(ConvergenceError, match="no convergence within 3 iterations") as err:

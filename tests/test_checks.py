@@ -33,6 +33,14 @@ class TestRunSuite:
         with pytest.raises(ConfigError):
             chk.run_suite(chk.VerifyConfig(seed=1, samples={"picone": 0}))
 
+    @pytest.mark.parametrize("overrides", [
+        {"seed": -1}, {"seed": 1.5}, {"seed": float("nan")},
+        {"samples": {"picone": 2.5}}, {"samples": {"picone": True}},
+    ], ids=["seed=-1", "seed=1.5", "seed=nan", "samples=2.5", "samples=True"])
+    def test_non_whole_or_negative_config_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            chk.run_check("picone", chk.VerifyConfig(**overrides))
+
     def test_broken_tolerance_fails_symmetrization_check(self):
         # the discretization margin needs the default sample count to show;
         # with it, tolerance zero must turn the check red

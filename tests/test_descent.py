@@ -17,7 +17,7 @@ def f(x):
 def direction(tol):
     def direction(x, _f, _aux):
         g = A @ x - B
-        return g, float(np.linalg.norm(g)) <= tol
+        return g, float(np.linalg.norm(g)) <= tol, None
     return direction
 
 
@@ -70,7 +70,7 @@ def test_stalls_at_the_roundoff_floor():
 
     def floor_direction(x, _f, _aux):
         g = diag * x - b
-        return g, float(np.linalg.norm(g)) <= 1e-12
+        return g, float(np.linalg.norm(g)) <= 1e-12, None
 
     def floor_trial(x, g, t):
         cand = x - t * g
@@ -94,7 +94,7 @@ def scripted(values, calls):
 
 
 def constant_direction(x, _f, _aux):
-    return np.ones_like(x), False
+    return np.ones_like(x), False, None
 
 
 def test_accepts_a_rise_below_the_window_maximum():
@@ -133,3 +133,40 @@ def test_stalls_when_the_least_f_creeps_down_by_a_few_ulps(ulps, status):
     assert got == status
     assert its == (descent_mod._FLAT_STEPS if status == "stalled" else budget)
     assert fx == values[its - 1]
+
+
+def test_a_direction_s_own_step_is_its_first_trial():
+    # the own step 0.25 is the first trial of each iteration, halved when rejected
+    calls = []
+
+    def own_step(x, _f, _aux):
+        return np.ones_like(x), False, 0.25
+
+    def trial(x, d, t):
+        calls.append(t)
+        return None if len(calls) == 1 else (x - t * d, 0.0, 0.0, None)
+
+    _x, fx, _aux, status, its = spectral_descent(np.zeros(1), 10.0, None, own_step,
+                                                 trial, 2)
+    assert (status, its, fx) == ("exhausted", 2, 0.0)
+    assert calls == [0.25, 0.125, 0.25]
+
+
+def test_a_gradient_keeps_the_bb_step_of_the_gradient_pairs():
+    # iterations 1 and 3 return gradients, iteration 2 an own step along an
+    # arbitrary v: the third BB step comes from the gradients at the points of
+    # iterations 1 and 3, and v enters no pair
+    v = np.array([1.0, -1.0, 2.0])
+    points = []
+
+    def mixed(x, _f, _aux):
+        points.append(x)
+        if len(points) == 2:
+            return v, False, 0.25
+        return A @ x - B, False, None
+
+    calls = []
+    spectral_descent(X0, f(X0), None, mixed, scripted([-1.0, -2.0, -3.0], calls), 3)
+    s = points[2] - points[0]
+    sy = float(s @ ((A @ points[2] - B) - (A @ points[0] - B)))
+    assert calls == [1.0, 0.25, float(s @ s) / sy]

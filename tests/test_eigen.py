@@ -448,8 +448,10 @@ class TestOptions:
         {"tol": float("nan")}, {"tol": 0.0}, {"tol": -1e-6}, {"tol": float("inf")},
         {"max_iter": 0}, {"max_iter": -3}, {"max_iter": 2.5}, {"max_iter": float("nan")},
         {"max_iter": float("inf")}, {"max_iter": True},
+        {"seed": -1}, {"seed": 2.5}, {"seed": float("inf")}, {"seed": True},
     ], ids=["tol=nan", "tol=0", "tol=-1e-6", "tol=inf", "max_iter=0", "max_iter=-3",
-            "max_iter=2.5", "max_iter=nan", "max_iter=inf", "max_iter=True"])
+            "max_iter=2.5", "max_iter=nan", "max_iter=inf", "max_iter=True",
+            "seed=-1", "seed=2.5", "seed=inf", "seed=True"])
     def test_bad_values_refused(self, kwargs):
         with pytest.raises(DomainError):
             fv.EigenOptions(**kwargs)
@@ -457,6 +459,10 @@ class TestOptions:
     def test_whole_budget_is_an_int(self):
         opts = fv.EigenOptions(max_iter=7.0)
         assert opts.max_iter == 7 and type(opts.max_iter) is int
+
+    def test_whole_seed_is_an_int(self):
+        opts = fv.EigenOptions(seed=np.float64(3.0))
+        assert opts.seed == 3 and type(opts.seed) is int
 
 
 class TestResidualCheck:

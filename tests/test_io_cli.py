@@ -290,6 +290,48 @@ class TestDispatch:
         assert dispatch([command, "--config", cfg]) == 65
         assert "config error: solver: malformed value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, overrides", [
+        ("seminorm", {"seed": float("inf")}),
+        ("seminorm", {"seed": 2.5}),
+        ("seminorm", {"seed": True}),
+        ("seminorm", {"grid": {"dim": float("inf"), "half_width": 1.0, "cells_per_dim": 8}}),
+        ("seminorm", {"grid": {"dim": 1, "half_width": 1.0, "cells_per_dim": float("inf")}}),
+        ("seminorm", {"grid": {"dim": 1, "half_width": 1.0, "cells_per_dim": 8.5}}),
+        ("capacity", {"capacity": {"region": {"kind": "halfspace", "axis": float("inf")}}}),
+        ("capacity", {"capacity": {"region": {"kind": "halfspace", "axis": True}}}),
+        ("eigen", {"eigen": {"levels": float("inf")}}),
+        ("eigen", {"eigen": {"levels": 1.5}}),
+        ("hardy-norm", {"hardy": {"center_stride": float("inf")}}),
+        ("hardy-norm", {"hardy": {"n_quantiles": 2.5}}),
+        ("verify", {"verify": {"samples": {"homogeneity": float("inf")}}}),
+        ("verify", {"verify": {"samples": {"homogeneity": 2.5}}}),
+        ("verify", {"verify": {"samples": {"homogeneity": True}}}),
+        ("verify", {"seed": -1}),
+        ("eigen", {"seed": -1}),
+    ])
+    def test_non_whole_or_negative_integer_field_exits_65(self, tmp_path, capsys, command,
+                                                          overrides):
+        # JSON Infinity once ended in an OverflowError traceback, 2.5 and true
+        # in a silent truncation, and a negative seed in numpy's ValueError
+        cfg = write_config(tmp_path, **overrides)
+        assert dispatch([command, "--config", cfg]) == 65
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_whole_float_reads_as_an_int(self, tmp_path):
+        cfg = RunConfig.load(write_config(tmp_path, seed=7.0, grid={
+            "dim": 1.0, "half_width": 1.0, "cells_per_dim": 16.0}))
+        assert (cfg.seed, cfg.grid.dim, cfg.grid.cells_per_dim) == (7, 1, 16)
+        assert type(cfg.seed) is int
+
+    def test_overflowing_value_exits_65(self, tmp_path, capsys):
+        # a JSON integer too large for a float
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": 1, "grid": {"dim": 1, "cells_per_dim": 8, '
+                        '"half_width": 1' + "0" * 400 + '}, "frac": {"s": 0.4, "p": 2.0}}')
+        assert dispatch(["seminorm", "--config", str(path)]) == 65
+        assert "config error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("verify", [{"tolerances": {"homogeneity": float("inf")}},
                                         {"samples": {"homogenity": 5}}])
     def test_bad_verify_override_exits_65(self, tmp_path, capsys, verify):
