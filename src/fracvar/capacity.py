@@ -18,24 +18,25 @@ raises the energy, and the minimizer with u = 1 on F already lies in
 quadratic form u^T A u, and the capacity is the symmetric positive-definite
 system A_ff u_f = -A_fF 1 on the free cells (those outside F).  Conjugate
 gradients solve it from u_f = 0 on the table's ``P2Operator``
-(``_linear_solve``): A and T. Chan's circulant preconditioner are FFT
-products on the whole grid, restricted to the free cells, and CG takes
-5-14 steps on every grid tried.  The clipped solution then gets one fused
-energy-and-gradient pass and starts the descent, whose first stop test it
-passes without a step when CG has converged; CG stops one step short of
-the iteration budget, so that test runs within it.
+(``_solve_on_free``, the one CG of every p >= 2 solve): A and T. Chan's
+circulant preconditioner are FFT products on the whole grid, restricted to
+the free cells, and CG takes 5-14 steps on every grid tried.  The clipped
+solution then gets one fused energy-and-gradient pass and starts the
+descent, whose first stop test it passes without a step when CG has
+converged; CG stops one step short of the iteration budget, so that test
+runs within it.
 
 For p >= 2 the energy is C^2, and at p > 2 the descent's directions are
 inexact Newton steps (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
 19, 1982), each tried first at its full length.  The Hessian on the free
 cells is 2p(p-1) m^2 (diag(W 1) - W) + 2p(p-1) m diag(|u|^(p-2) rho), with
-W = |u_i - u_j|^(p-2) K formed once per step as one M x M array, and
-Jacobi-preconditioned CG solves it to the forcing term min(1/2, sqrt(|g|))
-|g|.  The p = 3 plane n = 12 capacities of the concentration diagnostic
-take 5-8 Newton steps of 1.8 CG products on average.  A Newton step whose
-projected path does not descend, at the full step and near zero, gives way
-to the gradient and its BB step, as all do where W (and a dense copy of K,
-unless ``kernel_rows`` is contiguous) would not fit in memory.  Below
+W = |u_i - u_j|^(p-2) K formed once per step in one M x M buffer, read
+against ``kernel_rows`` with no copy of K, and Jacobi-preconditioned CG
+(``_solve_on_free``) solves it to the forcing term min(1/2, sqrt(|g|)) |g|.
+The p = 3 plane n = 12 capacities of the concentration diagnostic take 5-8
+Newton steps of 1.8 CG products on average.  A Newton step whose projected
+path does not descend, at the full step and near zero, gives way to the
+gradient and its BB step, as all do where W would not fit in memory.  Below
 p = 2 the energy is not C^2, and every step is a gradient step.
 
 The weight norm
@@ -60,6 +61,7 @@ once.  The sweeps run serially.
 
 from __future__ import annotations
 
+import contextlib
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -67,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.ma  # np.quantile loads it on first use, through np.unique
 
-from .descent import iteration_budget, spectral_descent
+from .descent import spectral_descent, whole_at_least
 from .energy import raw_energy
 from .errors import ConvergenceError, DomainError
 from .grid import (Ball, FracParams, Grid, GridFunction, KernelTable, _check_fits,
@@ -114,7 +116,7 @@ class CapacityOptions:
     def __post_init__(self):
         if not (np.isfinite(self.tol_factor) and self.tol_factor > 0):
             raise DomainError(f"tol_factor must be finite and positive, got {self.tol_factor}")
-        object.__setattr__(self, "max_iter", iteration_budget(self.max_iter))
+        object.__setattr__(self, "max_iter", whole_at_least(self.max_iter, 1, "max_iter"))
 
 
 @dataclass(frozen=True)
@@ -151,10 +153,13 @@ def capacity(F: CellSet, kt: KernelTable,
         # np.clip's bits, at about half its per-call cost at small M
         return np.minimum(np.maximum(vals, lower), 1.0)
 
-    p = kt.params.p
+    p, cells = kt.params.p, grid.n_cells
     grad_norm, grad = np.inf, None  # grad: the gradient where the direction was taken
-    kernel = _hessian_kernel(kt) if p > 2.0 else None
-    w = None if kernel is None else np.empty(kernel.shape)  # W, formed anew at each step
+    w = None  # _hessian's W, formed anew at each step, where it fits in memory
+    if p > 2.0:
+        with contextlib.suppress(DomainError):
+            _check_fits(8 * cells**2, f"a Hessian of {cells} cells")
+            w = np.empty((cells, cells))
     free = ~F.mask
 
     # each trial's pair pass also yields its Gateaux vector, handed on as the
@@ -165,8 +170,15 @@ def capacity(F: CellSet, kt: KernelTable,
         grad_norm = float(np.linalg.norm(u - project(u - grad)))
         if grad_norm <= opts.tol_factor * max(1.0, energy):
             return grad, True, None
-        if kernel is not None:
-            s = _newton_direction(grad, free, *_hessian(u, kt, kernel, w))
+        if w is not None:
+            # s solves H s = -g on the free cells to the forcing term
+            # min(1/2, sqrt(|g|)) |g|, by Jacobi-preconditioned CG
+            diagonal, product = _hessian(u, kt, w)
+            r = -grad[free]
+            size = float(np.linalg.norm(r))
+            inverse = 1.0 / diagonal
+            s, _steps = _solve_on_free(product, lambda v: inverse * v, r, free,
+                                       min(0.5, np.sqrt(size)) * size, r.size)
             # project(u + t s) must descend at t = 1, the first trial, and as t -> 0,
             # where the halvings end and it runs along s on the cells that move
             step = project(u + s) - u
@@ -183,11 +195,14 @@ def capacity(F: CellSet, kt: KernelTable,
         energy, gvec = raw_energy(cand, kt)
         return cand, energy, decrease, gvec
 
-    u = lower.copy()  # the indicator of F
-    its = 0
+    u, its = lower, 0  # the indicator of F
     if p == 2.0:
-        u[free], its = _linear_solve(F.mask, kt, opts)
-        u = project(u)
+        # A_ff u_f = -A_fF 1 to half tol_factor, as the gradient on the free cells
+        # is twice the residual, and one step short of the budget for the stop test
+        op = kt.p2_operator
+        s, its = _solve_on_free(op.apply, op.precondition, -op.apply(lower)[free], free,
+                                0.5 * opts.tol_factor, opts.max_iter - 1)
+        u = project(lower + s)
     energy, gvec = raw_energy(u, kt)
     # a converged CG solution passes the descent's first stop test, and no
     # step is taken
@@ -205,18 +220,6 @@ def capacity(F: CellSet, kt: KernelTable,
         message = (f"capacity solve: no convergence within {opts.max_iter} iterations "
                    f"(projected-gradient norm {grad_norm:.3e}, {target})")
     raise ConvergenceError(message, result=result)
-
-
-def _on_free(full_map, free: np.ndarray):
-    """x -> R_f full_map(R_f^T x) on the free cells, through one field whose
-    fixed cells stay zero: symmetric positive definite where full_map is."""
-    full = np.zeros(free.size)
-
-    def restricted(x: np.ndarray) -> np.ndarray:
-        full[free] = x
-        return full_map(full)[free]
-
-    return restricted
 
 
 def _cg(apply, precondition, r: np.ndarray, target: float, cap: int) -> tuple[np.ndarray, int]:
@@ -241,44 +244,34 @@ def _cg(apply, precondition, r: np.ndarray, target: float, cap: int) -> tuple[np
     return x, steps
 
 
-def _linear_solve(fixed: np.ndarray, kt: KernelTable,
-                  opts: CapacityOptions) -> tuple[np.ndarray, int]:
-    """Preconditioned CG for A_ff u_f = -A_fF 1 at p = 2, from u_f = 0.
+def _solve_on_free(apply, precondition, r: np.ndarray, free: np.ndarray, target: float,
+                   cap: int) -> tuple[np.ndarray, int]:
+    """``_cg`` for R_f A R_f^T x = r on the free cells, with A and the
+    preconditioner given as maps of whole fields: each reads one field whose
+    fixed cells stay zero, so both restrictions are symmetric positive
+    definite where the maps are.  Returns that field holding x, and the CG
+    step count."""
+    full = np.zeros(free.size)
 
-    ``fixed`` is the mask of F.  Returns the free cells' values and the CG
-    step count, at most ``opts.max_iter - 1``, so that the stop test that
-    follows runs within the budget.  CG stops once the residual is below half
-    ``tol_factor``: the gradient of E on the free cells is twice the
-    residual, so the stop test's target tol_factor * max(1, E) is then met
-    wherever the clip leaves the point unchanged.
-    """
-    op = kt.p2_operator
-    free = ~fixed
-    r = -op.apply(fixed.astype(float))[free]
-    return _cg(_on_free(op.apply, free), _on_free(op.precondition, free), r,
-               0.5 * opts.tol_factor, opts.max_iter - 1)
+    def on_free(full_map):
+        def restricted(x: np.ndarray) -> np.ndarray:
+            full[free] = x
+            return full_map(full)[free]
 
+        return restricted
 
-def _hessian_kernel(kt: KernelTable) -> np.ndarray | None:
-    """K as one (M, M) array for ``_hessian``, or None when it and the
-    Hessian's own (M, M) buffer would not fit in memory: a view of
-    ``kernel_rows`` where they are contiguous, a dense copy elsewhere."""
-    rows, cells = kt.kernel_rows, kt.grid.n_cells
-    squares = 1 if rows.flags.c_contiguous else 2
-    try:
-        _check_fits(8 * squares * cells**2, f"a Hessian of {cells} cells")
-    except DomainError:
-        return None
-    return rows.reshape(cells, cells) if squares == 1 else kt.dense_kernel()
+    x, steps = _cg(on_free(apply), on_free(precondition), r, target, cap)
+    full[free] = x
+    return full, steps
 
 
-def _hessian(u: np.ndarray, kt: KernelTable, kernel: np.ndarray,
-             w: np.ndarray) -> tuple[np.ndarray, object]:
+def _hessian(u: np.ndarray, kt: KernelTable, w: np.ndarray) -> tuple[np.ndarray, object]:
     """The Hessian of E at u, at p > 2, as its diagonal and the map v -> H v.
 
-    With W = |u_i - u_j|^(p-2) K, formed in the (M, M) buffer ``w``, the
-    Hessian is 2p(p-1) m^2 (diag(W 1) - W) + 2p(p-1) m diag(|u|^(p-2) rho),
-    so a product is one matrix-vector product.
+    With W = |u_i - u_j|^(p-2) K, formed in the (M, M) buffer ``w`` by
+    viewing it in ``kernel_rows``' shape, the Hessian is
+    2p(p-1) m^2 (diag(W 1) - W) + 2p(p-1) m diag(|u|^(p-2) rho), so a
+    product is one matrix-vector product.
     """
     p, m = kt.params.p, kt.cell_measure
     scale = 2.0 * p * (p - 1.0)
@@ -287,7 +280,8 @@ def _hessian(u: np.ndarray, kt: KernelTable, kernel: np.ndarray,
     np.abs(w, out=w)
     if p != 3.0:  # |d|^1 is |d|
         w **= p - 2.0
-    w *= kernel
+    rows = kt.kernel_rows
+    w.reshape(rows.shape)[...] *= rows
     diagonal = scale * (m * m * (w @ np.ones(u.size))
                         + m * np.abs(u) ** (p - 2.0) * kt.exterior_mass)
 
@@ -295,21 +289,6 @@ def _hessian(u: np.ndarray, kt: KernelTable, kernel: np.ndarray,
         return diagonal * v - (scale * m * m) * (w @ v)
 
     return diagonal, product
-
-
-def _newton_direction(grad: np.ndarray, free: np.ndarray, diagonal: np.ndarray,
-                      product) -> np.ndarray:
-    """An inexact solution s of H s = -g on the free cells (zero on the
-    others), g the gradient there, by Jacobi-preconditioned ``_cg`` to the
-    forcing term min(1/2, sqrt(|g|)) |g|."""
-    r = -grad[free]
-    size = float(np.linalg.norm(r))
-    inverse = 1.0 / diagonal[free]
-    x, _steps = _cg(_on_free(product, free), lambda v: inverse * v, r,
-                    min(0.5, np.sqrt(size)) * size, r.size)
-    s = np.zeros(free.size)
-    s[free] = x
-    return s
 
 
 @dataclass(frozen=True)
@@ -359,9 +338,9 @@ class CandidateFamily:
         radii = self.ball_radii
         if not all(isinstance(r, numbers.Real) and np.isfinite(r) and r > 0 for r in radii):
             raise DomainError(f"ball radii must be finite positive numbers, got {radii}")
-        if self.center_stride < 1 or self.n_quantiles < 0:
-            raise DomainError("the family needs center_stride >= 1 and n_quantiles >= 0")
         object.__setattr__(self, "ball_radii", tuple(float(r) for r in radii))
+        for name, least in (("center_stride", 1), ("n_quantiles", 0)):
+            object.__setattr__(self, name, whole_at_least(getattr(self, name), least, name))
 
     @staticmethod
     def default(grid: Grid) -> "CandidateFamily":

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import os
 import sys
 from contextlib import contextmanager
@@ -73,6 +72,14 @@ def _whole(value) -> int:
     if not is_whole(value):
         raise ValueError(f"expected a whole number, got {value!r}")
     return int(value)
+
+
+def _flag(section: dict, key: str) -> bool:
+    """A flag's value: JSON true or false, with an absent key or null false."""
+    value = section.get(key)
+    if value is not None and not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return bool(value)
 
 
 @_reading("region")
@@ -278,7 +285,7 @@ def _cmd_concentration(cfg: RunConfig, out, args) -> int:
     opts = cfg.capacity_options()
     with _reading("concentration"):
         spec = cfg.raw.get("concentration", {})
-        diagnostic, at_infinity = spec.get("diagnostic"), spec.get("at_infinity")
+        diagnostic, at_infinity = _flag(spec, "diagnostic"), _flag(spec, "at_infinity")
         point = tuple(float(c) for c in spec.get("point", (0.0,) * cfg.grid.dim))
         default_radii = ([cfg.grid.half_width * f for f in (0.5, 0.75, 0.875)]
                          if at_infinity else
@@ -351,8 +358,7 @@ def _cmd_verify(cfg: RunConfig, out, args) -> int:
             p=cfg.params.p,
             samples={str(k): _whole(v) for k, v in spec.get("samples", {}).items()},
             tolerances={str(k): float(v) for k, v in spec.get("tolerances", {}).items()},
-            # an integer or null, never a string or a float
-            threads=None if threads is None else operator.index(threads),
+            threads=None if threads is None else _whole(threads),
         )
     report = verify_mod.run_suite(vconfig)
     with open(_out_path(cfg, out, "verify_report.json"), "wb") as fh:

@@ -32,11 +32,12 @@ def is_whole(value) -> bool:
             and math.isfinite(value) and value == int(value))
 
 
-def iteration_budget(max_iter) -> int:
-    """``max_iter`` as an int, or a DomainError unless whole and at least 1."""
-    if not is_whole(max_iter) or max_iter < 1:
-        raise DomainError(f"max_iter must be a whole number at least 1, got {max_iter!r}")
-    return int(max_iter)
+def whole_at_least(value, least: int, name: str) -> int:
+    """``value`` as an int, or a DomainError naming it unless whole and at
+    least ``least``."""
+    if not is_whole(value) or value < least:
+        raise DomainError(f"{name} must be a whole number at least {least}, got {value!r}")
+    return int(value)
 
 
 def spectral_descent(x, f: float, aux, direction, trial, max_iter: int) -> tuple:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random
 
-from .descent import is_whole, iteration_budget, spectral_descent
+from .descent import is_whole, spectral_descent, whole_at_least
 from .energy import _phi, raw_energy, raw_weighted_mass, stiffness_matrix
 from .errors import ConvergenceError, DomainError
 from .grid import GridFunction, KernelTable, _row_blocks, same_grid
@@ -107,10 +107,8 @@ class EigenOptions:
     def __post_init__(self):
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise DomainError(f"tol must be finite and positive, got tol={self.tol}")
-        object.__setattr__(self, "max_iter", iteration_budget(self.max_iter))
-        if not is_whole(self.seed) or self.seed < 0:
-            raise DomainError(f"seed must be a whole number at least 0, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "max_iter", whole_at_least(self.max_iter, 1, "max_iter"))
+        object.__setattr__(self, "seed", whole_at_least(self.seed, 0, "seed"))
 
 
 @dataclass(frozen=True)
@@ -411,8 +409,7 @@ def deflated_start(wt: Weight, kt: KernelTable, previous, level: int,
 def eigen_sequence(wt: Weight, kt: KernelTable, k: int,
                    opts: EigenOptions | None = None) -> list[EigenResult]:
     """First k deflated levels, sorted non-decreasing in the eigenvalue."""
-    if k < 1:
-        raise DomainError("the requested number of levels must be >= 1")
+    k = whole_at_least(k, 1, "the requested number of levels")
     opts = opts or EigenOptions()
     rng = np.random.default_rng(opts.seed)
     results = [first_eigenpair(wt, kt, opts)]
@@ -515,14 +512,14 @@ def simplicity_probe(wt: Weight, kt: KernelTable, restarts: int,
     sup-distance of the sign/scale-normalized eigenfunctions, and the hidden
     convexity of the energy along p-th-power midpoints of the minimizers.
     """
-    if restarts < 2:
+    if not is_whole(restarts) or restarts < 2:
         raise DomainError("the probe needs at least 2 restarts")
     same_grid(wt.w1, kt)
     opts = opts or EigenOptions()
     p, m = kt.params.p, kt.cell_measure
     wvals = wt.combined.values
     results = []
-    for j in range(restarts):
+    for j in range(int(restarts)):
         rng = np.random.default_rng(opts.seed + j)
         start = seeded_start(wt, kt, rng)
         results.append(first_eigenpair(wt, kt, opts, start=start))

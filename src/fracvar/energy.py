@@ -30,19 +30,21 @@ kept on the table with two buffers (``grid._row_blocks``,
 d = u_i - u_j and returns F's row sums and the pair energy, the dot of F
 with d, whose terms |d|^p K are all non-negative; taken instead as u . g(u)
 by Euler's identity, the energy would cancel on a field far from zero.
-``raw_energy`` (the energy and the Gateaux vector), ``seminorm_p`` and
-``gateaux_vector`` each make this one pass.  Its "density" kind sums
-F d per cell for ``nonlocal_gradient``; the gradient command reads E(u)
-from that same pass and makes no flux pass.  phi(d) takes at most one power:
-it is d at p = 2, |d|^(p-2) d above and copysign(|d|^(p-1), d) below.
+``raw_energy`` (the energy and the Gateaux vector, which is all
+``gateaux_vector`` reads) and ``seminorm_p`` each make this one pass.  Its
+"density" kind sums F d per cell for ``nonlocal_gradient``; the gradient
+command reads E(u) from that same pass and makes no flux pass.  phi(d)
+takes at most one power: it is d at p = 2, |d|^(p-2) d above and
+copysign(|d|^(p-1), d) below.
 ``raw_energy``'s two boundary terms, |u|^p rho and phi(u) rho, likewise
 share the one power |u|^(p-1).  ``gateaux(u, v)`` is v . gateaux_vector(u).
 
 At p = 2 the energy is a quadratic form u^T A u.  ``P2Operator``, the one
 operator of the p = 2 solves, applies A and a circulant preconditioner by
 FFT through its own circulant embedding of the kernel table's stencil;
-``stiffness_matrix`` is its dense reference.  Only the pair pass
-and ``KernelTable.dense_kernel`` read the kernel rows.
+``stiffness_matrix`` is its dense reference.  The kernel rows are read by
+the pair pass, the capacity solve's Newton Hessian, and
+``KernelTable.dense_kernel``, which serves only the dense oracle.
 """
 
 from __future__ import annotations
@@ -138,12 +140,6 @@ def _energy_parts(kt: KernelTable, pairs: float, size_p: np.ndarray) -> tuple[fl
     return interior, boundary
 
 
-def _gateaux_from_flux(kt: KernelTable, flux: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """gateaux(u, e_i) for every i, given the row sums of _pair_sums and phi(u)."""
-    m = kt.cell_measure
-    return 2.0 * flux * m * m + 2.0 * phi * kt.exterior_mass * m
-
-
 def raw_energy(vals: np.ndarray, kt: KernelTable) -> tuple[float, np.ndarray]:
     """(E(u), gateaux(u, e_i) for every i) on a bare value array, both from
     one pair pass; no validation, used by inner solver loops.
@@ -154,10 +150,12 @@ def raw_energy(vals: np.ndarray, kt: KernelTable) -> tuple[float, np.ndarray]:
     bit for bit.
     """
     pairs, flux = _pair_sums(vals, kt, "flux")
+    m = kt.cell_measure
     size = np.abs(vals)
     power = size ** (kt.params.p - 1.0)
     interior, boundary = _energy_parts(kt, pairs, power * size)
-    return interior + boundary, _gateaux_from_flux(kt, flux, np.copysign(power, vals))
+    return interior + boundary, (2.0 * flux * m * m
+                                 + 2.0 * np.copysign(power, vals) * kt.exterior_mass * m)
 
 
 def seminorm_p(u: GridFunction, kt: KernelTable) -> SeminormValue:
@@ -196,8 +194,7 @@ def gateaux_vector(u: GridFunction, kt: KernelTable) -> np.ndarray:
     where phi(t) = |t|^(p-2) t.
     """
     same_grid(u, kt)
-    vals = u.values
-    return _gateaux_from_flux(kt, _pair_sums(vals, kt, "flux")[1], _phi(vals, kt.params.p))
+    return raw_energy(u.values, kt)[1]
 
 
 def gateaux(u: GridFunction, v: GridFunction, kt: KernelTable) -> float:

@@ -47,6 +47,7 @@ from typing import Union
 
 import numpy as np
 
+from .descent import is_whole, whole_at_least
 from .errors import DomainError
 
 SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi}
@@ -111,10 +112,9 @@ def build_grid(dim: int, half_width: float, cells_per_dim: int) -> Grid:
     2-d cells are enumerated row-major: index i*n + j addresses center
     (x_i, y_j).
     """
-    if dim not in (1, 2):
-        raise DomainError(f"dim must be 1 or 2, got {dim}")
-    if cells_per_dim < 2:
-        raise DomainError(f"cells_per_dim must be >= 2, got {cells_per_dim}")
+    if not is_whole(dim) or dim not in (1, 2):
+        raise DomainError(f"dim must be 1 or 2, got {dim!r}")
+    dim, cells_per_dim = int(dim), whole_at_least(cells_per_dim, 2, "cells_per_dim")
     if not half_width > 0:
         raise DomainError(f"half_width must be positive, got {half_width}")
     h = 2.0 * half_width / cells_per_dim
@@ -133,7 +133,7 @@ def build_grid(dim: int, half_width: float, cells_per_dim: int) -> Grid:
     return Grid(
         dim=dim,
         half_width=float(half_width),
-        cells_per_dim=int(cells_per_dim),
+        cells_per_dim=cells_per_dim,
         spacing=h,
         cell_measure=h**dim,
         centers=centers,
@@ -349,8 +349,10 @@ class KernelTable:
         the line (row i starts at n - 1 - i) and (n, 2n - 1, n) on the plane
         (row (i1, i2) at i2 (2n - 1) n + (n - 1 - i1) n): (1, n, n) and (n, n, M).
         They are copied contiguous when one pair-pass block (``_BLOCK_BYTES``)
-        holds them.  Only the energy module's pair pass and ``dense_kernel`` read
-        them, and the read is refused when the source would not fit in memory."""
+        holds them.  The energy module's pair pass, the capacity solve's Newton
+        Hessian (which views its (M, M) buffer in their shape) and
+        ``dense_kernel`` read them; the read is refused when the source would
+        not fit in memory."""
         n, dim, cells = self.grid.cells_per_dim, self.grid.dim, self.grid.n_cells
         _check_fits(8 * (2 * n - 1) * n ** (2 * dim - 2), f"the kernel rows of {cells} cells")
         # C[i2, k, j2] = T[|k - (n - 1)|, |i2 - j2|] on the plane, T[|k - (n - 1)|] on the line

@@ -1,5 +1,6 @@
 import importlib
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,8 +210,7 @@ class TestNewtonPath:
         kt = fv.build_kernel_table(g, fv.FracParams(0.2, p), 4.0)
         u = rng.permutation(np.linspace(0.05, 0.95, g.n_cells))
         v = rng.standard_normal(g.n_cells)
-        kernel = capacity_mod._hessian_kernel(kt)
-        diagonal, product = capacity_mod._hessian(u, kt, kernel, np.empty(kernel.shape))
+        diagonal, product = capacity_mod._hessian(u, kt, np.empty((g.n_cells,) * 2))
         eps = 1e-6
         fd = p * (raw_energy(u + eps * v, kt)[1] - raw_energy(u - eps * v, kt)[1]) / (2 * eps)
         np.testing.assert_allclose(product(v), fd, rtol=1e-6, atol=1e-7 * np.abs(fd).max())
@@ -236,17 +236,56 @@ class TestNewtonPath:
         assert res.value == pytest.approx(value, rel=1e-12)
         assert np.max(np.abs(res.minimizer.values - u)) < 1e-7
 
+    @pytest.mark.parametrize("dim, n, p", [(2, 16, 3.0), (2, 24, 3.0), (2, 16, 2.5)])
+    def test_hessian_holds_one_square_of_memory(self, dim, n, p):
+        # above 181 cells the kernel rows are strided, and W is formed against
+        # them in the one (M, M) buffer: no dense copy of K is made
+        g = fv.build_grid(dim, 1.0, n)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.3, p), 4.0)
+        assert not kt.kernel_rows.flags.c_contiguous
+        raw_energy(np.zeros(g.n_cells), kt)  # the rows and the pair-pass buffers
+        target = fv.CellSet.ball(g, (0.0, 0.0), 0.3)
+        tracemalloc.start()
+        try:
+            res = fv.capacity(target, kt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.iterations > 1
+        assert peak < 1.5 * 8 * g.n_cells**2
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+    def test_hessian_matches_the_dense_kernel_bitwise(self, p, rng):
+        g = fv.build_grid(2, 1.0, 16)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.3, p), 4.0)
+        u = rng.uniform(0.0, 1.0, g.n_cells)
+        v = rng.standard_normal(g.n_cells)
+        w = np.empty((g.n_cells,) * 2)
+        diagonal, product = capacity_mod._hessian(u, kt, w)
+        dense = np.abs(np.subtract.outer(u, u)) ** (p - 2.0) * kt.dense_kernel()
+        assert np.array_equal(w, dense)
+        m, scale = kt.cell_measure, 2.0 * p * (p - 1.0)
+        expected = scale * (m * m * (dense @ np.ones(g.n_cells))
+                            + m * np.abs(u) ** (p - 2.0) * kt.exterior_mass)
+        assert np.array_equal(diagonal, expected)
+        assert np.array_equal(product(v), expected * v - (scale * m * m) * (dense @ v))
+
+    @staticmethod
+    def refuse_hessian(m, cells):
+        """Refuse, through ``capacity._check_fits``, every buffer of at least
+        ``cells``^2 floats."""
+        def refuse_squares(need, what):
+            if need >= 8 * cells**2:
+                raise DomainError(f"{what} refused")
+
+        m.setattr(capacity_mod, "_check_fits", refuse_squares)
+
     def test_refused_hessian_leaves_the_solve_to_the_descent(self, monkeypatch):
         g = fv.build_grid(2, 1.0, 8)
         kt = fv.build_kernel_table(g, fv.FracParams(0.3, 3.0), 4.0)
         target = fv.CellSet.ball(g, (0.0, 0.0), 0.4)
         newton = fv.capacity(target, kt)
-
-        def refuse_squares(need, what):
-            if need >= 8 * g.n_cells**2:
-                raise DomainError(f"{what} refused")
-
-        monkeypatch.setattr(capacity_mod, "_check_fits", refuse_squares)
+        self.refuse_hessian(monkeypatch, g.n_cells)
         counts = count_passes(monkeypatch)
         res = fv.capacity(target, kt)
         # every step is the descent's: no Newton trial made a pass
@@ -255,22 +294,26 @@ class TestNewtonPath:
         assert res.grad_norm <= fv.CapacityOptions().tol_factor * max(1.0, res.value)
         assert res.value == pytest.approx(newton.value, rel=1e-12)
 
-    @staticmethod
-    def ball_and_refused_value(monkeypatch):
+    @classmethod
+    def ball_and_refused_value(cls, monkeypatch):
         """A p = 3 ball on plane n = 8, and its capacity with the Hessian
         refused, by gradient steps alone."""
         g = fv.build_grid(2, 1.0, 8)
         kt = fv.build_kernel_table(g, fv.FracParams(0.3, 3.0), 4.0)
         target = fv.CellSet.ball(g, (0.0, 0.0), 0.4)
         with monkeypatch.context() as m:
-            m.setattr(capacity_mod, "_hessian_kernel", lambda _kt: None)
+            cls.refuse_hessian(m, g.n_cells)
             return kt, target, fv.capacity(target, kt).value
 
     def test_ascending_newton_step_is_replaced_by_the_gradient(self, monkeypatch):
         kt, target, refused = self.ball_and_refused_value(monkeypatch)
-        # +g on the free cells: every projected trial ascends
-        monkeypatch.setattr(capacity_mod, "_newton_direction",
-                            lambda grad, free, *_: np.where(free, grad, 0.0))
+
+        def ascending(_apply, _precondition, r, free, _target, _cap):
+            s = np.zeros(free.size)
+            s[free] = -r  # +g on the free cells: every projected trial ascends
+            return s, 0
+
+        monkeypatch.setattr(capacity_mod, "_solve_on_free", ascending)
         counts = count_passes(monkeypatch)
         res = fv.capacity(target, kt)
         assert res.grad_norm <= fv.CapacityOptions().tol_factor * max(1.0, res.value)
@@ -283,15 +326,18 @@ class TestNewtonPath:
         # clips at once, so the path ascends for small t but not at t = 1
         kt, target, refused = self.ball_and_refused_value(monkeypatch)
         lower = target.mask.astype(float)
-        newton_direction, hessian = capacity_mod._newton_direction, capacity_mod._hessian
+        solve_on_free, hessian = capacity_mod._solve_on_free, capacity_mod._hessian
         at, crafted = [], []
 
         def recording_hessian(u, *args):
             at.append(u)
             return hessian(u, *args)
 
-        def clipping_direction(grad, free, *args):
-            s = newton_direction(grad, free, *args)
+        def clipping_solve(apply, precondition, r, free, *args):
+            # the gradient is -r on the free cells; CG leaves r its residual
+            grad = np.zeros(free.size)
+            grad[free] = -r
+            s, steps = solve_on_free(apply, precondition, r, free, *args)
             u = at[-1]
             movable = np.flatnonzero(free & (u > 0.0) & (grad < 0.0))
             for j in movable[np.argsort(-grad[movable] * u[movable])]:
@@ -302,11 +348,11 @@ class TestNewtonPath:
                     # the entries that move as t -> 0 give the path's slope there
                     blocked = ((v < 0.0) & (u <= lower)) | ((v > 0.0) & (u >= 1.0))
                     crafted.append((at_one, grad @ np.where(blocked, 0.0, v)))
-                    return v
-            return s
+                    return v, steps
+            return s, steps
 
         monkeypatch.setattr(capacity_mod, "_hessian", recording_hessian)
-        monkeypatch.setattr(capacity_mod, "_newton_direction", clipping_direction)
+        monkeypatch.setattr(capacity_mod, "_solve_on_free", clipping_solve)
         res = fv.capacity(target, kt)
         assert crafted and all(at_one < 0.0 < near_zero for at_one, near_zero in crafted)
         assert res.grad_norm <= fv.CapacityOptions().tol_factor * max(1.0, res.value)
@@ -374,11 +420,11 @@ class TestLinearPath:
         kt = request.getfixturevalue(kt_name)
         target = fv.CellSet.ball(kt.grid, np.zeros(kt.grid.dim), 0.2)
 
-        def poor_cg(fixed, _kt, _opts):
+        def poor_cg(_apply, _precondition, _r, free, _target, _cap):
             # three CG steps that end at a poor iterate
-            return np.full((~fixed).sum(), 0.5), 3
+            return np.where(free, 0.5, 0.0), 3
 
-        monkeypatch.setattr(capacity_mod, "_linear_solve", poor_cg)
+        monkeypatch.setattr(capacity_mod, "_solve_on_free", poor_cg)
         counts = count_passes(monkeypatch)
         opts = fv.CapacityOptions()
         res = fv.capacity(target, kt, opts)
@@ -481,6 +527,21 @@ class TestHardyNorm:
         empty = fv.CandidateFamily(ball_radii=(), n_quantiles=0)
         with pytest.raises(DomainError, match="candidate family is empty"):
             sweep(w, line_kt, empty)
+
+    # a fractional stride once put ball centres between cells, and True read as 1
+    @pytest.mark.parametrize("kwargs", [{"center_stride": 2.5}, {"center_stride": True},
+                                        {"center_stride": 0}, {"n_quantiles": 2.5},
+                                        {"n_quantiles": False}, {"n_quantiles": -1},
+                                        {"n_quantiles": float("nan")},
+                                        {"center_stride": float("inf")}])
+    def test_family_refuses_non_whole_counts(self, kwargs):
+        with pytest.raises(DomainError, match="whole number"):
+            fv.CandidateFamily(ball_radii=(0.5,), **kwargs)
+
+    def test_family_stores_whole_floats_as_ints(self):
+        family = fv.CandidateFamily(ball_radii=(0.5,), center_stride=2.0, n_quantiles=3.0)
+        assert (family.center_stride, family.n_quantiles) == (2, 3)
+        assert type(family.center_stride) is int and type(family.n_quantiles) is int
 
     def test_positively_homogeneous(self, line_kt, line_grid):
         w = fv.sample(line_grid, fv.PowerLaw(alpha=0.8))

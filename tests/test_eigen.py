@@ -336,6 +336,24 @@ class TestDeflation:
         with pytest.raises(DomainError):
             fv.eigen_sequence(wt, kt, 0)
 
+    # 2.5 once raised numpy's TypeError, and True returned one level
+    @pytest.mark.parametrize("k", [2.5, True, float("nan"), float("inf")])
+    def test_rejects_non_whole_level_count(self, flat_setup, k):
+        _g, kt, wt = flat_setup
+        with pytest.raises(DomainError, match="whole number"):
+            fv.eigen_sequence(wt, kt, k)
+
+    @pytest.mark.parametrize("restarts", [2.5, True, float("nan"), float("inf")])
+    def test_rejects_non_whole_restart_count(self, flat_setup, restarts):
+        _g, kt, wt = flat_setup
+        with pytest.raises(DomainError, match="at least 2 restarts"):
+            fv.simplicity_probe(wt, kt, restarts)
+
+    def test_whole_float_counts_read_as_ints(self, flat_setup):
+        _g, kt, wt = flat_setup
+        assert len(fv.eigen_sequence(wt, kt, 2.0)) == 2
+        assert len(fv.simplicity_probe(wt, kt, 2.0).results) == 2
+
 
 def cosine_weight(g):
     """w = cos(2.5 x) along the first axis: positive in the middle, negative

@@ -41,6 +41,19 @@ class TestBuildGrid:
         with pytest.raises(DomainError):
             fv.build_grid(dim, L, n)
 
+    # a fraction once gave 2.5 -> 2 cells per axis with 3 centres, the last
+    # on the box edge; a bool read as 1
+    @pytest.mark.parametrize("dim,n", [(1, 2.5), (1, True), (True, 4), (1.5, 4), (2, math.nan),
+                                       (math.nan, 4), (1, math.inf), ("1", 4), (1, "4")])
+    def test_rejects_non_whole_counts(self, dim, n):
+        with pytest.raises(DomainError, match="whole number|dim must be"):
+            fv.build_grid(dim, 1.0, n)
+
+    def test_whole_floats_stored_as_ints(self):
+        g = fv.build_grid(2.0, 1.0, 4.0)
+        assert type(g.dim) is int and type(g.cells_per_dim) is int
+        assert (g.dim, g.cells_per_dim, g.n_cells) == (2, 4, 16)
+
     def test_refuses_oversized_grid_before_allocating(self, monkeypatch):
         # plane n = 2048: the centres and the meshgrid temporaries, 32 bytes a
         # cell (128 MiB), against 4 MiB of memory

@@ -260,11 +260,26 @@ class TestDispatch:
         ("hardy-norm", {"hardy": {"n_quantiles": -1}}),
         ("hardy-norm", {"hardy": {"center_stride": -2}}),
         ("capacity", {"capacity": {"region": {"kind": "halfspace", "side": "up"}}}),
+        # flags were once read by truthiness: "false" ran the diagnostic, and
+        # operator.index took true for 1 thread
+        ("concentration", {"concentration": {"diagnostic": "false"}}),
+        ("concentration", {"concentration": {"at_infinity": "false"}}),
+        ("concentration", {"concentration": {"diagnostic": 0}}),
+        ("verify", {"verify": {"threads": True}}),
+        ("verify", {"verify": {"threads": 2.5}}),
     ])
     def test_malformed_value_exits_65(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **overrides)
         assert dispatch([command, "--config", cfg]) == 65
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_null_flags_read_as_false(self, tmp_path, capsys):
+        # the point profile, neither the diagnostic nor the profile at infinity
+        cfg = write_config(tmp_path, concentration={"diagnostic": None, "at_infinity": None})
+        assert dispatch(["concentration", "--config", cfg]) == 0
+        written = {name.split(".")[0] for name in os.listdir(tmp_path / "out")}
+        assert written == {"concentration"}
 
     @pytest.mark.parametrize("command, solver", [
         ("capacity", {"capacity_tol_factor": float("nan")}),
