@@ -108,6 +108,8 @@ class _Context:
 
     def __init__(self, config: VerifyConfig):
         self.config = config
+        # every eigen solve of the suite
+        self.eigen_opts = eig.EigenOptions(tol=1e-8, seed=config.seed)
         self._memo: dict = {}
 
     def get(self, key: str, builder: Callable):
@@ -141,8 +143,7 @@ class _Context:
                 w2 = sample(g, Indicator(Ball((0.45 * L,) + (0.0,) * (g.dim - 1),
                                               0.25 * L), amplitude=0.2))
                 wt = eig.Weight(w1, w2)
-            opts = eig.EigenOptions(tol=1e-8, seed=self.config.seed)
-            seq = eig.eigen_sequence(wt, kt, 2, opts)
+            seq = eig.eigen_sequence(wt, kt, 2, self.eigen_opts)
             return wt, seq
         return self.get(f"eigen_{tag}", build)
 
@@ -324,8 +325,7 @@ def _chk_eigen_oracle_first(ctx, n, rng):
 def _chk_eigen_oracle_levels(ctx, n, rng):
     kt = ctx.base_kt()
     wt, _ = ctx.eigen_results("flat")
-    opts = eig.EigenOptions(tol=1e-8, seed=ctx.config.seed)
-    seq = eig.eigen_sequence(wt, kt, 4, opts)
+    seq = eig.eigen_sequence(wt, kt, 4, ctx.eigen_opts)
     oracle = eig.oracle_levels(wt, kt)[:4]
     margin = max(abs(r.lam / lam - 1.0) for r, lam in zip(seq, oracle))
     return margin, {"lams": [r.lam for r in seq], "oracle": oracle}
@@ -370,8 +370,7 @@ def _chk_eigen_gap(ctx, n, rng):
 def _chk_eigen_simplicity(ctx, n, rng):
     kt = ctx.base_kt()
     wt, _ = ctx.eigen_results("flat")
-    opts = eig.EigenOptions(tol=1e-8, seed=ctx.config.seed)
-    rep = eig.simplicity_probe(wt, kt, restarts=n, opts=opts)
+    rep = eig.simplicity_probe(wt, kt, restarts=n, opts=ctx.eigen_opts)
     margin = max(rep.lambda_spread / 1e-6, rep.function_spread / 1e-4,
                  -rep.rayleigh_lower_gap / 1e-6)
     return margin, {"lambda_spread": rep.lambda_spread,
@@ -380,12 +379,11 @@ def _chk_eigen_simplicity(ctx, n, rng):
 
 
 def _chk_best_constant(ctx, n, rng):
-    cfg = ctx.config
     kt = ctx.base_kt()
     g = kt.grid
     w = sample(g, PowerLaw(alpha=kt.params.sp))
     wt = eig.Weight.from_function(w)
-    lam1 = eig.first_eigenpair(wt, kt, eig.EigenOptions(tol=1e-8, seed=cfg.seed)).lam
+    lam1 = eig.first_eigenpair(wt, kt, ctx.eigen_opts).lam
     worst = -math.inf
     for _ in range(n):
         u = GridFunction(g, _smooth_bump_field(g, rng) + 0.2 * _rough_field(g, rng))
@@ -427,16 +425,14 @@ def _chk_lorentz_embedding(ctx, n, rng):
 
 
 def _chk_q_scale_invariance(ctx, n, rng):
-    cfg = ctx.config
     kt = ctx.base_kt()
     wt, seq = ctx.eigen_results("flat")
-    opts = eig.EigenOptions(tol=1e-8, seed=cfg.seed)
     base_start = eig.default_start(wt, kt)
     lam0 = seq[0].lam  # the first level is the solve from base_start
     worst = 0.0
     for _ in range(n):
         t = float(rng.uniform(0.05, 20.0))
-        lam = eig.first_eigenpair(wt, kt, opts, start=t * base_start).lam
+        lam = eig.first_eigenpair(wt, kt, ctx.eigen_opts, start=t * base_start).lam
         worst = max(worst, abs(lam / lam0 - 1.0))
     return worst, {"lam": lam0}
 
@@ -491,12 +487,15 @@ CHECK_NAMES = tuple(name for name, *_ in _REGISTRY)
 
 def _validated(config: VerifyConfig | None) -> VerifyConfig:
     """The config (the default one for None), or a ConfigError when the
-    seed is not a whole number >= 0, an override names no registered check,
-    a sample count is not a whole number >= 1 or a tolerance is not finite
-    and >= 0."""
+    seed is not a whole number >= 0, the thread count is neither None nor a
+    whole number >= 1, an override names no registered check, a sample
+    count is not a whole number >= 1 or a tolerance is not finite and >= 0."""
     config = config or VerifyConfig()
     if not is_whole(config.seed) or config.seed < 0:
         raise ConfigError(f"seed must be a whole number at least 0, got {config.seed!r}")
+    if config.threads is not None and (not is_whole(config.threads) or config.threads < 1):
+        raise ConfigError(f"threads must be null or a whole number at least 1, "
+                          f"got {config.threads!r}")
     unknown = sorted((set(config.samples) | set(config.tolerances)) - set(CHECK_NAMES))
     if unknown:
         raise ConfigError(f"overrides name unknown checks {unknown}; "

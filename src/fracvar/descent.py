@@ -18,9 +18,10 @@ from collections import deque
 from .errors import DomainError
 
 _WINDOW = 10  # accepted values of f that the Armijo test takes its reference from
-# accepted steps in a row without a new minimum; converging descents take <= 7
-# (every solve of the tests, the p = 3 concentration workload and the verify
-# suite at (0.4, 2) and (0.3, 3))
+# accepted steps in a row without a new minimum.  Most converging descents
+# take <= 7, but not all: the first eigenpairs of the Hardy weight |x|^(-sp)
+# on line n = 64 at (s, p) = (0.2, 4), (0.2, 5) and (0.15, 6) still oscillate
+# when the rule fires, and stall at residuals 1.0e-7, 0.205 and 0.143 (tol 1e-8)
 _FLAT_STEPS = 20
 _FLAT_ULPS = 16  # a new minimum lies this many ulps of the old one below it
 

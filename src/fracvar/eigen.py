@@ -26,6 +26,10 @@ reproduces the dense generalized eigensolver's spectrum; for general p the
 levels are critical levels of the energy on the deflated constraint set,
 not proven min-max levels.
 
+Every start is built on S = {w > 0} (``_on_positive_part``): restricted to
+S, projected there onto the deflated subspace and zero off S, so its
+weighted mass is positive by construction and it is never redrawn.
+
 At p = 2 the problem is the symmetric pencil A u = lam M u, with A the
 energy matrix (positive definite) and M = diag(w m).  Each level is first
 computed by LOBPCG (``_lobpcg``) for the largest mu = 1/lam of M x = mu A x,
@@ -120,42 +124,6 @@ class EigenResult:
     constraint_gap: float
 
 
-def default_start(wt: Weight, kt: KernelTable) -> np.ndarray:
-    """A bump at the peak of w1, narrowed until the weighted mass is positive."""
-    grid = kt.grid
-    p, m = kt.params.p, kt.cell_measure
-    wvals = wt.combined.values
-    x0 = grid.centers[int(np.argmax(wt.w1.values))]
-    widths = [grid.half_width / 4, grid.half_width / 8, grid.half_width / 16,
-              2 * grid.spacing, grid.spacing]
-    for sigma in widths:
-        d2 = ((grid.centers - x0) ** 2).sum(axis=1)
-        vals = np.exp(-d2 / (2.0 * sigma**2))
-        if raw_weighted_mass(vals, wvals, p, m) > 0:
-            return vals
-    i = int(np.argmax(wvals))
-    if wvals[i] > 0:
-        vals = np.zeros(grid.n_cells)
-        vals[i] = 1.0
-        return vals
-    raise DomainError("no candidate with positive weighted mass; "
-                      "the constraint set is empty on this grid")
-
-
-def seeded_start(wt: Weight, kt: KernelTable, rng: np.random.Generator) -> np.ndarray:
-    base = default_start(wt, kt)
-    noise = rng.standard_normal(kt.grid.n_cells)
-    wvals = wt.combined.values
-    p, m = kt.params.p, kt.cell_measure
-    amp = 0.75
-    for _ in range(40):
-        cand = base + amp * noise * float(np.max(np.abs(base)))
-        if raw_weighted_mass(cand, wvals, p, m) > 0:
-            return cand
-        amp *= 0.5
-    return base
-
-
 def _projector(wt: Weight, kt: KernelTable, previous, cells=slice(None)):
     """Orthogonal projection onto { v : b_k . v = 0 }, b_k = w phi(u_k) m,
     for the previous levels u_k, of fields on ``cells`` (all by default);
@@ -167,6 +135,38 @@ def _projector(wt: Weight, kt: KernelTable, previous, cells=slice(None)):
     q = np.linalg.qr(np.column_stack([wvals * _phi(res.u.values, p) * m
                                       for res in previous])[cells])[0]
     return lambda v: v - q @ (q.T @ v)
+
+
+def _on_positive_part(wt: Weight, kt: KernelTable, v: np.ndarray, previous=()) -> np.ndarray:
+    """v on S = {w > 0}, projected there onto the subspace paired to zero
+    with the ``previous`` levels, and zero off S: nonzero, it has positive
+    weighted mass.  DomainError when S has no more cells than ``previous``
+    or the result vanishes."""
+    positive = wt.combined.values > 0
+    if positive.sum() <= len(previous):
+        raise DomainError(f"w > 0 on {positive.sum()} cells: no start of positive weighted "
+                          f"mass is paired to zero with {len(previous)} earlier levels")
+    out = np.zeros(kt.grid.n_cells)
+    out[positive] = _projector(wt, kt, previous, positive)(v[positive])
+    if not np.any(out):
+        raise DomainError("the start vanishes on {w > 0}")
+    return out
+
+
+def default_start(wt: Weight, kt: KernelTable) -> np.ndarray:
+    """A bump of width L/4 at the peak of w, zero off {w > 0}; it is 1 at the
+    peak, so its weighted mass is at least max(w) m."""
+    grid = kt.grid
+    x0 = grid.centers[int(np.argmax(wt.combined.values))]
+    d2 = ((grid.centers - x0) ** 2).sum(axis=1)
+    return _on_positive_part(wt, kt, np.exp(-d2 / (2.0 * (grid.half_width / 4) ** 2)))
+
+
+def seeded_start(wt: Weight, kt: KernelTable, rng: np.random.Generator) -> np.ndarray:
+    """The default start plus Gaussian noise of 0.75 times its peak, zero off {w > 0}."""
+    base = default_start(wt, kt)
+    noise = rng.standard_normal(kt.grid.n_cells)
+    return _on_positive_part(wt, kt, base + 0.75 * noise * float(np.max(np.abs(base))))
 
 
 def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
@@ -193,23 +193,26 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
         residual = float(np.max(np.abs(residual_vec))) / max(energy, 1e-300)
         return residual_vec, residual <= opts.tol, None
 
-    def trial(u, residual_vec, eta):
-        cand = u - eta * residual_vec
-        mass = raw_weighted_mass(cand, wvals, p, m)
+    def rescaled(v):
+        """v rescaled to unit mass, with its energy and Gateaux vector, or
+        None at non-positive mass."""
+        mass = raw_weighted_mass(v, wvals, p, m)
         if mass <= 0:
             return None
-        cand = cand / mass ** (1.0 / p)
-        energy, grad = raw_energy(cand, kt)
+        v = v / mass ** (1.0 / p)
+        return (v, *raw_energy(v, kt))
+
+    def trial(u, residual_vec, eta):
+        if (point := rescaled(u - eta * residual_vec)) is None:
+            return None
+        cand, energy, grad = point
         return cand, energy, -eta * float(residual_vec @ residual_vec), grad
 
     def unit(v):
         """v projected and rescaled to unit mass, with its energy and Gateaux vector."""
-        v = project(v)
-        mass = raw_weighted_mass(v, wvals, p, m)
-        if mass <= 0.0:
+        if (point := rescaled(project(v))) is None:
             raise DomainError("weighted p-mass is non-positive; iterate left the cone")
-        v = v / mass ** (1.0 / p)
-        return (v, *raw_energy(v, kt))
+        return point
 
     u, energy, grad = unit(np.asarray(u0, dtype=float))
     its = 0
@@ -381,29 +384,16 @@ def linear_oracle(wt: Weight, kt: KernelTable) -> list[tuple[float, GridFunction
 
 def deflated_start(wt: Weight, kt: KernelTable, previous, level: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """Oscillatory seed projected onto the subspace paired to zero with the
-    previous levels (exact for every p: the pairing is linear in u),
-    redrawn until its weighted mass is positive.  After 60 draws, one
-    Gaussian draw on S = {w > 0}, projected there and zero off S, whose
-    mass is positive whenever it is nonzero."""
+    """The default start times the Chebyshev polynomial of degree level - 1
+    in the first coordinate, plus Gaussian noise of 0.3, restricted to
+    {w > 0} and projected there onto the subspace paired to zero with the
+    previous levels (exact for every p: the pairing is linear in u)."""
     grid = kt.grid
-    p, m = kt.params.p, kt.cell_measure
-    wvals = wt.combined.values
-    project = _projector(wt, kt, previous)
     base = default_start(wt, kt)
     t = np.clip(grid.centers[:, 0] / grid.half_width, -1.0, 1.0)
     pattern = np.cos((level - 1) * np.arccos(t))
-    for _ in range(60):
-        cand = project(base * pattern + 0.3 * rng.standard_normal(grid.n_cells))
-        if raw_weighted_mass(cand, wvals, p, m) > 0:
-            return cand
-        pattern = rng.standard_normal(grid.n_cells)
-    positive = wvals > 0
-    if positive.sum() <= len(previous):
-        raise DomainError("could not seed a deflated start with positive mass")
-    cand = np.zeros(grid.n_cells)
-    cand[positive] = _projector(wt, kt, previous, positive)(rng.standard_normal(positive.sum()))
-    return cand
+    v = base * pattern + 0.3 * rng.standard_normal(grid.n_cells)
+    return _on_positive_part(wt, kt, v, previous)
 
 
 def eigen_sequence(wt: Weight, kt: KernelTable, k: int,

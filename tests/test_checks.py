@@ -163,6 +163,9 @@ BAD_OVERRIDES = {
     "infinite_tolerance": {"tolerances": {"eigen_oracle_first": math.inf}},
     "nan_tolerance": {"tolerances": {"homogeneity": math.nan}},
     "negative_tolerance": {"tolerances": {"homogeneity": -1e-12}},
+    "zero_threads": {"threads": 0},
+    "negative_threads": {"threads": -3},
+    "fractional_threads": {"threads": 2.5},
 }
 
 

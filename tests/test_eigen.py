@@ -7,8 +7,8 @@ import fracvar as fv
 import fracvar.eigen as eigen_mod
 import fracvar.energy as energy_mod
 import fracvar.grid as grid_mod
-from fracvar.eigen import default_start
-from fracvar.energy import _phi, raw_energy, stiffness_matrix
+from fracvar.eigen import default_start, deflated_start, seeded_start
+from fracvar.energy import _phi, raw_energy, raw_weighted_mass, stiffness_matrix
 from fracvar.errors import ConvergenceError, DomainError
 
 from conftest import bump
@@ -151,6 +151,69 @@ class TestFirstEigenpair:
         b = fv.first_eigenpair(wt, kt, start=start.copy())
         assert a.lam == b.lam
         np.testing.assert_array_equal(a.u.values, b.u.values)
+
+    # lam is each pair's level as converged when the stall rule does not fire
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="ROADMAP.md item 14: the stall rule stops these "
+                              "descents far from convergence")
+    @pytest.mark.parametrize("s, p, lam", [
+        (0.2, 4.0, 0.4256152131207834),
+        (0.2, 5.0, 0.12745742266439414),
+        (0.15, 6.0, 0.15515613530616934),
+    ], ids=["s=0.2,p=4", "s=0.2,p=5", "s=0.15,p=6"])
+    def test_hardy_weight_converges_at_large_p(self, s, p, lam):
+        g = fv.build_grid(1, 1.0, 64)
+        kt = fv.build_kernel_table(g, fv.FracParams(s, p), 4.0)
+        wt = fv.Weight.from_function(fv.sample(g, fv.PowerLaw(alpha=s * p)))
+        opts = fv.EigenOptions(tol=1e-8, seed=42)
+        res = fv.first_eigenpair(wt, kt, opts)
+        assert res.residual <= opts.tol
+        assert abs(res.lam / lam - 1.0) <= 1e-10
+
+
+class TestStarts:
+    @pytest.mark.parametrize("kind", ["signed", "signed_p3", "shifted_cosine"])
+    def test_every_start_vanishes_off_the_positive_part(self, kind):
+        if kind == "shifted_cosine":
+            g = fv.build_grid(2, 1.0, 8)
+            kt = fv.build_kernel_table(g, fv.FracParams(0.45, 2.0), 4.0)
+            wt = shifted_cosine_weight(g)
+        else:
+            g = fv.build_grid(1, 1.0, 32)
+            p = 3.0 if kind == "signed_p3" else 2.0
+            kt = fv.build_kernel_table(g, fv.FracParams(0.3, p), 4.0)
+            wt = signed_weight(g)
+        p, m = kt.params.p, kt.cell_measure
+        w = wt.combined.values
+        assert np.any(w < 0)
+        seq = fv.eigen_sequence(wt, kt, 3, fv.EigenOptions(tol=1e-8, seed=3))
+        for seed in (0, 1, 3):
+            rng = np.random.default_rng(seed)
+            starts = [default_start(wt, kt), seeded_start(wt, kt, rng)]
+            starts += [deflated_start(wt, kt, seq[:level - 1], level, rng)
+                       for level in (2, 3)]
+            for start in starts:
+                assert np.all(start[w <= 0] == 0.0)
+                assert raw_weighted_mass(start, w, p, m) > 0.0
+            for level, start in ((2, starts[2]), (3, starts[3])):
+                for res in seq[:level - 1]:
+                    pairing = w * _phi(res.u.values, p) * m
+                    assert abs(pairing @ start) <= 1e-12 * np.abs(pairing).sum()
+
+    def test_default_start_centred_at_the_peak_of_w(self):
+        # w2 exceeds w1 at w1's peak, so w is negative there and peaks off
+        # centre; a bump at w1's peak would still have positive mass
+        g = fv.build_grid(1, 1.0, 32)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
+        spec = fv.Difference(fv.GaussianBump(sigma=0.5),
+                             fv.GaussianBump(sigma=0.1, amplitude=1.5))
+        wt = fv.Weight(fv.sample(g, spec.w1), fv.sample(g, spec.w2))
+        w = wt.combined.values
+        assert w[np.argmax(wt.w1.values)] < 0
+        start = default_start(wt, kt)
+        assert np.argmax(start) == np.argmax(w)
+        assert start[np.argmax(w)] == 1.0
+        assert np.all(start[w <= 0] == 0.0)
 
 
 class TestLinearOracle:
@@ -361,6 +424,14 @@ def cosine_weight(g):
     return fv.Weight.from_function(fv.GridFunction(g, np.cos(2.5 * g.centers[:, 0])))
 
 
+def shifted_cosine_weight(g):
+    """w = -(cos(2.5 x) + 0.2): positive only on two strips at the box's
+    edges, where an oscillatory draw over the whole box rarely has positive
+    mass and a draw on {w > 0} always does."""
+    shifted = fv.GridFunction(g, np.cos(2.5 * g.centers[:, 0]) + 0.2)
+    return fv.Weight.from_function(shifted).swapped()
+
+
 class TestLobpcgPath:
     @pytest.mark.parametrize("dim, n", [(1, 32), (2, 8)])
     @pytest.mark.parametrize("kind", ["flat", "signed", "swapped"])
@@ -394,12 +465,9 @@ class TestLobpcgPath:
 
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_start_drawn_on_the_positive_part(self, seed):
-        # no oscillatory draw has positive mass for this weight on the plane,
-        # so the start of each deflated level is drawn on {w > 0}
         g = fv.build_grid(2, 1.0, 8)
         kt = fv.build_kernel_table(g, fv.FracParams(0.45, 2.0), 4.0)
-        shifted = fv.GridFunction(g, np.cos(2.5 * g.centers[:, 0]) + 0.2)
-        wt = fv.Weight.from_function(shifted).swapped()
+        wt = shifted_cosine_weight(g)
         seq = fv.eigen_sequence(wt, kt, 3, fv.EigenOptions(tol=1e-9, seed=seed))
         for res, (lam, _u) in zip(seq, fv.linear_oracle(wt, kt)):
             assert res.lam == pytest.approx(lam, rel=1e-6)

@@ -267,6 +267,8 @@ class TestDispatch:
         ("concentration", {"concentration": {"diagnostic": 0}}),
         ("verify", {"verify": {"threads": True}}),
         ("verify", {"verify": {"threads": 2.5}}),
+        ("verify", {"verify": {"threads": 0}}),
+        ("verify", {"verify": {"threads": -3}}),
     ])
     def test_malformed_value_exits_65(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **overrides)
