@@ -55,8 +55,10 @@ the computable stand-ins for the local and at-infinity concentration
 functions whose joint vanishing signals that the weighted p-mass is a
 compact perturbation of the energy.  ``compactness_diagnostic`` runs the
 weight-norm sweep and every profile against one capacity cache keyed by
-the candidate's cell mask, so a cell set shared by several sweeps is solved
-once.  The sweeps run serially.
+the candidate's orbit under the box's symmetries (reflections, and on the
+plane the transpose), each solved once on its least image, so a cell set
+shared by several sweeps, or an image of one, costs one solve.  The sweeps
+run serially.
 """
 
 from __future__ import annotations
@@ -384,23 +386,42 @@ def _family_candidates(grid: Grid, weights, family: CandidateFamily | None) -> l
         positive = absw[absw > 0]
         if positive.size and family.n_quantiles > 0:
             qs = np.linspace(0.05, 0.95, family.n_quantiles)
-            for qi, q in enumerate(qs):
-                t = float(np.quantile(positive, q))
+            for qi, t in enumerate(np.quantile(positive, qs)):
                 push(f"level[q{qi}]", CellSet(grid, absw > t))
             push("support", CellSet(grid, absw > 0))
     return out
 
 
+def _orbit_key(cs: CellSet) -> bytes:
+    """The least ``tobytes()`` over the images of the mask under the box's
+    symmetries: the reflection on the line; on the plane the reflection of
+    either axis, both, and each of those composed with the transpose.
+
+    The stencil and the exterior mass are invariant under each, so every
+    image of a set has the set's capacity.
+    """
+    a = cs.mask.reshape((cs.grid.cells_per_dim,) * cs.grid.dim)
+    if cs.grid.dim == 1:
+        images = (a, a[::-1])
+    else:
+        images = [im for t in (a, a.T) for im in (t, t[::-1], t[:, ::-1], t[::-1, ::-1])]
+    return min(im.tobytes() for im in images)
+
+
 def _candidate_capacities(candidates, kt: KernelTable,
                           opts: CapacityOptions | None, cache: dict) -> list:
-    """Capacity per candidate set; the cache is keyed by the membership mask,
-    so a set shared by several sweeps is solved once."""
+    """Capacity per candidate set.  The cache is keyed by the set's orbit
+    (``_orbit_key``), and a miss solves the orbit's least image, so a set
+    shared by several sweeps, or the reflection or transpose of one already
+    solved, costs no solve, and its value does not depend on the order the
+    sweeps meet the orbit in."""
     caps = []
     for label, cs in candidates:
-        key = cs.mask.tobytes()
+        key = _orbit_key(cs)
         if key not in cache:
+            least = CellSet(cs.grid, np.frombuffer(key, dtype=bool))
             try:
-                cache[key] = capacity(cs, kt, opts).value
+                cache[key] = capacity(least, kt, opts).value
             except ConvergenceError as err:
                 warnings.warn(f"candidate {label} skipped: {err}")
                 cache[key] = None
@@ -443,7 +464,7 @@ def _sweep(w: GridFunction, masks, kt: KernelTable, family: CandidateFamily | No
     All restrictions share one candidate family (the union of the families
     each would generate on its own), so the estimates are exactly monotone
     in nested restrictions and one capacity solve serves every restriction;
-    ``cache`` maps a candidate's mask to its capacity across sweeps.  A
+    ``cache`` maps a candidate's orbit to its capacity across sweeps.  A
     vanishing restriction gets the zero result, and when all vanish no
     capacity is solved.
     """

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import threading
 import tracemalloc
 
@@ -681,30 +682,109 @@ class TestCompactnessDiagnostic:
         assert verdict.c_star == 0.0
 
 
+def box_images(grid, mask):
+    """The images of a mask under the box's symmetry group, as flat masks:
+    the identity and the reflection on the line, the 8 rotations and
+    reflections of the square on the plane."""
+    a = mask.reshape((grid.cells_per_dim,) * grid.dim)
+    if grid.dim == 1:
+        return [a, a[::-1]]
+    return [np.rot90(t, k).ravel() for t in (a, a.T) for k in range(4)]
+
+
+class TestOrbitKey:
+    @pytest.mark.parametrize("dim, n", [(1, 7), (1, 8), (2, 5), (2, 6), (2, 12)])
+    def test_every_image_gives_the_key_of_a_least_image(self, dim, n, rng):
+        g = fv.build_grid(dim, 1.0, n)
+        mask = rng.random(g.n_cells) < 0.4
+        images = box_images(g, mask)
+        keys = {capacity_mod._orbit_key(fv.CellSet(g, im.ravel())) for im in images}
+        assert len(keys) == 1
+        least = np.frombuffer(keys.pop(), dtype=bool)
+        assert any(np.array_equal(least, im.ravel()) for im in images)
+        assert least.tobytes() == min(im.tobytes() for im in images)
+
+    @pytest.mark.parametrize("dim, n, k", [(1, 7, 3), (1, 8, 4), (2, 5, 2), (2, 6, 2)])
+    def test_keys_part_masks_by_orbit(self, dim, n, k):
+        # every mask of k cells: two share a key exactly when one is an
+        # image of the other
+        g = fv.build_grid(dim, 1.0, n)
+        orbits = {}
+        for idx in itertools.combinations(range(g.n_cells), k):
+            mask = np.zeros(g.n_cells, dtype=bool)
+            mask[list(idx)] = True
+            key = capacity_mod._orbit_key(fv.CellSet(g, mask))
+            orbits.setdefault(key, set()).add(mask.tobytes())
+        for members in orbits.values():
+            first = np.frombuffer(next(iter(members)), dtype=bool)
+            assert members == {im.tobytes() for im in box_images(g, first)}
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_images_share_the_capacity(self, p):
+        # the premise of the orbit cache: the stencil and the exterior mass
+        # are invariant under the box's symmetries
+        g = fv.build_grid(2, 1.0, 8)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.3, p), 4.0)
+        mask = np.zeros((8, 8), dtype=bool)
+        mask[1:3, 2:6] = True
+        mask[4, 5] = True
+        images = box_images(g, mask.ravel())
+        assert len({im.tobytes() for im in images}) == 8
+        caps = [fv.capacity(fv.CellSet(g, im), kt).value for im in images]
+        assert max(caps) - min(caps) <= 1e-13 * max(caps)
+
+
 class TestSweepRuntime:
-    def test_diagnostic_solves_each_candidate_set_once(self, line_kt, line_grid,
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_diagnostic_solves_each_candidate_set_once(self, dim, line_kt, line_grid,
                                                        monkeypatch):
-        w = fv.sample(line_grid, fv.PowerLaw(alpha=0.8))
+        if dim == 1:
+            kt, w = line_kt, fv.sample(line_grid, fv.PowerLaw(alpha=0.8))
+        else:
+            # an off-centre weight: its sweeps hold images of one another
+            g = fv.build_grid(2, 1.0, 8)
+            kt = fv.build_kernel_table(g, fv.FracParams(0.3, 3.0), 4.0)
+            w = fv.GridFunction(g, 1.0 / np.linalg.norm(g.centers - (0.21, -0.08), axis=1))
         solved = []
         solve = capacity_mod.capacity
+        candidates = set()
+        orbits = set()
+        candidate_capacities = capacity_mod._candidate_capacities
 
         def counting(F, kt, opts=None):
             solved.append(F.mask.tobytes())
             return solve(F, kt, opts)
 
+        def recording(cands, *args):
+            candidates.update(cs.mask.tobytes() for _, cs in cands)
+            orbits.update(capacity_mod._orbit_key(cs) for _, cs in cands)
+            return candidate_capacities(cands, *args)
+
         monkeypatch.setattr(capacity_mod, "capacity", counting)
-        verdict = fv.compactness_diagnostic(w, line_kt)
+        monkeypatch.setattr(capacity_mod, "_candidate_capacities", recording)
+        verdict = fv.compactness_diagnostic(w, kt)
         shared = list(solved)
+        # one solve per orbit, on its least image
+        assert sorted(shared) == sorted(orbits)
+        if dim == 2:
+            assert len(orbits) < len(candidates)
         # the public functions each solve their whole family on their own,
         # and give the diagnostic's values bit for bit
         solved.clear()
-        assert fv.hardy_norm_estimate(w, line_kt).value == verdict.weight_norm
+        assert fv.hardy_norm_estimate(w, kt).value == verdict.weight_norm
         for x, prof in zip(verdict.points, verdict.profiles):
-            assert fv.concentration_at(w, x, prof.radii, line_kt) == prof
-        at_infinity = fv.concentration_at_infinity(w, verdict.infinity_profile.radii, line_kt)
+            assert fv.concentration_at(w, x, prof.radii, kt) == prof
+        at_infinity = fv.concentration_at_infinity(w, verdict.infinity_profile.radii, kt)
         assert at_infinity == verdict.infinity_profile
         assert len(solved) > len(shared)
         assert shared == list(dict.fromkeys(solved))
+        if dim == 2:
+            n = w.grid.cells_per_dim
+            transposed = fv.GridFunction(w.grid, w.values.reshape(n, n).T.ravel())
+            # the capacities are shared bit for bit; each mass sums |w| in
+            # cell order, which the transpose changes, so it may move an ulp
+            assert fv.hardy_norm_estimate(transposed, kt).value == pytest.approx(
+                verdict.weight_norm, rel=1e-15)
 
     def test_sweep_starts_no_thread(self, line_kt, line_grid, monkeypatch):
         started = []

@@ -189,6 +189,13 @@ class TestKernelTable:
             r = fv.build_kernel_table(fv.build_grid(1, 1.0, n), fp, 4.0).exterior_mass
             assert np.array_equal(r, r[::-1])
 
+    def test_stencil_transpose_invariant_bitwise(self, plane_kt):
+        # with the exterior mass above, this makes every capacity invariant
+        # under the box's reflections and transpose
+        assert np.array_equal(plane_kt.stencil, plane_kt.stencil.T)
+        kt = fv.build_kernel_table(fv.build_grid(2, 1.0, 9), fv.FracParams(0.3, 3.0), 4.0)
+        assert np.array_equal(kt.stencil, kt.stencil.T)
+
     def test_exterior_mass_larger_near_boundary(self, line_kt):
         rho = line_kt.exterior_mass
         mid = len(rho) // 2
