@@ -19,8 +19,9 @@ quadratic form u^T A u, and the capacity is the symmetric positive-definite
 system A_ff u_f = -A_fF 1 on the free cells (those outside F).  Conjugate
 gradients solve it from u_f = 0 on the table's ``P2Operator``
 (``_solve_on_free``, the one CG of every p >= 2 solve): A and T. Chan's
-circulant preconditioner are FFT products on the whole grid, restricted to
-the free cells, and CG takes 5-14 steps on every grid tried.  The clipped
+circulant preconditioner are products on the whole grid, by FFT or, up to
+181 cells, by gathered matrices, restricted to the free cells, and CG
+takes 5-14 steps on every grid tried.  The clipped
 solution then gets one fused energy-and-gradient pass and starts the
 descent, whose first stop test it passes without a step when CG has
 converged; CG stops one step short of the iteration budget, so that test

@@ -33,8 +33,8 @@ weighted mass is positive by construction and it is never redrawn.
 At p = 2 the problem is the symmetric pencil A u = lam M u, with A the
 energy matrix (positive definite) and M = diag(w m).  Each level is first
 computed by LOBPCG (``_lobpcg``) for the largest mu = 1/lam of M x = mu A x,
-with A applied by FFT and preconditioned by a circulant
-(``energy.P2Operator``); LOBPCG's block holds the earlier levels and the
+with A applied through a circulant embedding and preconditioned by a
+circulant (``energy.P2Operator``); LOBPCG's block holds the earlier levels and the
 start.  Its iterate is projected, rescaled to unit mass and put to the
 descent's own residual test; the descent above continues from it only if
 the test fails, within the same iteration budget.  On the line at n = 768
@@ -255,7 +255,7 @@ def _lobpcg(wt: Weight, kt: KernelTable, u: np.ndarray, lam0: float, opts: Eigen
     """LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) for the largest
     mu = 1/lam of M x = mu A x at p = 2, with M = diag(w m).
 
-    A enters by its FFT product and circulant preconditioner
+    A enters by its circulant product and circulant preconditioner
     (``KernelTable.p2_operator``).  The block X holds the ``previous``
     levels and u (not written), and the level sought is the smallest of its
     k Ritz values: as constraints, levels that are eigenvectors only to the

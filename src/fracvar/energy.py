@@ -40,10 +40,12 @@ copysign(|d|^(p-1), d) below.
 share the one power |u|^(p-1).  ``gateaux(u, v)`` is v . gateaux_vector(u).
 
 At p = 2 the energy is a quadratic form u^T A u.  ``P2Operator``, the one
-operator of the p = 2 solves, applies A and a circulant preconditioner by
-FFT through its own circulant embedding of the kernel table's stencil;
-``stiffness_matrix`` is its dense reference.  The kernel rows are read by
-the pair pass, the capacity solve's Newton Hessian, and
+operator of the p = 2 solves, applies A and a circulant preconditioner
+through its own circulant embedding of the kernel table's stencil: by FFT,
+or, where an (M, M) matrix fits one pair-pass block (M <= 181), by the two
+circulants' box blocks gathered once from their first columns, one matrix
+product each; ``stiffness_matrix`` is its dense reference.  The kernel
+rows are read by the pair pass, the capacity solve's Newton Hessian, and
 ``KernelTable.dense_kernel``, which serves only the dense oracle.
 """
 
@@ -55,7 +57,7 @@ import numpy as np
 import numpy.fft
 
 from .errors import DomainError
-from .grid import GridFunction, KernelTable, _check_fits, same_grid
+from .grid import _BLOCK_BYTES, GridFunction, KernelTable, _check_fits, same_grid
 
 
 @dataclass(frozen=True)
@@ -226,7 +228,7 @@ _ORACLE_SQUARES = 6
 
 
 class P2Operator:
-    """The p = 2 energy matrix A = 2 m^2 (diag(r) - K) + 2 m diag(rho) by FFT.
+    """The p = 2 energy matrix A = 2 m^2 (diag(r) - K) + 2 m diag(rho).
 
     K depends only on the cell offset, so it is Toeplitz on the line and
     BTTB on the plane.  Its stencil over the signed offsets 1-n .. n-1 of
@@ -239,8 +241,17 @@ class P2Operator:
     T. Chan's circulant preconditioners (SIAM J. Sci. Stat. Comput. 9,
     1988).  c is the median of A's diagonal, which is within a few percent
     of constant on every grid tried, so A is nearly Toeplitz.  The
-    circulant's spectrum ``preconditioner_symbol`` is positive (asserted),
-    so the preconditioner is symmetric positive definite.
+    circulant's spectrum ``preconditioner_symbol`` must be positive (a
+    ``DomainError`` otherwise), so the preconditioner is symmetric positive
+    definite.
+
+    Both circulants multiply by FFT, except where an (M, M) float64 matrix
+    fits one pair-pass block (``grid._BLOCK_BYTES``, M <= 181): there each
+    is gathered once from its first column, at the cell offsets
+    (i - j) mod period (the preconditioner's then averaged with its
+    transpose), and a product is one matrix product, 1.2 us
+    against 15 us for the FFT round trip at line n = 64 (2-core x86-64,
+    one BLAS thread).  The FFT wins by line n = 768 (35 us against 189 us).
 
     Build it through ``KernelTable.p2_operator``, which keeps one per table.
     """
@@ -248,33 +259,54 @@ class P2Operator:
     def __init__(self, kt: KernelTable):
         if kt.params.p != 2.0:
             raise DomainError("the p = 2 energy matrix exists only for p = 2")
-        n, dim = kt.grid.cells_per_dim, kt.grid.dim
+        n, dim, cells = kt.grid.cells_per_dim, kt.grid.dim, kt.grid.n_cells
         self.shape, self._window = (n,) * dim, (slice(0, n),) * dim
         # offsets beyond n - 1 pair no two box cells; offset 0 at index 0
         # makes the embedding even in every axis, so its spectrum is real
         period = 1 << (2 * n - 2).bit_length()
-        self._period = (period,) * dim
+        # the embedding, its spectrum and three real symbols
+        _check_fits(5 * 8 * period**dim, f"the p = 2 operator of {cells} cells")
+        self._period, self._axes = (period,) * dim, tuple(range(dim))
         signed = np.arange(1 - n, n)
         embedding = np.zeros(self._period)
         embedding[np.ix_(*[signed % period] * dim)] = kt.stencil[np.ix_(*[np.abs(signed)] * dim)]
         self.symbol = np.ascontiguousarray(np.fft.rfftn(embedding).real)
+        dense = 8 * cells**2 <= _BLOCK_BYTES
+        self._kernel = self._gathered(embedding) if dense else None
         self._scale = 2.0 * kt.cell_measure**2
-        self.diagonal = (self._scale * self.kernel_product(np.ones(kt.grid.n_cells))
+        self.diagonal = (self._scale * self.kernel_product(np.ones(cells))
                          + 2.0 * kt.cell_measure * kt.exterior_mass)
         self.preconditioner_symbol = float(np.median(self.diagonal)) - self._scale * self.symbol
-        assert self.preconditioner_symbol.min() > 0.0, "the preconditioner is not positive"
+        if not self.preconditioner_symbol.min() > 0.0:
+            raise DomainError("the preconditioner is not positive")
         self._inverse_symbol = 1.0 / self.preconditioner_symbol
+        self._inverse = None
+        if dense:
+            # the inverse FFT leaves the column even only to roundoff; the mean
+            # with the transpose is exactly symmetric, as CG and LOBPCG take it
+            inverse = self._gathered(np.fft.irfftn(self._inverse_symbol, self._period, self._axes))
+            self._inverse = 0.5 * (inverse + inverse.T)
 
-    def _product(self, x: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-        """The circulant of spectrum ``symbol`` times x, (M,) or (M, k), zero-padded."""
-        axes = tuple(range(len(self.shape)))
-        spec = np.fft.rfftn(x.reshape(self.shape + x.shape[1:]), self._period, axes)
+    def _gathered(self, column: np.ndarray) -> np.ndarray:
+        """The (M, M) box block of the circulant with first column ``column``:
+        its entry at the cell offsets (i - j) mod period."""
+        n, dim = self.shape[0], len(self.shape)
+        lag = (np.arange(n)[:, None] - np.arange(n)) % self._period[0]
+        index = (lag,) if dim == 1 else (lag[:, None, :, None], lag[None, :, None, :])
+        return column[index].reshape(n**dim, n**dim)
+
+    def _product(self, x: np.ndarray, symbol: np.ndarray, matrix) -> np.ndarray:
+        """The circulant of spectrum ``symbol`` times x, (M,) or (M, k),
+        zero-padded; by its gathered ``matrix`` when there is one."""
+        if matrix is not None:
+            return matrix @ x
+        spec = np.fft.rfftn(x.reshape(self.shape + x.shape[1:]), self._period, self._axes)
         spec *= symbol.reshape(symbol.shape + (1,) * (x.ndim - 1))
-        return np.fft.irfftn(spec, self._period, axes)[self._window].reshape(x.shape)
+        return np.fft.irfftn(spec, self._period, self._axes)[self._window].reshape(x.shape)
 
     def kernel_product(self, x: np.ndarray) -> np.ndarray:
         """K x for a field (M,) or a block of fields (M, k)."""
-        return self._product(x, self.symbol)
+        return self._product(x, self.symbol, self._kernel)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x for a field (M,) or a block of fields (M, k)."""
@@ -283,7 +315,7 @@ class P2Operator:
 
     def precondition(self, x: np.ndarray) -> np.ndarray:
         """The circulant approximation of A^-1 applied to x, (M,) or (M, k)."""
-        return self._product(x, self._inverse_symbol)
+        return self._product(x, self._inverse_symbol, self._inverse)
 
 
 def stiffness_matrix(kt: KernelTable) -> np.ndarray:

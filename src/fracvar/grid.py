@@ -13,15 +13,17 @@ b^2))^(-(dim + s*p))`` over integer cell offsets, which the table keeps.
 K is Toeplitz on the line and BTTB on the plane, so the table stores no
 other kernel array: each kernel row is a run of a row source gathered
 from T on the first read of ``KernelTable.kernel_rows``, the p = 2 energy
-matrix multiplies by FFT over T (``KernelTable.p2_operator``, which owns
-the circulant embedding), and the exterior mass sums T over a ring of
-cells (same spacing, out to ``ext_radius``) plus the radial tail
+matrix multiplies through a circulant embedding of T
+(``KernelTable.p2_operator``, which owns it), and the exterior mass sums
+T over a ring of cells (same spacing, out to ``ext_radius``) plus the
+radial tail
 
     integral_{|z| > R} |z|^(-(dim + s*p)) dz = sigma_{dim-1} * R^(-s*p) / (s*p)
 
 at ``R = ext_radius - |x_i|`` (sigma_0 = 2, sigma_1 = 2*pi).  One byte
 budget, ``_BLOCK_BYTES``, sets the energy module's pair-pass row blocks
-(``_row_blocks``) and whether ``kernel_rows`` is copied contiguous.  The
+(``_row_blocks``), whether ``kernel_rows`` is copied contiguous and
+whether the p = 2 operator multiplies by gathered matrices.  The
 ring sums take no FFT: the ring is two strips on the line and four on the
 plane, and a strip's sum is a difference of suffix sums of the stencil's
 row prefix sums (``_ring_sums``), O((n + layers)^dim) work in long double.  With an
@@ -386,8 +388,9 @@ class KernelTable:
 
     @functools.cached_property
     def p2_operator(self):
-        """The p = 2 energy matrix as FFT products (``energy.P2Operator``),
-        built on first use and kept with the table."""
+        """The p = 2 energy matrix and its preconditioner as circulant
+        products (``energy.P2Operator``), built on first use and kept with
+        the table."""
         from .energy import P2Operator  # energy imports this module
 
         return P2Operator(self)

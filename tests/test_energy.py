@@ -469,6 +469,53 @@ class TestP2Operator:
             assert np.max(np.abs(dense - dense.T)) <= 1e-15 * np.max(np.abs(dense))
             assert np.linalg.eigvalsh(dense).min() > 0.0
 
+    # M = 181 and 169 fit one pair-pass block as an (M, M) matrix, 182 and 196 do not
+    @pytest.mark.parametrize("dim, n", [(1, 181), (1, 182), (2, 13), (2, 14)])
+    @pytest.mark.parametrize("s", [0.3, 0.5])
+    def test_gathered_matrices_below_one_block(self, monkeypatch, dim, n, s, rng):
+        kt = fv.build_kernel_table(fv.build_grid(dim, 1.0, n), fv.FracParams(s, 2.0), 4.0)
+        op, cells = kt.p2_operator, kt.grid.n_cells
+        gathered = cells <= 181
+        if gathered:
+            eye = np.eye(cells)
+            for matrix, symbol in ((op._kernel, op.symbol), (op._inverse, op._inverse_symbol)):
+                fft = op._product(eye, symbol, None)
+                assert np.max(np.abs(matrix - fft)) <= 2e-15 * np.max(np.abs(fft))
+        else:
+            assert op._kernel is None and op._inverse is None
+        a = stiffness_matrix(kt)
+        for x in (rng.standard_normal(cells), rng.standard_normal((cells, 3))):
+            assert np.max(np.abs(op.apply(x) - a @ x)) <= 2e-15 * np.max(np.abs(a @ x))
+        calls = []
+
+        def counted(f):
+            def call(*args, **kwargs):
+                calls.append(f.__name__)
+                return f(*args, **kwargs)
+            return call
+
+        for name in ("rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        op.apply(x)
+        op.precondition(x)
+        assert len(calls) == (0 if gathered else 4)
+
+    def test_non_positive_preconditioner_refused(self, monkeypatch):
+        kt = fv.build_kernel_table(fv.build_grid(1, 1.0, 16), fv.FracParams(0.4, 2.0), 4.0)
+        monkeypatch.setattr(np, "median", lambda a: 0.0)  # c = 0 makes the symbol -2 m^2 K
+        with pytest.raises(DomainError, match="the preconditioner is not positive"):
+            energy_mod.P2Operator(kt)
+
+    def test_refused_beyond_physical_memory(self, monkeypatch):
+        # five circulant arrays of 8 * 32^2 bytes
+        kt = fv.build_kernel_table(fv.build_grid(2, 1.0, 12), fv.FracParams(0.5, 2.0), 4.0)
+        monkeypatch.setattr(grid_mod, "_physical_memory", lambda: 8 * 1024)
+        monkeypatch.setattr(np, "zeros", None)  # nothing is allocated before the check
+        with pytest.raises(DomainError, match="p = 2 operator of 144 cells.*physical memory"):
+            kt.p2_operator
+        monkeypatch.undo()
+        assert kt.p2_operator.apply(np.ones(144)).shape == (144,)
+
     @pytest.mark.parametrize("dim, n", [(1, 64), (2, 12)])
     def test_reads_no_kernel_rows(self, dim, n):
         kt = fv.build_kernel_table(fv.build_grid(dim, 1.0, n), fv.FracParams(0.4, 2.0), 4.0)
