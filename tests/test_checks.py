@@ -7,6 +7,7 @@ import pytest
 
 import fracvar.checks as chk
 from fracvar.errors import ConfigError, ConvergenceError
+from fracvar.grid import build_grid
 
 # trimmed sample counts keep the suite fast while covering every check
 FAST = dict(
@@ -143,6 +144,44 @@ class TestFailedSolves:
         monkeypatch.setattr(chk, "_REGISTRY", (("broken", broken, 1, 0.0, "s"),))
         with pytest.raises(ZeroDivisionError):
             chk.run_check("broken")
+
+
+def serial_bump_field(grid, rng):
+    """The test fields as drawn by serial ``Generator.uniform`` calls."""
+    L = grid.half_width
+    vals = np.zeros(grid.n_cells)
+    for _ in range(int(rng.integers(1, 5))):
+        center = rng.uniform(-0.6 * L, 0.6 * L, size=grid.dim)
+        width = rng.uniform(0.08 * L, 0.3 * L)
+        amp = rng.uniform(0.2, 1.0)
+        d2 = ((grid.centers - center) ** 2).sum(axis=1)
+        vals += amp * np.exp(-d2 / (2.0 * width**2))
+    return vals
+
+
+class TestBumpField:
+    @pytest.mark.parametrize("half_width", [1.0, 2.5])
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
+    def test_one_draw_matches_serial_uniform(self, dim, n, half_width):
+        # one block of uniforms, mapped as lo + (hi - lo) x, is what the
+        # serial calls draw: the same fields, and the stream left where
+        # they leave it
+        g = build_grid(dim, half_width, n)
+        for seed in range(500):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(chk._smooth_bump_field(g, ours), serial_bump_field(g, ref))
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+
+class TestHomogeneity:
+    @pytest.mark.parametrize("seed", [42, 123])
+    @pytest.mark.parametrize("s, p", [(0.2, 4.0), (0.2, 5.0), (0.4, 2.0)])
+    def test_exact_scales_leave_no_roundoff(self, s, p, seed):
+        # t = +-2^k scales every operand exactly; a uniform |t| left
+        # 2.9e-12 at p = 4 and 3.8e-11 at p = 5 against the tolerance 1e-12
+        rec = chk.run_check("homogeneity", chk.VerifyConfig(seed=seed, s=s, p=p))
+        assert rec.passed
+        assert rec.worst_margin <= 1e-20
 
 
 class TestRunCheck:

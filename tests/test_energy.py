@@ -220,10 +220,36 @@ class TestPairEnergyAccuracy:
         energy = energy_mod.raw_energy(vals, kt)[0]
         assert rel(energy, interior + boundary) <= 1e-15
 
-    @pytest.mark.parametrize("kind", ["energy", "both", "Flux", ""])
-    def test_only_two_kinds(self, line_kt, rng, kind):
+    @pytest.mark.parametrize("kind", ["both", "Flux", ""])
+    def test_only_three_kinds(self, line_kt, rng, kind):
+        vals = rng.standard_normal(32)
+        for known in ("flux", "energy", "density"):
+            energy_mod._pair_sums(vals, line_kt, known)
         with pytest.raises(ValueError, match="kind"):
-            energy_mod._pair_sums(rng.standard_normal(32), line_kt, kind)
+            energy_mod._pair_sums(vals, line_kt, kind)
+
+
+class TestEnergyPass:
+    """The "energy" kind forms no row sums and returns the flux pass's
+    energy bit for bit, so ``seminorm_p`` reads the same number."""
+
+    @pytest.mark.parametrize("budget", [None, 1600])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.5])
+    @pytest.mark.parametrize("grid_name", ["line_grid", "plane_grid"])
+    def test_equals_flux_energy(self, monkeypatch, request, rng, grid_name, p, budget):
+        grid = request.getfixturevalue(grid_name)
+        kt = fv.build_kernel_table(grid, fv.FracParams(0.2, p), 4.0)
+        if budget is None:
+            assert grid_mod._BLOCK_BYTES // (8 * grid.n_cells) >= grid.n_cells
+        else:
+            monkeypatch.setattr(grid_mod, "_BLOCK_BYTES", budget)
+        vals = rng.standard_normal(grid.n_cells) + 0.5
+        pairs = energy_mod._pair_sums(vals, kt, "flux")[0]
+        assert energy_mod._pair_sums(vals, kt, "energy") == pairs
+        m = kt.cell_measure
+        sn = fv.seminorm_p(fv.GridFunction(grid, vals), kt)
+        assert sn.interior_part == float(pairs * m * m)
+        assert (len(kt.pair_buffers[0]) > 1) == (budget is not None)
 
 
 class TestSeminorm:
