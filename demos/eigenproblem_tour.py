@@ -24,17 +24,18 @@ os.makedirs(OUT, exist_ok=True)
 grid = fv.build_grid(1, 1.0, 64)
 kt = fv.build_kernel_table(grid, fv.FracParams(0.5, 2.0), 4.0)
 opts = fv.EigenOptions(tol=1e-8, seed=0)
-signed = fv.Weight(fv.sample(grid, fv.GaussianBump(sigma=0.35)),
-                   fv.sample(grid, fv.Indicator(fv.Ball((0.45,), 0.25),
-                                                amplitude=0.2)))
+# w = w1 - w2, negative where the indicator w2 exceeds the bump w1
+signed = fv.sample(grid, fv.Difference(
+    fv.GaussianBump(sigma=0.35),
+    fv.Indicator(fv.Ball((0.45,), 0.25), amplitude=0.2)))
 
-for tag, wt in (
-    ("flat weight", fv.Weight.constant(grid)),
+for tag, w in (
+    ("flat weight", fv.GridFunction(grid, np.ones(grid.n_cells))),
     ("sign-changing weight", signed),
 ):
     print(f"--- {tag} ---")
-    seq = fv.eigen_sequence(wt, kt, 4, opts)
-    oracle = fv.oracle_levels(wt, kt)
+    seq = fv.eigen_sequence(w, kt, 4, opts)
+    oracle = fv.oracle_levels(w, kt)
     for k, (res, lam) in enumerate(zip(seq, oracle), start=1):
         print(f"  level {k}: lambda {res.lam:12.6f}  dense oracle {lam:12.6f}  "
               f"rel err {abs(res.lam / lam - 1):.1e}  sign: "
@@ -46,7 +47,7 @@ for tag, wt in (
     emit_plot(ground.u, os.path.join(OUT, f"ground_state_{name}.svg"))
     emit_plot(seq[1].u, os.path.join(OUT, f"second_state_{name}.svg"))
 
-    probe = fv.simplicity_probe(wt, kt, restarts=6, opts=opts)
+    probe = fv.simplicity_probe(w, kt, restarts=6, opts=opts)
     print(f"  6 restarts: lambda spread {probe.lambda_spread:.2e}, "
           f"eigenfunction spread {probe.function_spread:.2e}")
     print(f"  p-th power midpoint energy gap {probe.midpoint_energy_gap:+.2e} "
@@ -60,7 +61,7 @@ seq3 = fv.eigen_sequence(signed, kt3, 3, opts)
 for k, res in enumerate(seq3, start=1):
     print(f"  level {k}: lambda {res.lam:12.6f}  residual {res.residual:.1e}  "
           f"sign: {fv.sign_structure(res.u)}")
-wm = signed.combined.values * kt3.cell_measure
+wm = signed.values * kt3.cell_measure
 us = [res.u.values for res in seq3]
 defect = max(abs(float((wm * np.abs(us[j]) * us[j] * us[k]).sum()))
              for k in range(len(us)) for j in range(k))

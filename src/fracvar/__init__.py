@@ -8,7 +8,7 @@ from .capacity import (BallScalingFit, CandidateFamily, CapacityOptions,
                        compactness_diagnostic, concentration_at,
                        concentration_at_infinity, hardy_norm_estimate)
 from .eigen import (EigenOptions, EigenResult, PiconeResult, SimplicityReport,
-                    Weight, eigen_sequence, first_eigenpair, linear_oracle,
+                    eigen_sequence, first_eigenpair, linear_oracle,
                     oracle_levels, picone_gap, residual_check,
                     sign_structure, simplicity_probe)
 from .energy import (SeminormValue, energy_and_nonlocal_gradient, gateaux,

@@ -136,15 +136,14 @@ class _Context:
             kt = self.base_kt()
             g = kt.grid
             if tag == "flat":
-                wt = eig.Weight.constant(g)
+                w = GridFunction(g, np.ones(g.n_cells))
             else:
                 L = g.half_width
                 w1 = sample(g, GaussianBump(sigma=0.35 * L))
                 w2 = sample(g, Indicator(Ball((0.45 * L,) + (0.0,) * (g.dim - 1),
                                               0.25 * L), amplitude=0.2))
-                wt = eig.Weight(w1, w2)
-            seq = eig.eigen_sequence(wt, kt, 2, self.eigen_opts)
-            return wt, seq
+                w = GridFunction(g, w1.values - w2.values)
+            return w, eig.eigen_sequence(w, kt, 2, self.eigen_opts)
         return self.get(f"eigen_{tag}", build)
 
 
@@ -332,16 +331,16 @@ def _chk_ds_decay(ctx, n, rng):
 
 def _chk_eigen_oracle_first(ctx, n, rng):
     kt = ctx.base_kt()
-    wt, seq = ctx.eigen_results("flat")
-    oracle = eig.oracle_levels(wt, kt)[0]
+    w, seq = ctx.eigen_results("flat")
+    oracle = eig.oracle_levels(w, kt)[0]
     return abs(seq[0].lam / oracle - 1.0), {"lam": seq[0].lam, "oracle": oracle}
 
 
 def _chk_eigen_oracle_levels(ctx, n, rng):
     kt = ctx.base_kt()
-    wt, _ = ctx.eigen_results("flat")
-    seq = eig.eigen_sequence(wt, kt, 4, ctx.eigen_opts)
-    oracle = eig.oracle_levels(wt, kt)[:4]
+    w, _ = ctx.eigen_results("flat")
+    seq = eig.eigen_sequence(w, kt, 4, ctx.eigen_opts)
+    oracle = eig.oracle_levels(w, kt)[:4]
     margin = max(abs(r.lam / lam - 1.0) for r, lam in zip(seq, oracle))
     return margin, {"lams": [r.lam for r in seq], "oracle": oracle}
 
@@ -384,8 +383,8 @@ def _chk_eigen_gap(ctx, n, rng):
 
 def _chk_eigen_simplicity(ctx, n, rng):
     kt = ctx.base_kt()
-    wt, _ = ctx.eigen_results("flat")
-    rep = eig.simplicity_probe(wt, kt, restarts=n, opts=ctx.eigen_opts)
+    w, _ = ctx.eigen_results("flat")
+    rep = eig.simplicity_probe(w, kt, restarts=n, opts=ctx.eigen_opts)
     margin = max(rep.lambda_spread / 1e-6, rep.function_spread / 1e-4,
                  -rep.rayleigh_lower_gap / 1e-6)
     return margin, {"lambda_spread": rep.lambda_spread,
@@ -397,8 +396,7 @@ def _chk_best_constant(ctx, n, rng):
     kt = ctx.base_kt()
     g = kt.grid
     w = sample(g, PowerLaw(alpha=kt.params.sp))
-    wt = eig.Weight.from_function(w)
-    lam1 = eig.first_eigenpair(wt, kt, ctx.eigen_opts).lam
+    lam1 = eig.first_eigenpair(w, kt, ctx.eigen_opts).lam
     worst = -math.inf
     for _ in range(n):
         u = GridFunction(g, _smooth_bump_field(g, rng) + 0.2 * _rough_field(g, rng))
@@ -441,13 +439,13 @@ def _chk_lorentz_embedding(ctx, n, rng):
 
 def _chk_q_scale_invariance(ctx, n, rng):
     kt = ctx.base_kt()
-    wt, seq = ctx.eigen_results("flat")
-    base_start = eig.default_start(wt, kt)
+    w, seq = ctx.eigen_results("flat")
+    base_start = eig.default_start(w, kt)
     lam0 = seq[0].lam  # the first level is the solve from base_start
     worst = 0.0
     for _ in range(n):
         t = float(rng.uniform(0.05, 20.0))
-        lam = eig.first_eigenpair(wt, kt, ctx.eigen_opts, start=t * base_start).lam
+        lam = eig.first_eigenpair(w, kt, ctx.eigen_opts, start=t * base_start).lam
         worst = max(worst, abs(lam / lam0 - 1.0))
     return worst, {"lam": lam0}
 

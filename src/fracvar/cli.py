@@ -151,17 +151,9 @@ class RunConfig:
     def function(self, key: str = "function") -> GridFunction:
         spec = self.raw.get(key) or self.raw.get("weight")
         if spec is None:
-            raise ConfigError(f"config has neither {key!r} nor 'weight'")
+            raise ConfigError("config is missing 'weight'" if key == "weight"
+                              else f"config has neither {key!r} nor 'weight'")
         return sample(self.grid, weight_spec_from(spec))
-
-    def weight_pair(self) -> eig.Weight:
-        spec = self.raw.get("weight")
-        if spec is None:
-            raise ConfigError("config is missing 'weight'")
-        wspec = weight_spec_from(spec)
-        if isinstance(wspec, Difference):
-            return eig.Weight(sample(self.grid, wspec.w1), sample(self.grid, wspec.w2))
-        return eig.Weight.from_function(sample(self.grid, wspec))
 
     @_reading("solver")
     def capacity_options(self) -> CapacityOptions:
@@ -319,14 +311,14 @@ def _cmd_concentration(cfg: RunConfig, out, args) -> int:
 
 def _cmd_eigen(cfg: RunConfig, out, args) -> int:
     kt = cfg.kernel_table()
-    wt = cfg.weight_pair()
+    w = cfg.function("weight")
     opts = cfg.eigen_options()
     with _reading("eigen"):
         levels = args.levels if args.levels is not None else _whole(
             cfg.raw.get("eigen", {}).get("levels", 1))
     if args.oracle and kt.params.p != 2.0:
         raise DomainError("--oracle requires p = 2")
-    seq = eig.eigen_sequence(wt, kt, levels, opts)
+    seq = eig.eigen_sequence(w, kt, levels, opts)
     payload = {
         "lambdas": [r.lam for r in seq],
         "residuals": [r.residual for r in seq],
@@ -335,7 +327,7 @@ def _cmd_eigen(cfg: RunConfig, out, args) -> int:
         "signs": [eig.sign_structure(r.u) for r in seq],
     }
     if args.oracle:
-        oracle = eig.oracle_levels(wt, kt)
+        oracle = eig.oracle_levels(w, kt)
         payload["oracle_lambdas"] = oracle[:levels]
         payload["oracle_rel_err"] = [abs(r.lam / lam - 1.0) for r, lam in zip(seq, oracle)]
     fio.write_result_json(payload, _out_path(cfg, out, "eigen.json"))

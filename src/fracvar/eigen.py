@@ -1,8 +1,10 @@
 """Weighted nonlocal eigenproblem: energy descent on the mass constraint.
 
 The first eigenvalue is the minimum of the energy E(u) over the constraint
-set { W(u) = sum_i w_i |u_i|^p m = 1 } with a sign-changing weight
-w = w1 - w2 (w1, w2 >= 0, w1 not identically zero).  The solver is the
+set { W(u) = sum_i w_i |u_i|^p m = 1 } with a signed weight w = w1 - w2
+(w1, w2 >= 0), one ``GridFunction`` as in the capacity layer.  A weight
+with no positive cell admits no unit-mass field, and each solver and oracle
+refuses it before any solve (``_check_weight``).  The solver is the
 spectral descent shared with the capacity solve (``descent.spectral_descent``)
 along the tangent residual
 
@@ -58,7 +60,6 @@ check passes its samples 32 at a time, ``picone_gap`` one.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -70,44 +71,6 @@ from .descent import is_whole, spectral_descent, whole_at_least
 from .energy import _phi, raw_energy, raw_weighted_mass, stiffness_matrix
 from .errors import ConvergenceError, DomainError
 from .grid import GridFunction, KernelTable, same_grid
-
-
-@dataclass(frozen=True)
-class Weight:
-    """Sign-changing weight w = w1 - w2 with non-negative parts."""
-
-    w1: GridFunction
-    w2: GridFunction
-
-    def __post_init__(self):
-        same_grid(self.w1, self.w2)
-        if np.any(self.w1.values < 0) or np.any(self.w2.values < 0):
-            raise DomainError("weight parts must be non-negative cellwise")
-        if not np.any(self.w1.values > 0):
-            raise DomainError("w1 must not vanish identically")
-
-    @functools.cached_property
-    def combined(self) -> GridFunction:
-        return GridFunction(self.w1.grid, self.w1.values - self.w2.values)
-
-    @staticmethod
-    def from_function(w: GridFunction) -> "Weight":
-        pos = np.maximum(w.values, 0.0)
-        neg = np.maximum(-w.values, 0.0)
-        return Weight(GridFunction(w.grid, pos), GridFunction(w.grid, neg))
-
-    @staticmethod
-    def constant(grid) -> "Weight":
-        return Weight.from_function(GridFunction(grid, np.ones(grid.n_cells)))
-
-    def swapped(self) -> "Weight":
-        """The weight -w, with the roles of the parts exchanged.
-
-        Minimizing the quotient against -w produces the negative spectrum
-        of the original problem (an eigenvalue mu of the swapped weight is
-        the eigenvalue -mu of w); it requires w2 not identically zero.
-        """
-        return Weight(self.w2, self.w1)
 
 
 @dataclass(frozen=True)
@@ -132,52 +95,59 @@ class EigenResult:
     constraint_gap: float
 
 
-def _projector(wt: Weight, kt: KernelTable, previous, cells=slice(None)):
+def _check_weight(w: GridFunction, kt: KernelTable) -> None:
+    """DomainError unless w lies on the table's grid and is positive in some
+    cell: with w <= 0 everywhere no field has positive weighted mass."""
+    same_grid(w, kt)
+    if not np.any(w.values > 0):
+        raise DomainError("the weight w must be positive in some cell")
+
+
+def _projector(w: GridFunction, kt: KernelTable, previous, cells=slice(None)):
     """Orthogonal projection onto { v : b_k . v = 0 }, b_k = w phi(u_k) m,
     for the previous levels u_k, of fields on ``cells`` (all by default);
     the identity when there are none."""
     if not previous:
         return lambda v: v
     p, m = kt.params.p, kt.cell_measure
-    wvals = wt.combined.values
-    q = np.linalg.qr(np.column_stack([wvals * _phi(res.u.values, p) * m
+    q = np.linalg.qr(np.column_stack([w.values * _phi(res.u.values, p) * m
                                       for res in previous])[cells])[0]
     return lambda v: v - q @ (q.T @ v)
 
 
-def _on_positive_part(wt: Weight, kt: KernelTable, v: np.ndarray, previous=()) -> np.ndarray:
+def _on_positive_part(w: GridFunction, kt: KernelTable, v: np.ndarray, previous=()) -> np.ndarray:
     """v on S = {w > 0}, projected there onto the subspace paired to zero
     with the ``previous`` levels, and zero off S: nonzero, it has positive
     weighted mass.  DomainError when S has no more cells than ``previous``
     or the result vanishes."""
-    positive = wt.combined.values > 0
+    positive = w.values > 0
     if positive.sum() <= len(previous):
         raise DomainError(f"w > 0 on {positive.sum()} cells: no start of positive weighted "
                           f"mass is paired to zero with {len(previous)} earlier levels")
     out = np.zeros(kt.grid.n_cells)
-    out[positive] = _projector(wt, kt, previous, positive)(v[positive])
+    out[positive] = _projector(w, kt, previous, positive)(v[positive])
     if not np.any(out):
         raise DomainError("the start vanishes on {w > 0}")
     return out
 
 
-def default_start(wt: Weight, kt: KernelTable) -> np.ndarray:
+def default_start(w: GridFunction, kt: KernelTable) -> np.ndarray:
     """A bump of width L/4 at the peak of w, zero off {w > 0}; it is 1 at the
     peak, so its weighted mass is at least max(w) m."""
     grid = kt.grid
-    x0 = grid.centers[int(np.argmax(wt.combined.values))]
+    x0 = grid.centers[int(np.argmax(w.values))]
     d2 = ((grid.centers - x0) ** 2).sum(axis=1)
-    return _on_positive_part(wt, kt, np.exp(-d2 / (2.0 * (grid.half_width / 4) ** 2)))
+    return _on_positive_part(w, kt, np.exp(-d2 / (2.0 * (grid.half_width / 4) ** 2)))
 
 
-def seeded_start(wt: Weight, kt: KernelTable, rng: np.random.Generator) -> np.ndarray:
+def seeded_start(w: GridFunction, kt: KernelTable, rng: np.random.Generator) -> np.ndarray:
     """The default start plus Gaussian noise of 0.75 times its peak, zero off {w > 0}."""
-    base = default_start(wt, kt)
+    base = default_start(w, kt)
     noise = rng.standard_normal(kt.grid.n_cells)
-    return _on_positive_part(wt, kt, base + 0.75 * noise * float(np.max(np.abs(base))))
+    return _on_positive_part(w, kt, base + 0.75 * noise * float(np.max(np.abs(base))))
 
 
-def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
+def _descend(w: GridFunction, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
              previous=()) -> EigenResult:
     """Spectral descent of the energy on unit mass, within the subspace
     paired to zero with the ``previous`` levels; at p = 2 it starts from
@@ -190,8 +160,8 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
     """
     p = kt.params.p
     m = kt.cell_measure
-    wvals = wt.combined.values
-    project = _projector(wt, kt, previous)
+    wvals = w.values
+    project = _projector(w, kt, previous)
     residual = np.inf
 
     # grad, the descent's aux, comes from the pair pass of the point's trial
@@ -226,19 +196,19 @@ def _descend(wt: Weight, kt: KernelTable, u0: np.ndarray, opts: EigenOptions,
     its = 0
     # LOBPCG's basis [X, W, P] must fit in the M cells
     if p == 2.0 and kt.grid.n_cells >= 3 * (len(previous) + 1):
-        x, its = _lobpcg(wt, kt, u, energy, opts, previous)
+        x, its = _lobpcg(w, kt, u, energy, opts, previous)
         u, energy, grad = unit(x)
     u, energy, _grad, status, more = spectral_descent(u, energy, grad, direction, trial,
                                                       opts.max_iter - its)
     its += more
     if status == "converged":
-        return _result_from(-u if u.sum() < 0 else u, energy, residual, its, wt, kt)
+        return _result_from(-u if u.sum() < 0 else u, energy, residual, its, w, kt)
     if status == "stalled":
         message = f"descent stagnated at residual {residual:.3e} (target {opts.tol:.1e})"
     else:
         message = (f"no convergence within {opts.max_iter} iterations "
                    f"(residual {residual:.3e}, target {opts.tol:.1e})")
-    raise ConvergenceError(message, result=_result_from(u, energy, residual, its, wt, kt))
+    raise ConvergenceError(message, result=_result_from(u, energy, residual, its, w, kt))
 
 
 _LOBPCG_STEPS = 500
@@ -258,7 +228,7 @@ def _a_orthonormal(basis: np.ndarray, a_basis: np.ndarray) -> tuple[np.ndarray, 
     return basis, a_basis
 
 
-def _lobpcg(wt: Weight, kt: KernelTable, u: np.ndarray, lam0: float, opts: EigenOptions,
+def _lobpcg(w: GridFunction, kt: KernelTable, u: np.ndarray, lam0: float, opts: EigenOptions,
             previous) -> tuple[np.ndarray, int]:
     """LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) for the largest
     mu = 1/lam of M x = mu A x at p = 2, with M = diag(w m).
@@ -286,7 +256,7 @@ def _lobpcg(wt: Weight, kt: KernelTable, u: np.ndarray, lam0: float, opts: Eigen
     once within the budget.
     """
     op = kt.p2_operator
-    wm = (wt.combined.values * kt.cell_measure)[:, None]
+    wm = (w.values * kt.cell_measure)[:, None]
     k = len(previous) + 1
     cap = min(opts.max_iter - 2, _LOBPCG_STEPS)
     basis = np.column_stack([r.u.values for r in previous] + [u])
@@ -306,26 +276,27 @@ def _lobpcg(wt: Weight, kt: KernelTable, u: np.ndarray, lam0: float, opts: Eigen
         basis = np.hstack([x, op.precondition(residual)] + directions)
 
 
-def _result_from(u, lam, residual, iterations, wt, kt) -> EigenResult:
-    gap = abs(raw_weighted_mass(u, wt.combined.values, kt.params.p, kt.cell_measure) - 1.0)
+def _result_from(u, lam, residual, iterations, w, kt) -> EigenResult:
+    gap = abs(raw_weighted_mass(u, w.values, kt.params.p, kt.cell_measure) - 1.0)
     return EigenResult(lam=lam, u=GridFunction(kt.grid, u), residual=residual,
                        iterations=iterations, constraint_gap=gap)
 
 
-def first_eigenpair(wt: Weight, kt: KernelTable, opts: EigenOptions | None = None,
+def first_eigenpair(w: GridFunction, kt: KernelTable, opts: EigenOptions | None = None,
                     start: np.ndarray | None = None) -> EigenResult:
     """Minimize the energy over the unit-mass constraint set.
 
     The output is sign-normalized to be non-negative; a converged first
     eigenfunction has one sign, so only a global flip is ever applied.
-    Pass ``wt.swapped()`` for the negative spectrum: the returned level mu
-    is then the eigenvalue -mu of the original problem; a weight on another
-    grid than the table's, or a bad ``start``, raises DomainError.
+    Pass ``-w`` for the negative spectrum: the returned level mu is then
+    the eigenvalue -mu of the original problem.  A weight on another grid
+    than the table's or with no positive cell, or a bad ``start``, raises
+    DomainError.
     """
     opts = opts or EigenOptions()
-    same_grid(wt.w1, kt)
-    u0 = default_start(wt, kt) if start is None else GridFunction(kt.grid, start).values
-    res = _descend(wt, kt, u0, opts)
+    _check_weight(w, kt)
+    u0 = default_start(w, kt) if start is None else GridFunction(kt.grid, start).values
+    res = _descend(w, kt, u0, opts)
     if sign_structure(res.u) == "sign_changing":
         warnings.warn("first eigenfunction changes sign beyond tolerance; "
                       "the iterate may be a higher critical point")
@@ -346,14 +317,14 @@ def _lower_inverse(low: np.ndarray, inv=None) -> np.ndarray:
     return inv
 
 
-def _pencil(wt: Weight, kt: KernelTable) -> tuple[np.ndarray, np.ndarray]:
+def _pencil(w: GridFunction, kt: KernelTable) -> tuple[np.ndarray, np.ndarray]:
     """C = L^-1 M L^-T and L^-1 for M v = mu A v, A = L L^T, M = diag(w m)."""
     if kt.params.p != 2.0:
         raise DomainError("the dense oracle applies only to p = 2")
-    same_grid(wt.w1, kt)
+    _check_weight(w, kt)
     # every M x M temporary is dropped as soon as it is used (_ORACLE_SQUARES)
     inv = _lower_inverse(np.linalg.cholesky(stiffness_matrix(kt)))
-    wm = (wt.combined.values * kt.cell_measure)[:, None]
+    wm = (w.values * kt.cell_measure)[:, None]
     return inv @ (wm * inv.T), inv
 
 
@@ -363,14 +334,14 @@ def _first_positive(mus: np.ndarray) -> int:
     return int(np.searchsorted(mus, cutoff, side="right"))
 
 
-def oracle_levels(wt: Weight, kt: KernelTable) -> list[float]:
+def oracle_levels(w: GridFunction, kt: KernelTable) -> list[float]:
     """``linear_oracle``'s eigenvalues alone, ascending: ``eigvalsh`` of C, with
     L^-1 dropped first, in about half the time and one M x M array less."""
-    mus = np.linalg.eigvalsh(_pencil(wt, kt)[0])
+    mus = np.linalg.eigvalsh(_pencil(w, kt)[0])
     return (1.0 / mus[_first_positive(mus):][::-1]).tolist()
 
 
-def linear_oracle(wt: Weight, kt: KernelTable) -> list[tuple[float, GridFunction]]:
+def linear_oracle(w: GridFunction, kt: KernelTable) -> list[tuple[float, GridFunction]]:
     """Dense p = 2 cross-check via the generalized symmetric pencil.
 
     Solves M v = mu A v, with the energy matrix A = L L^T (Cholesky) and
@@ -379,7 +350,7 @@ def linear_oracle(wt: Weight, kt: KernelTable) -> list[tuple[float, GridFunction
     returned sorted ascending with eigenfunctions of unit weighted mass.
     Callers that read only the eigenvalues take ``oracle_levels``.
     """
-    pencil, inv = _pencil(wt, kt)
+    pencil, inv = _pencil(w, kt)
     mus, vecs = np.linalg.eigh(pencil)
     del pencil
     first = _first_positive(mus)
@@ -390,43 +361,43 @@ def linear_oracle(wt: Weight, kt: KernelTable) -> list[tuple[float, GridFunction
             for mu, u in zip(mus[::-1], vecs.T[::-1])]
 
 
-def deflated_start(wt: Weight, kt: KernelTable, previous, level: int,
+def deflated_start(w: GridFunction, kt: KernelTable, previous, level: int,
                    rng: np.random.Generator) -> np.ndarray:
     """The default start times the Chebyshev polynomial of degree level - 1
     in the first coordinate, plus Gaussian noise of 0.3, restricted to
     {w > 0} and projected there onto the subspace paired to zero with the
     previous levels (exact for every p: the pairing is linear in u)."""
     grid = kt.grid
-    base = default_start(wt, kt)
+    base = default_start(w, kt)
     t = np.clip(grid.centers[:, 0] / grid.half_width, -1.0, 1.0)
     pattern = np.cos((level - 1) * np.arccos(t))
     v = base * pattern + 0.3 * rng.standard_normal(grid.n_cells)
-    return _on_positive_part(wt, kt, v, previous)
+    return _on_positive_part(w, kt, v, previous)
 
 
-def eigen_sequence(wt: Weight, kt: KernelTable, k: int,
+def eigen_sequence(w: GridFunction, kt: KernelTable, k: int,
                    opts: EigenOptions | None = None) -> list[EigenResult]:
     """First k deflated levels, sorted non-decreasing in the eigenvalue."""
     k = whole_at_least(k, 1, "the requested number of levels")
     opts = opts or EigenOptions()
     rng = np.random.default_rng(opts.seed)
-    results = [first_eigenpair(wt, kt, opts)]
+    results = [first_eigenpair(w, kt, opts)]
     for level in range(2, k + 1):
-        start = deflated_start(wt, kt, results, level, rng)
-        results.append(_descend(wt, kt, start, opts, previous=results))
+        start = deflated_start(w, kt, results, level, rng)
+        results.append(_descend(w, kt, start, opts, previous=results))
     tail = sorted(results[1:], key=lambda r: r.lam)
     return [results[0]] + tail
 
 
-def residual_check(lam: float, u: GridFunction, wt: Weight, kt: KernelTable) -> float:
+def residual_check(lam: float, u: GridFunction, w: GridFunction, kt: KernelTable) -> float:
     """Worst weak-form defect over basis directions, relative to the energy."""
     same_grid(u, kt)
-    same_grid(wt.w1, kt)
+    _check_weight(w, kt)
     if not np.any(u.values):
         raise DomainError("residual check requires a nonzero function")
     p, m = kt.params.p, kt.cell_measure
     energy, gate = raw_energy(u.values, kt)
-    rhs = lam * wt.combined.values * _phi(u.values, p) * m
+    rhs = lam * w.values * _phi(u.values, p) * m
     return float(np.max(np.abs(gate - rhs))) / energy
 
 
@@ -439,7 +410,8 @@ class PiconeResult:
 def _picone_minima(us: np.ndarray, vs: np.ndarray, p: float) -> np.ndarray:
     """Per-cell minima over partners of the pairwise comparison term of
     ``picone_gap``, for k pairs of fields at once: stacks (k, M) in, (k, M)
-    out.  u >= 0 and v >= 1e-8 in every cell, or a ``DomainError``.
+    out.  A finite p > 1, u >= 0 and v >= 1e-8 in every cell, or a
+    ``DomainError``.
 
     The term is symmetric in (i, j) bit for bit: |u_i - u_j| is even, and
     copysign(|v_i - v_j|^(p-1), v_i - v_j) and r_i - r_j (r = u^p / v^(p-1))
@@ -451,6 +423,8 @@ def _picone_minima(us: np.ndarray, vs: np.ndarray, p: float) -> np.ndarray:
     takes no rounding, so the result equals the minimum over all ordered
     pairs.
     """
+    if not (np.isfinite(p) and p > 1):
+        raise DomainError(f"the comparison term requires a finite p > 1, got p={p}")
     if np.any(us < 0):
         raise DomainError("the comparison term requires u >= 0")
     if np.any(vs < 1e-8):
@@ -523,7 +497,7 @@ class SimplicityReport:
     results: tuple
 
 
-def simplicity_probe(wt: Weight, kt: KernelTable, restarts: int,
+def simplicity_probe(w: GridFunction, kt: KernelTable, restarts: int,
                      opts: EigenOptions | None = None) -> SimplicityReport:
     """First-level solves from independent seeded starts.
 
@@ -533,15 +507,14 @@ def simplicity_probe(wt: Weight, kt: KernelTable, restarts: int,
     """
     if not is_whole(restarts) or restarts < 2:
         raise DomainError("the probe needs at least 2 restarts")
-    same_grid(wt.w1, kt)
+    _check_weight(w, kt)
     opts = opts or EigenOptions()
     p, m = kt.params.p, kt.cell_measure
-    wvals = wt.combined.values
     results = []
     for j in range(int(restarts)):
         rng = np.random.default_rng(opts.seed + j)
-        start = seeded_start(wt, kt, rng)
-        results.append(first_eigenpair(wt, kt, opts, start=start))
+        start = seeded_start(w, kt, rng)
+        results.append(first_eigenpair(w, kt, opts, start=start))
     lams = np.array([r.lam for r in results])
     lam_spread = float(lams.max() - lams.min())
     fun_spread = 0.0
@@ -555,7 +528,7 @@ def simplicity_probe(wt: Weight, kt: KernelTable, restarts: int,
     midpoint = ((phi1**p + phi2**p) / 2.0) ** (1.0 / p)
     j_mid = raw_energy(midpoint, kt)[0]
     mean_energy = 0.5 * (raw_energy(phi1, kt)[0] + raw_energy(phi2, kt)[0])
-    w_mid = raw_weighted_mass(midpoint, wvals, p, m)
+    w_mid = raw_weighted_mass(midpoint, w.values, p, m)
     lam1 = float(lams.min())
     return SimplicityReport(
         lambdas=tuple(float(x) for x in lams),

@@ -47,11 +47,11 @@ def random_field(grid, rng, nonneg=False):
 
 def test_criterion_1_p2_oracle_equivalence(spectral_setup):
     g, kt = spectral_setup
-    wt = fv.Weight.constant(g)
+    w = fv.GridFunction(g, np.ones(g.n_cells))
     t0 = time.monotonic()
     opts = fv.EigenOptions(tol=1e-8, seed=42)
-    seq = fv.eigen_sequence(wt, kt, 4, opts)
-    oracle = fv.linear_oracle(wt, kt)
+    seq = fv.eigen_sequence(w, kt, 4, opts)
+    oracle = fv.linear_oracle(w, kt)
     elapsed = time.monotonic() - t0
     first_err = abs(seq[0].lam / oracle[0][0] - 1.0)
     level_err = max(abs(r.lam / o[0] - 1.0) for r, o in zip(seq, oracle))
@@ -129,14 +129,14 @@ def test_criterion_4_exact_discrete_inequalities():
         scaled = fv.seminorm_p(fv.GridFunction(g, t * u.values), kt).value
         hom_worst = max(hom_worst, abs(scaled - abs(t) ** 2 * base) / base)
 
-    wt = fv.Weight.constant(g)
+    w = fv.GridFunction(g, np.ones(g.n_cells))
     opts = fv.EigenOptions(tol=1e-8, seed=4)
-    start = default_start(wt, kt)
-    lam0 = fv.first_eigenpair(wt, kt, opts, start=start).lam
+    start = default_start(w, kt)
+    lam0 = fv.first_eigenpair(w, kt, opts, start=start).lam
     q_worst = 0.0
     for _ in range(1000):
         t = float(rng.uniform(0.05, 20.0))
-        lam = fv.first_eigenpair(wt, kt, opts, start=t * start).lam
+        lam = fv.first_eigenpair(w, kt, opts, start=t * start).lam
         q_worst = max(q_worst, abs(lam / lam0 - 1.0))
 
     ok = (hl_worst <= 1e-12 and pic_worst <= 1e-12 and eq_worst <= 1e-12
@@ -153,15 +153,16 @@ def test_criterion_5_qualitative_spectral_theorems(spectral_setup):
     opts = fv.EigenOptions(tol=1e-8, seed=5)
     w1 = fv.sample(g, fv.GaussianBump(sigma=0.35))
     w2 = fv.sample(g, fv.Indicator(fv.Ball((0.45,), 0.25), amplitude=0.2))
-    weights = {"signed": fv.Weight(w1, w2), "flat": fv.Weight.constant(g)}
+    weights = {"signed": fv.GridFunction(g, w1.values - w2.values),
+               "flat": fv.GridFunction(g, np.ones(g.n_cells))}
     lines = []
     ok = True
-    for tag, wt in weights.items():
-        seq = fv.eigen_sequence(wt, kt, 2, opts)
+    for tag, w in weights.items():
+        seq = fv.eigen_sequence(w, kt, 2, opts)
         strictly_positive = seq[0].u.values.min() > 0.0
         changes_sign = fv.sign_structure(seq[1].u) == "sign_changing"
         gap = seq[1].lam - seq[0].lam
-        probe = fv.simplicity_probe(wt, kt, restarts=10, opts=opts)
+        probe = fv.simplicity_probe(w, kt, restarts=10, opts=opts)
         ok_tag = (strictly_positive and changes_sign and gap > 1e-6
                   and probe.lambda_spread <= 1e-6
                   and probe.function_spread <= 1e-4)
@@ -177,8 +178,7 @@ def test_criterion_6_hardy_inequality_consistency(hardy_setup):
     g, kt = hardy_setup
     sp = kt.params.sp
     w = fv.sample(g, fv.PowerLaw(alpha=sp))
-    wt = fv.Weight.from_function(w)
-    lam1 = fv.first_eigenpair(wt, kt, fv.EigenOptions(tol=1e-8, seed=6)).lam
+    lam1 = fv.first_eigenpair(w, kt, fv.EigenOptions(tol=1e-8, seed=6)).lam
     rng = np.random.default_rng(6)
     worst = -np.inf
     for _ in range(500):

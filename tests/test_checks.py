@@ -101,11 +101,11 @@ class TestFailedSolves:
         signed_seeds = []
         solve = chk.eig.eigen_sequence
 
-        def signed_fails(wt, kt, k, opts=None):
-            if np.any(wt.w2.values > 0):
+        def signed_fails(w, kt, k, opts=None):
+            if np.any(w.values < 0):
                 signed_seeds.append(opts.seed)
                 raise ConvergenceError("stalled on purpose")
-            return solve(wt, kt, k, opts)
+            return solve(w, kt, k, opts)
 
         monkeypatch.setattr(chk.eig, "eigen_sequence", signed_fails)
         report = chk.run_suite(chk.VerifyConfig(seed=seed, s=0.3, p=3.0,

@@ -18,13 +18,17 @@ from conftest import bump
 def flat_setup():
     g = fv.build_grid(1, 1.0, 32)
     kt = fv.build_kernel_table(g, fv.FracParams(0.5, 2.0), 4.0)
-    return g, kt, fv.Weight.constant(g)
+    return g, kt, flat_weight(g)
+
+
+def flat_weight(g):
+    return fv.GridFunction(g, np.ones(g.n_cells))
 
 
 def signed_weight(g):
     w1 = fv.sample(g, fv.GaussianBump(sigma=0.35))
     w2 = fv.sample(g, fv.Indicator(fv.Ball((0.45,), 0.25), amplitude=0.2))
-    return fv.Weight(w1, w2)
+    return fv.GridFunction(g, w1.values - w2.values)
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +36,19 @@ def signed_setup():
     g = fv.build_grid(1, 1.0, 32)
     kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
     return g, kt, signed_weight(g)
+
+
+# every entry point that takes a weight, as solve(w, kt)
+ENTRY_POINTS = pytest.mark.parametrize("solve", [
+    fv.first_eigenpair,
+    lambda w, kt: fv.first_eigenpair(w, kt, start=np.ones(kt.grid.n_cells)),
+    lambda w, kt: fv.eigen_sequence(w, kt, 2),
+    lambda w, kt: fv.simplicity_probe(w, kt, 2),
+    fv.linear_oracle,
+    fv.oracle_levels,
+    lambda w, kt: fv.residual_check(1.0, bump(kt.grid), w, kt),
+], ids=["first", "first_from_start", "sequence", "simplicity", "oracle", "oracle_levels",
+        "residual"])
 
 
 class TestGridCheck:
@@ -43,67 +60,58 @@ class TestGridCheck:
         return fv.build_kernel_table(fv.build_grid(1, 1.0, 64), fv.FracParams(0.4, 2.0), 4.0)
 
     @pytest.mark.parametrize("spec", [(1, 1.0, 32), (1, 2.0, 64), (2, 1.0, 8)])
-    @pytest.mark.parametrize("solve", [
-        fv.first_eigenpair,
-        lambda wt, kt: fv.eigen_sequence(wt, kt, 2),
-        lambda wt, kt: fv.simplicity_probe(wt, kt, 2),
-        fv.linear_oracle,
-        fv.oracle_levels,
-        lambda wt, kt: fv.residual_check(1.0, bump(kt.grid), wt, kt),
-    ], ids=["first", "sequence", "simplicity", "oracle", "oracle_levels", "residual"])
+    @ENTRY_POINTS
     def test_weight_on_another_grid(self, line64, spec, solve):
         with pytest.raises(DomainError, match="different grids"):
-            solve(fv.Weight.constant(fv.build_grid(*spec)), line64)
+            solve(flat_weight(fv.build_grid(*spec)), line64)
 
     def test_residual_of_a_field_on_another_grid(self, line64):
         u = bump(fv.build_grid(1, 2.0, 64))
         with pytest.raises(DomainError, match="different grids"):
-            fv.residual_check(1.0, u, fv.Weight.constant(line64.grid), line64)
+            fv.residual_check(1.0, u, flat_weight(line64.grid), line64)
 
 
-class TestWeight:
-    def test_rejects_negative_parts(self, line_grid):
-        pos = fv.GridFunction(line_grid, np.ones(line_grid.n_cells))
-        neg = fv.GridFunction(line_grid, -np.ones(line_grid.n_cells))
-        with pytest.raises(DomainError):
-            fv.Weight(neg, pos)
+class TestNoPositiveCell:
+    """A weight with no positive cell admits no field of positive weighted
+    mass: every solver and oracle refuses it before any solve."""
 
-    def test_rejects_vanishing_positive_part(self, line_grid):
-        zero = fv.GridFunction(line_grid, np.zeros(line_grid.n_cells))
-        with pytest.raises(DomainError):
-            fv.Weight(zero, zero)
+    @pytest.mark.parametrize("values", [0.0, -1.0], ids=["zero", "negative"])
+    @ENTRY_POINTS
+    def test_refused_before_any_solve(self, monkeypatch, line_kt, values, solve):
+        def no_solve(*_args, **_kwargs):
+            raise AssertionError("a solve ran")
 
-    def test_split_from_function(self, line_grid, rng):
-        w = fv.GridFunction(line_grid, rng.standard_normal(line_grid.n_cells))
-        wt = fv.Weight.from_function(w)
-        np.testing.assert_array_equal(wt.combined.values, w.values)
-        assert np.all(wt.w1.values >= 0)
-        assert np.all(wt.w2.values >= 0)
+        monkeypatch.setattr(eigen_mod, "_descend", no_solve)
+        monkeypatch.setattr(eigen_mod, "stiffness_matrix", no_solve)
+        monkeypatch.setattr(eigen_mod, "raw_energy", no_solve)
+        w = fv.GridFunction(line_kt.grid, np.full(line_kt.grid.n_cells, values))
+        with pytest.raises(DomainError, match="positive in some cell"):
+            solve(w, line_kt)
 
 
 class TestFirstEigenpair:
     def test_matches_dense_oracle(self, flat_setup):
-        _g, kt, wt = flat_setup
-        res = fv.first_eigenpair(wt, kt)
-        oracle = fv.linear_oracle(wt, kt)
+        _g, kt, w = flat_setup
+        res = fv.first_eigenpair(w, kt)
+        oracle = fv.linear_oracle(w, kt)
         assert res.lam == pytest.approx(oracle[0][0], rel=1e-6)
         assert res.constraint_gap <= 1e-10
 
     def test_scale_invariant_under_start_scaling(self, flat_setup):
-        _g, kt, wt = flat_setup
-        start = default_start(wt, kt)
-        a = fv.first_eigenpair(wt, kt, start=start)
-        b = fv.first_eigenpair(wt, kt, start=2.0 * start)
+        _g, kt, w = flat_setup
+        start = default_start(w, kt)
+        a = fv.first_eigenpair(w, kt, start=start)
+        b = fv.first_eigenpair(w, kt, start=2.0 * start)
         assert b.lam == pytest.approx(a.lam, rel=1e-10)
 
     def test_ground_state_strictly_positive(self, flat_setup, signed_setup):
-        for _g, kt, wt in (flat_setup, signed_setup):
-            res = fv.first_eigenpair(wt, kt)
+        for _g, kt, w in (flat_setup, signed_setup):
+            res = fv.first_eigenpair(w, kt)
             assert res.u.values.min() > 0.0
 
     def test_lambda_equals_energy_on_constraint(self, flat_setup):
-        _g, kt, wt = flat_setup
-        res = fv.first_eigenpair(wt, kt)
+        _g, kt, w = flat_setup
+        res = fv.first_eigenpair(w, kt)
         assert res.lam == pytest.approx(raw_energy(res.u.values, kt)[0], rel=1e-12)
 
     def test_one_pair_pass_per_trial(self, monkeypatch, line_kt_p3):
@@ -126,29 +134,22 @@ class TestFirstEigenpair:
 
         monkeypatch.setattr(energy_mod, "_pair_sums", counted_pair_sums)
         monkeypatch.setattr(eigen_mod, "spectral_descent", counted_descent)
-        res = fv.first_eigenpair(fv.Weight.constant(line_kt_p3.grid), line_kt_p3,
+        res = fv.first_eigenpair(flat_weight(line_kt_p3.grid), line_kt_p3,
                                  fv.EigenOptions(tol=1e-8))
         assert res.iterations > 1 and counts["trials"] >= res.iterations
         assert counts["pairs"] == counts["trials"] + 1
 
-    def test_empty_constraint_set_rejected(self, line_grid):
-        kt = fv.build_kernel_table(line_grid, fv.FracParams(0.4, 2.0), 4.0)
-        w1 = fv.GridFunction(line_grid, np.ones(line_grid.n_cells))
-        w2 = fv.GridFunction(line_grid, 2 * np.ones(line_grid.n_cells))
-        with pytest.raises(DomainError):
-            fv.first_eigenpair(fv.Weight(w1, w2), kt)
-
     def test_rayleigh_quotient_of_minimizer_is_lambda(self, flat_setup):
-        _g, kt, wt = flat_setup
-        res = fv.first_eigenpair(wt, kt)
-        q = fv.seminorm_p(res.u, kt).value / fv.weighted_mass(res.u, wt.combined, kt)
+        _g, kt, w = flat_setup
+        res = fv.first_eigenpair(w, kt)
+        q = fv.seminorm_p(res.u, kt).value / fv.weighted_mass(res.u, w, kt)
         assert q == pytest.approx(res.lam, rel=1e-10)
 
     def test_identical_starts_give_identical_results(self, flat_setup):
-        _g, kt, wt = flat_setup
-        start = default_start(wt, kt)
-        a = fv.first_eigenpair(wt, kt, start=start)
-        b = fv.first_eigenpair(wt, kt, start=start.copy())
+        _g, kt, w = flat_setup
+        start = default_start(w, kt)
+        a = fv.first_eigenpair(w, kt, start=start)
+        b = fv.first_eigenpair(w, kt, start=start.copy())
         assert a.lam == b.lam
         np.testing.assert_array_equal(a.u.values, b.u.values)
 
@@ -164,9 +165,9 @@ class TestFirstEigenpair:
     def test_hardy_weight_converges_at_large_p(self, s, p, lam):
         g = fv.build_grid(1, 1.0, 64)
         kt = fv.build_kernel_table(g, fv.FracParams(s, p), 4.0)
-        wt = fv.Weight.from_function(fv.sample(g, fv.PowerLaw(alpha=s * p)))
+        w = fv.sample(g, fv.PowerLaw(alpha=s * p))
         opts = fv.EigenOptions(tol=1e-8, seed=42)
-        res = fv.first_eigenpair(wt, kt, opts)
+        res = fv.first_eigenpair(w, kt, opts)
         assert res.residual <= opts.tol
         assert abs(res.lam / lam - 1.0) <= 1e-10
 
@@ -177,27 +178,27 @@ class TestStarts:
         if kind == "shifted_cosine":
             g = fv.build_grid(2, 1.0, 8)
             kt = fv.build_kernel_table(g, fv.FracParams(0.45, 2.0), 4.0)
-            wt = shifted_cosine_weight(g)
+            w = shifted_cosine_weight(g)
         else:
             g = fv.build_grid(1, 1.0, 32)
             p = 3.0 if kind == "signed_p3" else 2.0
             kt = fv.build_kernel_table(g, fv.FracParams(0.3, p), 4.0)
-            wt = signed_weight(g)
+            w = signed_weight(g)
         p, m = kt.params.p, kt.cell_measure
-        w = wt.combined.values
-        assert np.any(w < 0)
-        seq = fv.eigen_sequence(wt, kt, 3, fv.EigenOptions(tol=1e-8, seed=3))
+        wv = w.values
+        assert np.any(wv < 0)
+        seq = fv.eigen_sequence(w, kt, 3, fv.EigenOptions(tol=1e-8, seed=3))
         for seed in (0, 1, 3):
             rng = np.random.default_rng(seed)
-            starts = [default_start(wt, kt), seeded_start(wt, kt, rng)]
-            starts += [deflated_start(wt, kt, seq[:level - 1], level, rng)
+            starts = [default_start(w, kt), seeded_start(w, kt, rng)]
+            starts += [deflated_start(w, kt, seq[:level - 1], level, rng)
                        for level in (2, 3)]
             for start in starts:
-                assert np.all(start[w <= 0] == 0.0)
-                assert raw_weighted_mass(start, w, p, m) > 0.0
+                assert np.all(start[wv <= 0] == 0.0)
+                assert raw_weighted_mass(start, wv, p, m) > 0.0
             for level, start in ((2, starts[2]), (3, starts[3])):
                 for res in seq[:level - 1]:
-                    pairing = w * _phi(res.u.values, p) * m
+                    pairing = wv * _phi(res.u.values, p) * m
                     assert abs(pairing @ start) <= 1e-12 * np.abs(pairing).sum()
 
     def test_default_start_centred_at_the_peak_of_w(self):
@@ -207,18 +208,18 @@ class TestStarts:
         kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
         spec = fv.Difference(fv.GaussianBump(sigma=0.5),
                              fv.GaussianBump(sigma=0.1, amplitude=1.5))
-        wt = fv.Weight(fv.sample(g, spec.w1), fv.sample(g, spec.w2))
-        w = wt.combined.values
-        assert w[np.argmax(wt.w1.values)] < 0
-        start = default_start(wt, kt)
-        assert np.argmax(start) == np.argmax(w)
-        assert start[np.argmax(w)] == 1.0
-        assert np.all(start[w <= 0] == 0.0)
+        w = fv.sample(g, spec)
+        wv = w.values
+        assert wv[np.argmax(fv.sample(g, spec.w1).values)] < 0
+        start = default_start(w, kt)
+        assert np.argmax(start) == np.argmax(wv)
+        assert start[np.argmax(wv)] == 1.0
+        assert np.all(start[wv <= 0] == 0.0)
 
 
 class TestLinearOracle:
     def test_stiffness_symmetric_positive(self, flat_setup):
-        _g, kt, _wt = flat_setup
+        _g, kt, _w = flat_setup
         from fracvar.energy import stiffness_matrix
         a = stiffness_matrix(kt)
         assert np.max(np.abs(a - a.T)) <= 1e-12 * np.max(np.abs(a))
@@ -232,14 +233,14 @@ class TestLinearOracle:
 
         monkeypatch.setattr(energy_mod, "P2Operator", no_operator)
         kt = fv.build_kernel_table(line_grid, fv.FracParams(0.4, 2.0), 4.0)
-        assert oracle(fv.Weight.constant(line_grid), kt)
+        assert oracle(flat_weight(line_grid), kt)
         assert "p2_operator" not in vars(kt)
 
     @pytest.mark.parametrize("oracle", [fv.linear_oracle, fv.oracle_levels])
     def test_requires_p_two(self, line_grid, oracle):
         kt = fv.build_kernel_table(line_grid, fv.FracParams(0.3, 3.0), 4.0)
         with pytest.raises(DomainError):
-            oracle(fv.Weight.constant(line_grid), kt)
+            oracle(flat_weight(line_grid), kt)
 
     def test_refuses_oracle_beyond_physical_memory(self, monkeypatch):
         # the oracle's 6 M^2 doubles (12 MiB at M = 512) against 4 MiB of
@@ -252,9 +253,9 @@ class TestLinearOracle:
             with pytest.raises(DomainError, match="physical memory"):
                 stiffness_matrix(kt)
             with pytest.raises(DomainError, match="physical memory"):
-                fv.linear_oracle(fv.Weight.constant(g), kt)
+                fv.linear_oracle(flat_weight(g), kt)
             with pytest.raises(DomainError, match="physical memory"):
-                fv.oracle_levels(fv.Weight.constant(g), kt)
+                fv.oracle_levels(flat_weight(g), kt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -267,7 +268,7 @@ class TestLinearOracle:
         kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
         tracemalloc.start()
         try:
-            fv.linear_oracle(fv.Weight.constant(g), kt)
+            fv.linear_oracle(flat_weight(g), kt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -280,7 +281,7 @@ class TestLinearOracle:
         kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
         tracemalloc.start()
         try:
-            fv.oracle_levels(fv.Weight.constant(g), kt)
+            fv.oracle_levels(flat_weight(g), kt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -293,10 +294,10 @@ class TestLinearOracle:
         # to roundoff, not bit for bit
         g = fv.build_grid(dim, 1.0, n)
         kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
-        wt = fv.Weight.constant(g) if kind == "flat" else cosine_weight(g)
-        wt = wt.swapped() if kind == "swapped" else wt
-        levels = np.array(fv.oracle_levels(wt, kt))
-        lams = np.array([lam for lam, _u in fv.linear_oracle(wt, kt)])
+        w = flat_weight(g) if kind == "flat" else cosine_weight(g)
+        w = -w if kind == "swapped" else w
+        levels = np.array(fv.oracle_levels(w, kt))
+        lams = np.array([lam for lam, _u in fv.linear_oracle(w, kt)])
         assert len(levels) == len(lams) > 4
         rel = np.abs(levels / lams - 1.0)
         assert rel[:4].max() <= 1e-13
@@ -308,42 +309,42 @@ class TestLinearOracle:
         # triangular products, at odd and even splits
         g = fv.build_grid(1, 1.0, n)
         kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
-        wt = cosine_weight(g)
+        w = cosine_weight(g)
         a = stiffness_matrix(kt)
-        wm = wt.combined.values * kt.cell_measure
-        pairs = fv.linear_oracle(wt, kt)
+        wm = w.values * kt.cell_measure
+        pairs = fv.linear_oracle(w, kt)
         assert len(pairs) == np.count_nonzero(wm > 0)
         for lam, u in pairs:
             defect = np.max(np.abs(a @ u.values - lam * wm * u.values))
             assert defect <= 1e-12 * lam * np.max(np.abs(wm * u.values))
 
     def test_sign_changing_weight_has_positive_principal_pair(self, signed_setup):
-        _g, kt, wt = signed_setup
-        pairs = fv.linear_oracle(wt, kt)
+        _g, kt, w = signed_setup
+        pairs = fv.linear_oracle(w, kt)
         lam1, u1 = pairs[0]
         assert lam1 > 0
         assert fv.sign_structure(u1) == "nonnegative"
 
     def test_normalizes_weighted_mass(self, flat_setup):
-        _g, kt, wt = flat_setup
+        _g, kt, w = flat_setup
         from fracvar.energy import weighted_mass
-        lam, u = fv.linear_oracle(wt, kt)[0]
-        assert weighted_mass(u, wt.combined, kt) == pytest.approx(1.0, rel=1e-10)
+        lam, u = fv.linear_oracle(w, kt)[0]
+        assert weighted_mass(u, w, kt) == pytest.approx(1.0, rel=1e-10)
 
 
 class TestDeflation:
     def test_second_matches_oracle_and_changes_sign(self, flat_setup):
-        _g, kt, wt = flat_setup
-        first, second = fv.eigen_sequence(wt, kt, 2)
-        oracle = fv.linear_oracle(wt, kt)
+        _g, kt, w = flat_setup
+        first, second = fv.eigen_sequence(w, kt, 2)
+        oracle = fv.linear_oracle(w, kt)
         assert second.lam == pytest.approx(oracle[1][0], rel=1e-4)
         assert fv.sign_structure(second.u) == "sign_changing"
         assert second.lam > first.lam + 1e-6
 
     def test_sequence_levels_match_oracle(self, flat_setup):
-        _g, kt, wt = flat_setup
-        seq = fv.eigen_sequence(wt, kt, 4)
-        oracle = fv.linear_oracle(wt, kt)
+        _g, kt, w = flat_setup
+        seq = fv.eigen_sequence(w, kt, 4)
+        oracle = fv.linear_oracle(w, kt)
         for res, (lam, _) in zip(seq, oracle):
             assert res.lam == pytest.approx(lam, rel=1e-4)
         lams = [r.lam for r in seq]
@@ -352,13 +353,13 @@ class TestDeflation:
     @pytest.mark.parametrize("p, signed", [(2.0, False), (3.0, False), (3.0, True)])
     def test_levels_paired_to_zero_with_earlier_levels(self, flat_setup, p, signed):
         if p == 2.0:
-            _g, kt, wt = flat_setup
+            _g, kt, w = flat_setup
         else:
             g = fv.build_grid(1, 1.0, 64)
             kt = fv.build_kernel_table(g, fv.FracParams(0.3, p), 4.0)
-            wt = signed_weight(g) if signed else fv.Weight.constant(g)
-        seq = fv.eigen_sequence(wt, kt, 4, fv.EigenOptions(tol=1e-8, seed=42))
-        wm = wt.combined.values * kt.cell_measure
+            w = signed_weight(g) if signed else flat_weight(g)
+        seq = fv.eigen_sequence(w, kt, 4, fv.EigenOptions(tol=1e-8, seed=42))
+        wm = w.values * kt.cell_measure
         for k in range(1, 4):
             for j in range(k):
                 pairing = float((wm * _phi(seq[j].u.values, p) * seq[k].u.values).sum())
@@ -367,20 +368,20 @@ class TestDeflation:
         assert lams == sorted(lams)
         assert all(fv.sign_structure(r.u) == "sign_changing" for r in seq[1:])
         if p == 2.0:
-            oracle = [lam for lam, _ in fv.linear_oracle(wt, kt)[:4]]
+            oracle = [lam for lam, _ in fv.linear_oracle(w, kt)[:4]]
             np.testing.assert_allclose(lams, oracle, rtol=1e-9)
 
     def test_single_level_equals_first(self, flat_setup):
-        _g, kt, wt = flat_setup
-        seq = fv.eigen_sequence(wt, kt, 1)
-        direct = fv.first_eigenpair(wt, kt)
+        _g, kt, w = flat_setup
+        seq = fv.eigen_sequence(w, kt, 1)
+        direct = fv.first_eigenpair(w, kt)
         assert seq[0].lam == direct.lam
         np.testing.assert_array_equal(seq[0].u.values, direct.u.values)
 
     def test_signed_weight_spectrum(self, signed_setup):
-        _g, kt, wt = signed_setup
-        seq = fv.eigen_sequence(wt, kt, 2)
-        oracle = fv.linear_oracle(wt, kt)
+        _g, kt, w = signed_setup
+        seq = fv.eigen_sequence(w, kt, 2)
+        oracle = fv.linear_oracle(w, kt)
         assert seq[0].lam == pytest.approx(oracle[0][0], rel=1e-6)
         assert seq[1].lam == pytest.approx(oracle[1][0], rel=1e-4)
         assert fv.sign_structure(seq[1].u) == "sign_changing"
@@ -389,47 +390,44 @@ class TestDeflation:
         g = fv.build_grid(1, 1.0, 32)
         kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
         w = fv.GridFunction(g, np.cos(2.5 * g.centers[:, 0]) + 0.2)
-        swapped = fv.Weight.from_function(w).swapped()
-        np.testing.assert_array_equal(swapped.combined.values, -w.values)
-        res = fv.first_eigenpair(swapped, kt)
-        assert res.lam == pytest.approx(fv.linear_oracle(swapped, kt)[0][0], rel=1e-6)
+        res = fv.first_eigenpair(-w, kt)
+        assert res.lam == pytest.approx(fv.linear_oracle(-w, kt)[0][0], rel=1e-6)
 
     def test_rejects_bad_level_count(self, flat_setup):
-        _g, kt, wt = flat_setup
+        _g, kt, w = flat_setup
         with pytest.raises(DomainError):
-            fv.eigen_sequence(wt, kt, 0)
+            fv.eigen_sequence(w, kt, 0)
 
     # 2.5 once raised numpy's TypeError, and True returned one level
     @pytest.mark.parametrize("k", [2.5, True, float("nan"), float("inf")])
     def test_rejects_non_whole_level_count(self, flat_setup, k):
-        _g, kt, wt = flat_setup
+        _g, kt, w = flat_setup
         with pytest.raises(DomainError, match="whole number"):
-            fv.eigen_sequence(wt, kt, k)
+            fv.eigen_sequence(w, kt, k)
 
     @pytest.mark.parametrize("restarts", [2.5, True, float("nan"), float("inf")])
     def test_rejects_non_whole_restart_count(self, flat_setup, restarts):
-        _g, kt, wt = flat_setup
+        _g, kt, w = flat_setup
         with pytest.raises(DomainError, match="at least 2 restarts"):
-            fv.simplicity_probe(wt, kt, restarts)
+            fv.simplicity_probe(w, kt, restarts)
 
     def test_whole_float_counts_read_as_ints(self, flat_setup):
-        _g, kt, wt = flat_setup
-        assert len(fv.eigen_sequence(wt, kt, 2.0)) == 2
-        assert len(fv.simplicity_probe(wt, kt, 2.0).results) == 2
+        _g, kt, w = flat_setup
+        assert len(fv.eigen_sequence(w, kt, 2.0)) == 2
+        assert len(fv.simplicity_probe(w, kt, 2.0).results) == 2
 
 
 def cosine_weight(g):
     """w = cos(2.5 x) along the first axis: positive in the middle, negative
-    near both ends, so its swap has a positive part too."""
-    return fv.Weight.from_function(fv.GridFunction(g, np.cos(2.5 * g.centers[:, 0])))
+    near both ends, so -w has a positive part too."""
+    return fv.GridFunction(g, np.cos(2.5 * g.centers[:, 0]))
 
 
 def shifted_cosine_weight(g):
     """w = -(cos(2.5 x) + 0.2): positive only on two strips at the box's
     edges, where an oscillatory draw over the whole box rarely has positive
     mass and a draw on {w > 0} always does."""
-    shifted = fv.GridFunction(g, np.cos(2.5 * g.centers[:, 0]) + 0.2)
-    return fv.Weight.from_function(shifted).swapped()
+    return -fv.GridFunction(g, np.cos(2.5 * g.centers[:, 0]) + 0.2)
 
 
 class TestLobpcgPath:
@@ -438,14 +436,14 @@ class TestLobpcgPath:
     def test_levels_match_oracle(self, dim, n, kind):
         g = fv.build_grid(dim, 1.0, n)
         kt = fv.build_kernel_table(g, fv.FracParams(0.45, 2.0), 4.0)
-        wt = {"flat": fv.Weight.constant(g), "signed": cosine_weight(g),
-              "swapped": cosine_weight(g).swapped()}[kind]
+        w = {"flat": flat_weight(g), "signed": cosine_weight(g),
+              "swapped": -cosine_weight(g)}[kind]
         opts = fv.EigenOptions(tol=1e-8, seed=3)
-        seq = fv.eigen_sequence(wt, kt, 3, opts)
-        oracle = fv.linear_oracle(wt, kt)
+        seq = fv.eigen_sequence(w, kt, 3, opts)
+        oracle = fv.linear_oracle(w, kt)
         for res, (lam, _u) in zip(seq, oracle):
             assert abs(res.lam / lam - 1.0) <= 1e-12
-            assert fv.residual_check(res.lam, res.u, wt, kt) <= opts.tol
+            assert fv.residual_check(res.lam, res.u, w, kt) <= opts.tol
             assert res.constraint_gap <= 1e-12
             # far inside the 50000-step budget, which a stalled LOBPCG runs out
             assert res.iterations < 500
@@ -458,56 +456,56 @@ class TestLobpcgPath:
         # whole space; below that the descent solves level 3 alone
         g = fv.build_grid(1, 1.0, n)
         kt = fv.build_kernel_table(g, fv.FracParams(0.45, 2.0), 4.0)
-        wt = fv.Weight.constant(g) if kind == "flat" else cosine_weight(g)
-        seq = fv.eigen_sequence(wt, kt, 3, fv.EigenOptions(tol=1e-8, seed=3))
-        for res, (lam, _u) in zip(seq, fv.linear_oracle(wt, kt)):
+        w = flat_weight(g) if kind == "flat" else cosine_weight(g)
+        seq = fv.eigen_sequence(w, kt, 3, fv.EigenOptions(tol=1e-8, seed=3))
+        for res, (lam, _u) in zip(seq, fv.linear_oracle(w, kt)):
             assert abs(res.lam / lam - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_start_drawn_on_the_positive_part(self, seed):
         g = fv.build_grid(2, 1.0, 8)
         kt = fv.build_kernel_table(g, fv.FracParams(0.45, 2.0), 4.0)
-        wt = shifted_cosine_weight(g)
-        seq = fv.eigen_sequence(wt, kt, 3, fv.EigenOptions(tol=1e-9, seed=seed))
-        for res, (lam, _u) in zip(seq, fv.linear_oracle(wt, kt)):
+        w = shifted_cosine_weight(g)
+        seq = fv.eigen_sequence(w, kt, 3, fv.EigenOptions(tol=1e-9, seed=seed))
+        for res, (lam, _u) in zip(seq, fv.linear_oracle(w, kt)):
             assert res.lam == pytest.approx(lam, rel=1e-6)
 
     def test_start_is_not_mutated(self, signed_setup):
-        _g, kt, wt = signed_setup
-        start = default_start(wt, kt)
+        _g, kt, w = signed_setup
+        start = default_start(w, kt)
         before = start.copy()
         start.setflags(write=False)
-        fv.first_eigenpair(wt, kt, start=start)
+        fv.first_eigenpair(w, kt, start=start)
         np.testing.assert_array_equal(start, before)
 
     @pytest.mark.parametrize("bad", [np.ones(5), np.full(32, np.nan)])
     def test_bad_start_refused_before_any_solve(self, monkeypatch, flat_setup, bad):
-        _g, kt, wt = flat_setup
+        _g, kt, w = flat_setup
 
         def no_solve(*_args, **_kwargs):
             raise AssertionError("a solve ran")
 
         monkeypatch.setattr(eigen_mod, "_descend", no_solve)
         with pytest.raises(DomainError):
-            fv.first_eigenpair(wt, kt, start=bad)
+            fv.first_eigenpair(w, kt, start=bad)
 
     def test_poor_iterate_finished_by_descent(self, monkeypatch, flat_setup):
-        _g, kt, wt = flat_setup
+        _g, kt, w = flat_setup
 
-        def poor_lobpcg(_wt, _kt, u, _lam0, _opts, _previous):
+        def poor_lobpcg(_w, _kt, u, _lam0, _opts, _previous):
             # three preconditioned steps that leave the start unchanged
             return u, 3
 
         monkeypatch.setattr(eigen_mod, "_lobpcg", poor_lobpcg)
         opts = fv.EigenOptions(tol=1e-8)
-        res = fv.first_eigenpair(wt, kt, opts)
+        res = fv.first_eigenpair(w, kt, opts)
         assert res.iterations > 3
         assert res.residual <= opts.tol
-        assert res.lam == pytest.approx(fv.linear_oracle(wt, kt)[0][0], rel=1e-6)
+        assert res.lam == pytest.approx(fv.linear_oracle(w, kt)[0][0], rel=1e-6)
 
         with pytest.raises(ConvergenceError,
                            match="no convergence within 5 iterations") as err:
-            fv.first_eigenpair(wt, kt, fv.EigenOptions(tol=1e-8, max_iter=5))
+            fv.first_eigenpair(w, kt, fv.EigenOptions(tol=1e-8, max_iter=5))
         assert err.value.result.iterations == 5
 
     def test_capped_below_roundoff_floor(self):
@@ -519,7 +517,7 @@ class TestLobpcgPath:
         kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
         opts = fv.EigenOptions(tol=1e-16, max_iter=3000)
         try:
-            res = fv.first_eigenpair(fv.Weight.constant(g), kt, opts)
+            res = fv.first_eigenpair(flat_weight(g), kt, opts)
         except ConvergenceError as err:
             assert "stagnated" in str(err) and "no convergence within" not in str(err)
             res = err.result
@@ -529,10 +527,10 @@ class TestLobpcgPath:
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
     def test_tiny_budget_raises(self, flat_setup, max_iter):
-        _g, kt, wt = flat_setup
+        _g, kt, w = flat_setup
         with pytest.raises(ConvergenceError,
                            match=f"no convergence within {max_iter} iterations") as err:
-            fv.first_eigenpair(wt, kt, fv.EigenOptions(tol=1e-8, max_iter=max_iter))
+            fv.first_eigenpair(w, kt, fv.EigenOptions(tol=1e-8, max_iter=max_iter))
         assert err.value.result.iterations == max_iter
 
 
@@ -560,26 +558,26 @@ class TestOptions:
 
 class TestResidualCheck:
     def test_converged_pair_below_tolerance(self, flat_setup):
-        _g, kt, wt = flat_setup
+        _g, kt, w = flat_setup
         opts = fv.EigenOptions(tol=1e-8)
-        res = fv.first_eigenpair(wt, kt, opts)
-        assert fv.residual_check(res.lam, res.u, wt, kt) <= 1e-8
+        res = fv.first_eigenpair(w, kt, opts)
+        assert fv.residual_check(res.lam, res.u, w, kt) <= 1e-8
 
     def test_oracle_pair_near_machine_precision(self, flat_setup):
-        _g, kt, wt = flat_setup
-        lam, u = fv.linear_oracle(wt, kt)[0]
-        assert fv.residual_check(lam, u, wt, kt) <= 1e-8
+        _g, kt, w = flat_setup
+        lam, u = fv.linear_oracle(w, kt)[0]
+        assert fv.residual_check(lam, u, w, kt) <= 1e-8
 
     def test_random_field_far_from_critical(self, flat_setup, rng):
-        g, kt, wt = flat_setup
+        g, kt, w = flat_setup
         u = fv.GridFunction(g, np.abs(rng.standard_normal(g.n_cells)) + 0.1)
-        assert fv.residual_check(5.0, u, wt, kt) > 1e-3
+        assert fv.residual_check(5.0, u, w, kt) > 1e-3
 
     def test_zero_function_rejected(self, flat_setup):
-        g, kt, wt = flat_setup
+        g, kt, w = flat_setup
         zero = fv.GridFunction(g, np.zeros(g.n_cells))
         with pytest.raises(DomainError):
-            fv.residual_check(1.0, zero, wt, kt)
+            fv.residual_check(1.0, zero, w, kt)
 
 
 class TestPicone:
@@ -672,6 +670,13 @@ class TestPicone:
         with pytest.raises(DomainError):
             fv.picone_gap(-u, tiny, 2.0)
 
+    # p = 1 once returned 0.0; the others warned, then blamed non-finite values
+    @pytest.mark.parametrize("p", [1.0, 0.5, -1.0, float("inf"), float("nan")])
+    def test_rejects_exponent_not_above_one(self, line_grid, p):
+        v = fv.GridFunction(line_grid, bump(line_grid, width=0.4).values + 0.1)
+        with pytest.raises(DomainError, match=f"finite p > 1, got p={p}"):
+            fv.picone_gap(v, v, p)
+
 
 class TestSignStructure:
     def test_classifications(self, line_grid):
@@ -692,8 +697,8 @@ class TestSignStructure:
 
 class TestSimplicityProbe:
     def test_restarts_agree(self, flat_setup):
-        _g, kt, wt = flat_setup
-        rep = fv.simplicity_probe(wt, kt, restarts=6,
+        _g, kt, w = flat_setup
+        rep = fv.simplicity_probe(w, kt, restarts=6,
                                   opts=fv.EigenOptions(tol=1e-8))
         assert rep.lambda_spread <= 1e-6
         assert rep.function_spread <= 1e-4
@@ -713,6 +718,6 @@ class TestSimplicityProbe:
             assert j_mid <= j_avg * (1 + 1e-12)
 
     def test_requires_two_restarts(self, flat_setup):
-        _g, kt, wt = flat_setup
+        _g, kt, w = flat_setup
         with pytest.raises(DomainError):
-            fv.simplicity_probe(wt, kt, restarts=1)
+            fv.simplicity_probe(w, kt, restarts=1)

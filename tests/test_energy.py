@@ -560,14 +560,14 @@ class TestP2Operator:
                 super().__init__(kt)
 
         monkeypatch.setattr(energy_mod, "P2Operator", Spy)
-        wt = fv.Weight.constant(line_grid)
+        w = fv.GridFunction(line_grid, np.ones(line_grid.n_cells))
         ball = fv.CellSet.ball(line_grid, (0.0,), 0.3)
         kt3 = fv.build_kernel_table(line_grid, fv.FracParams(0.3, 3.0), 4.0)
         fv.seminorm_p(bump(line_grid), kt3)
         fv.capacity(ball, kt3)
-        fv.eigen_sequence(wt, kt3, 2)
+        fv.eigen_sequence(w, kt3, 2)
         assert built == []
         kt2 = fv.build_kernel_table(line_grid, fv.FracParams(0.4, 2.0), 4.0)
         fv.capacity(ball, kt2)
-        fv.eigen_sequence(wt, kt2, 2)
+        fv.eigen_sequence(w, kt2, 2)
         assert built == [2.0]

@@ -422,6 +422,36 @@ class TestDispatch:
         assert "domain error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, missing, message", [
+        ("eigen", ["weight"], "config is missing 'weight'"),
+        ("hardy-norm", ["weight"], "config is missing 'weight'"),
+        ("concentration", ["weight"], "config is missing 'weight'"),
+        ("seminorm", ["function", "weight"], "config has neither 'function' nor 'weight'"),
+    ], ids=["eigen", "hardy-norm", "concentration", "seminorm"])
+    def test_missing_weight_exits_65(self, tmp_path, capsys, command, missing, message):
+        path = write_config(tmp_path)
+        with open(path) as fh:
+            cfg = json.load(fh)
+        for key in missing:
+            del cfg[key]
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        assert dispatch([command, "--config", path]) == 65
+        assert f"config error: {message}\n" == capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_weight_positive_nowhere_exits_1(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(eig, "_descend", no_solve)
+        cfg = write_config(tmp_path, weight={
+            "kind": "difference", "w1": {"kind": "gaussian", "sigma": 0.5},
+            "w2": {"kind": "gaussian", "sigma": 0.5, "amplitude": 2.0}})
+        assert dispatch(["eigen", "--config", cfg, "--oracle"]) == 1
+        assert "domain error: the weight w must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_oracle_at_p3_refused_before_the_solve(self, tmp_path, capsys, monkeypatch):
         def no_solve(*args, **kwargs):
             raise AssertionError("eigen_sequence ran before the p = 2 check")
