@@ -2,12 +2,14 @@
 
 Each registered check draws seeded inputs and returns a worst-case margin
 with its details; the registry gives it its name, statement, default
-sample count and tolerance.  One runner turns that into the check's
-record, so margins follow one convention: pass == (worst_margin <=
-tolerance), and a violated inequality or an out-of-range slope shows up as
-a positive margin.  A check whose solve fails (``ConvergenceError`` or
-``DomainError``) gets a FAIL record with margin +inf and the error text in
-its details, and the suite carries on with the other checks.
+sample count and tolerance.  A config may change a check's sample count,
+never its tolerance: a stricter reading compares ``worst_margin`` itself.
+One runner turns that into the check's record, so margins follow one
+convention: pass == (worst_margin <= tolerance), and a violated inequality
+or an out-of-range slope shows up as a positive margin.  A check whose
+solve fails (``ConvergenceError`` or ``DomainError``) gets a FAIL record
+with margin +inf and the error text in its details, and the suite carries
+on with the other checks.
 
 Exactly-discrete inequalities (rearrangement pairing, the pairwise
 comparison identity, homogeneity) run at 1e-12; statements with
@@ -54,7 +56,6 @@ class VerifyConfig:
     s: float = 0.4
     p: float = 2.0
     samples: dict = field(default_factory=dict)      # per-check overrides
-    tolerances: dict = field(default_factory=dict)   # per-check overrides
     threads: int | None = None
 
 
@@ -300,14 +301,14 @@ def _chk_ds_scaling(ctx, n, rng):
     g1 = build_grid(1, 1.0, max(32, cfg.cells_per_dim // 2))
     fp = FracParams(cfg.s, cfg.p)
     kt1 = build_kernel_table(g1, fp, 4.0)
+    dilated = {r: build_kernel_table(build_grid(1, r * 1.0, g1.cells_per_dim), fp, r * 4.0)
+               for r in (2.0, 4.0)}
     worst = 0.0
     for _ in range(n):
         vals = _smooth_bump_field(g1, rng)
         base = en.nonlocal_gradient(GridFunction(g1, vals), kt1).values ** kt1.params.p
-        for r in (2.0, 4.0):
-            g2 = build_grid(1, r * 1.0, g1.cells_per_dim)
-            kt2 = build_kernel_table(g2, fp, r * 4.0)
-            dil = en.nonlocal_gradient(GridFunction(g2, vals), kt2).values ** kt1.params.p
+        for r, kt2 in dilated.items():
+            dil = en.nonlocal_gradient(GridFunction(kt2.grid, vals), kt2).values ** kt1.params.p
             rel = np.max(np.abs(dil - base * r ** (-fp.sp)) / np.maximum(base, 1e-300))
             worst = max(worst, float(rel))
     return worst, {}
@@ -450,7 +451,7 @@ def _chk_q_scale_invariance(ctx, n, rng):
     return worst, {"lam": lam0}
 
 
-# (name, check, default samples, default tolerance, statement)
+# (name, check, default samples, tolerance, statement)
 _REGISTRY = (
     ("homogeneity", _chk_homogeneity, 200, 1e-12, "E(t u) = |t|^p E(u)"),
     ("hardy_littlewood", _chk_hardy_littlewood, 500, 1e-12,
@@ -501,24 +502,21 @@ CHECK_NAMES = tuple(name for name, *_ in _REGISTRY)
 def _validated(config: VerifyConfig | None) -> VerifyConfig:
     """The config (the default one for None), or a ConfigError when the
     seed is not a whole number >= 0, the thread count is neither None nor a
-    whole number >= 1, an override names no registered check, a sample
-    count is not a whole number >= 1 or a tolerance is not finite and >= 0."""
+    whole number >= 1, a sample override names no registered check or a
+    sample count is not a whole number >= 1."""
     config = config or VerifyConfig()
     if not is_whole(config.seed) or config.seed < 0:
         raise ConfigError(f"seed must be a whole number at least 0, got {config.seed!r}")
     if config.threads is not None and (not is_whole(config.threads) or config.threads < 1):
         raise ConfigError(f"threads must be null or a whole number at least 1, "
                           f"got {config.threads!r}")
-    unknown = sorted((set(config.samples) | set(config.tolerances)) - set(CHECK_NAMES))
+    unknown = sorted(set(config.samples) - set(CHECK_NAMES))
     if unknown:
         raise ConfigError(f"overrides name unknown checks {unknown}; "
                           f"known: {', '.join(CHECK_NAMES)}")
     for name, count in config.samples.items():
         if not is_whole(count) or count < 1:
             raise ConfigError(f"check {name!r} needs a whole number of samples, at least 1")
-    for name, tol in config.tolerances.items():
-        if not 0 <= float(tol) < math.inf:
-            raise ConfigError(f"check {name!r}: tolerance {tol} is not finite and >= 0")
     return config
 
 
@@ -535,13 +533,12 @@ def _run_one(ctx, idx, name, check, samples, tolerance, statement) -> CheckRecor
     """The one place a record is built; a failed solve becomes a FAIL record."""
     cfg = ctx.config
     n = int(cfg.samples.get(name, samples))
-    tol = float(cfg.tolerances.get(name, tolerance))
     rng = np.random.default_rng([cfg.seed, idx])
     try:
         margin, details = check(ctx, n, rng)
     except _SOLVE_ERRORS as err:
         margin, details = math.inf, {"error": f"{type(err).__name__}: {err}"}
-    return CheckRecord(name, statement, n, margin, tol, margin <= tol, details)
+    return CheckRecord(name, statement, n, margin, tolerance, margin <= tolerance, details)
 
 
 def run_suite(config: VerifyConfig | None = None) -> PropertyReport:

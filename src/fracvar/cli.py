@@ -149,11 +149,9 @@ class RunConfig:
         return build_kernel_table(self.grid, self.params, self.ext_radius)
 
     def function(self, key: str = "function") -> GridFunction:
-        spec = self.raw.get(key) or self.raw.get("weight")
-        if spec is None:
-            raise ConfigError("config is missing 'weight'" if key == "weight"
-                              else f"config has neither {key!r} nor 'weight'")
-        return sample(self.grid, weight_spec_from(spec))
+        if key not in self.raw:
+            raise ConfigError(f"config is missing {key!r}")
+        return sample(self.grid, weight_spec_from(self.raw[key]))
 
     @_reading("solver")
     def capacity_options(self) -> CapacityOptions:
@@ -339,6 +337,9 @@ def _cmd_eigen(cfg: RunConfig, out, args) -> int:
 def _cmd_verify(cfg: RunConfig, out, args) -> int:
     with _reading("verify"):
         spec = cfg.raw.get("verify", {})
+        unknown = sorted(set(spec) - {"samples", "threads"})
+        if unknown:
+            raise ConfigError(f"unknown keys {unknown}; known: samples, threads")
         threads = spec.get("threads")
         vconfig = verify_mod.VerifyConfig(
             seed=cfg.seed,
@@ -349,7 +350,6 @@ def _cmd_verify(cfg: RunConfig, out, args) -> int:
             s=cfg.params.s,
             p=cfg.params.p,
             samples={str(k): _whole(v) for k, v in spec.get("samples", {}).items()},
-            tolerances={str(k): float(v) for k, v in spec.get("tolerances", {}).items()},
             threads=None if threads is None else _whole(threads),
         )
     report = verify_mod.run_suite(vconfig)

@@ -66,11 +66,10 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random
 
-from . import grid as _grid
 from .descent import is_whole, spectral_descent, whole_at_least
 from .energy import _phi, raw_energy, raw_weighted_mass, stiffness_matrix
 from .errors import ConvergenceError, DomainError
-from .grid import GridFunction, KernelTable, same_grid
+from .grid import GridFunction, KernelTable, _row_blocks, same_grid
 
 
 @dataclass(frozen=True)
@@ -416,12 +415,11 @@ def _picone_minima(us: np.ndarray, vs: np.ndarray, p: float) -> np.ndarray:
     The term is symmetric in (i, j) bit for bit: |u_i - u_j| is even, and
     copysign(|v_i - v_j|^(p-1), v_i - v_j) and r_i - r_j (r = u^p / v^(p-1))
     are odd, so their product is even.  So only the pairs i <= j are formed,
-    in row blocks [a, b) x [a, M) of at most max(1, ``grid._BLOCK_BYTES`` //
-    (8 k M)) rows: a block's row minima fold into the rows [a, b), and the
-    column minima of its part right of the square [a, b) x [a, b), which
-    holds both orders of its pairs, into the columns [b, M).  A minimum
-    takes no rounding, so the result equals the minimum over all ordered
-    pairs.
+    in row blocks [a, b) x [a, M), [a, b) from ``grid._row_blocks(M, M, k)``:
+    a block's row minima fold into the rows [a, b), and the column minima of
+    its part right of the square [a, b) x [a, b), which holds both orders of
+    its pairs, into the columns [b, M).  A minimum takes no rounding, so the
+    result equals the minimum over all ordered pairs.
     """
     if not (np.isfinite(p) and p > 1):
         raise DomainError(f"the comparison term requires a finite p > 1, got p={p}")
@@ -433,9 +431,7 @@ def _picone_minima(us: np.ndarray, vs: np.ndarray, p: float) -> np.ndarray:
     # u^p / v^(p-1) computed as u (u/v)^(p-1): exact on the ray u = v
     ratio = us * (us / vs) ** (p - 1.0)
     per_cell = np.full((k, cells), np.inf)
-    height = max(1, _grid._BLOCK_BYTES // (8 * k * cells))
-    for a in range(0, cells, height):
-        b = min(a + height, cells)
+    for a, b in _row_blocks(cells, cells, k):
         # two block temporaries, updated in place: phi(v_i - v_j) is
         # copysign(|v_i - v_j|^(p-1), v_i - v_j), as in ``_phi``
         d = vs[:, a:b, None] - vs[:, None, a:]

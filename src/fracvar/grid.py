@@ -21,9 +21,10 @@ radial tail
     integral_{|z| > R} |z|^(-(dim + s*p)) dz = sigma_{dim-1} * R^(-s*p) / (s*p)
 
 at ``R = ext_radius - |x_i|`` (sigma_0 = 2, sigma_1 = 2*pi).  One byte
-budget, ``_BLOCK_BYTES``, sets the energy module's pair-pass row blocks
-(``_row_blocks``), whether ``kernel_rows`` is copied contiguous and
-whether the p = 2 operator multiplies by gathered matrices.  The
+budget, ``_BLOCK_BYTES``, sets the row blocks (``_row_blocks``) of the
+energy module's pair pass and of the stacked Picone pass, whether
+``kernel_rows`` is copied contiguous and whether the p = 2 operator
+multiplies by gathered matrices.  The
 ring sums take no FFT: the ring is two strips on the line and four on the
 plane, and a strip's sum is a difference of suffix sums of the stencil's
 row prefix sums (``_ring_sums``), O((n + layers)^dim) work in long double.  With an
@@ -319,10 +320,11 @@ def sample(grid: Grid, spec) -> GridFunction:
 _BLOCK_BYTES = 256 * 1024
 
 
-def _row_blocks(size: int, run: int) -> list:
-    """Row blocks [a, b) of at most max(1, _BLOCK_BYTES // (8 size)) rows:
-    whole runs of ``run`` rows, or rows of one run, never straddling two."""
-    height = max(1, _BLOCK_BYTES // (8 * size))
+def _row_blocks(size: int, run: int, stack: int = 1) -> list:
+    """Row blocks [a, b) of at most max(1, _BLOCK_BYTES // (8 stack size))
+    rows, for a stack of ``stack`` fields: whole runs of ``run`` rows, or
+    rows of one run, never straddling two."""
+    height = max(1, _BLOCK_BYTES // (8 * stack * size))
     if height >= run:
         height -= height % run
         return [(a, min(a + height, size)) for a in range(0, size, height)]

@@ -7,7 +7,7 @@ import pytest
 
 import fracvar.checks as chk
 from fracvar.errors import ConfigError, ConvergenceError
-from fracvar.grid import build_grid
+from fracvar.grid import build_grid, build_kernel_table
 
 # trimmed sample counts keep the suite fast while covering every check
 FAST = dict(
@@ -42,15 +42,11 @@ class TestRunSuite:
         with pytest.raises(ConfigError):
             chk.run_check("picone", chk.VerifyConfig(**overrides))
 
-    def test_broken_tolerance_fails_symmetrization_check(self):
+    def test_symmetrization_margin_positive_at_default_samples(self):
         # the discretization margin needs the default sample count to show;
-        # with it, tolerance zero must turn the check red
-        samples = {k: v for k, v in FAST.items() if k != "polya_szego"}
-        cfg = chk.VerifyConfig(seed=42, samples=samples,
-                               tolerances={"polya_szego": 0.0})
-        report = chk.run_suite(cfg)
-        rec = {r.name: r for r in report.records}["polya_szego"]
-        assert not rec.passed
+        # with it the margin is positive, so a zero bound would fail the check
+        rec = chk.run_check("polya_szego", chk.VerifyConfig(seed=42))
+        assert rec.samples == 40
         assert rec.worst_margin > 0.0
 
     def test_byte_identical_across_thread_counts(self):
@@ -194,14 +190,23 @@ class TestRunCheck:
         with pytest.raises(ConfigError):
             chk.run_check("no_such_check")
 
+    def test_ds_scaling_builds_each_table_once(self, monkeypatch):
+        # the base table and the two dilated ones, whatever the sample count
+        builds = []
+
+        def counting_build(*args):
+            builds.append(args[0].half_width)
+            return build_kernel_table(*args)
+
+        monkeypatch.setattr(chk, "build_kernel_table", counting_build)
+        rec = chk.run_check("ds_scaling", chk.VerifyConfig(samples={"ds_scaling": 5}))
+        assert rec.samples == 5 and rec.passed
+        assert builds == [1.0, 2.0, 4.0]
+
 
 BAD_OVERRIDES = {
     "zero_samples": {"samples": {"homogeneity": 0}},
     "unknown_sample_name": {"samples": {"homogenity": 5}},
-    "unknown_tolerance_name": {"tolerances": {"homogenity": 1e-12}},
-    "infinite_tolerance": {"tolerances": {"eigen_oracle_first": math.inf}},
-    "nan_tolerance": {"tolerances": {"homogeneity": math.nan}},
-    "negative_tolerance": {"tolerances": {"homogeneity": -1e-12}},
     "zero_threads": {"threads": 0},
     "negative_threads": {"threads": -3},
     "fractional_threads": {"threads": 2.5},
@@ -226,11 +231,10 @@ class TestOverrides:
             else:
                 chk.run_suite(cfg)
 
-    def test_infinite_tolerance_cannot_pass_a_failed_solve(self):
-        # at p = 3 the dense oracle check is a FAIL record of margin +inf
-        cfg = chk.VerifyConfig(s=0.3, p=3.0, tolerances={"eigen_oracle_first": math.inf})
-        with pytest.raises(ConfigError, match="tolerance inf"):
-            chk.run_check("eigen_oracle_first", cfg)
+    def test_no_tolerance_can_pass_a_failed_solve(self):
+        # every bound is the registry's and finite, so the FAIL record of a
+        # failed solve (margin +inf; at p = 3 the dense oracle) stays a FAIL
+        assert all(0.0 <= tol < math.inf for _, _, _, tol, _ in chk._REGISTRY)
         rec = chk.run_check("eigen_oracle_first", chk.VerifyConfig(s=0.3, p=3.0))
         assert rec.worst_margin == math.inf and not rec.passed
 

@@ -74,14 +74,15 @@ class TestBlockedPass:
         blocks = self.check_blocks(monkeypatch, plane_grid, rng, p, 12288)
         assert blocks == [(0, 24), (24, 48), (48, 64)]
 
+    @pytest.mark.parametrize("stack", [1, 7])
     @pytest.mark.parametrize("budget", [1, 1600, 12288, 2**18])
     @pytest.mark.parametrize("size,run", [(32, 32), (64, 8), (1296, 36), (4096, 64)])
-    def test_row_blocks_never_straddle_runs(self, monkeypatch, size, run, budget):
+    def test_row_blocks_never_straddle_runs(self, monkeypatch, size, run, budget, stack):
         monkeypatch.setattr(grid_mod, "_BLOCK_BYTES", budget)
-        blocks = list(grid_mod._row_blocks(size, run))
+        blocks = list(grid_mod._row_blocks(size, run, stack))
         assert [a for a, _b in blocks] == [0] + [b for _a, b in blocks[:-1]]
         assert blocks[-1][1] == size
-        height = max(1, budget // (8 * size))
+        height = max(1, budget // (8 * stack * size))
         for a, b in blocks:
             assert 0 < b - a <= height
             # whole runs, or rows of one run

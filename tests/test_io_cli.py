@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fracvar as fv
+import fracvar.checks as checks_mod
 import fracvar.eigen as eig
 import fracvar.energy as energy_mod
 import fracvar.grid as grid_mod
@@ -269,6 +270,11 @@ class TestDispatch:
         ("verify", {"verify": {"threads": 2.5}}),
         ("verify", {"verify": {"threads": 0}}),
         ("verify", {"verify": {"threads": -3}}),
+        # an empty function spec never falls back to the config's valid weight
+        ("seminorm", {"function": {}}),
+        ("gradient", {"function": {}}),
+        ("rearrange", {"function": {}}),
+        ("lorentz", {"function": {}}),
     ])
     def test_malformed_value_exits_65(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -349,12 +355,23 @@ class TestDispatch:
         assert dispatch(["seminorm", "--config", str(path)]) == 65
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("verify", [{"tolerances": {"homogeneity": float("inf")}},
-                                        {"samples": {"homogenity": 5}}])
-    def test_bad_verify_override_exits_65(self, tmp_path, capsys, verify):
+    @pytest.mark.parametrize("verify, named", [
+        ({"samples": {"homogenity": 5}}, "homogenity"),
+        ({"tolerances": {"gateaux_fd": 1e9}}, "tolerances"),
+        ({"tolerances": {"homogeneity": float("inf")}}, "tolerances"),
+        ({"sample": {"homogeneity": 5}}, "sample"),
+        ({"samples": {"homogeneity": 5}, "thread": 2}, "thread"),
+    ], ids=["unknown_check", "tolerances", "infinite_tolerance", "sample", "thread"])
+    def test_bad_verify_override_exits_65(self, tmp_path, capsys, monkeypatch, verify, named):
+        # refused before any check runs, so no key is silently dropped
+        def no_check(*_args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(checks_mod, "_run_one", no_check)
         cfg = write_config(tmp_path, verify=verify)
         assert dispatch(["verify", "--config", cfg]) == 65
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and repr(named) in err
         assert not (tmp_path / "out").exists()
 
     def test_domain_error_exits_1(self, tmp_path, capsys):
@@ -422,22 +439,19 @@ class TestDispatch:
         assert "domain error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command, missing, message", [
-        ("eigen", ["weight"], "config is missing 'weight'"),
-        ("hardy-norm", ["weight"], "config is missing 'weight'"),
-        ("concentration", ["weight"], "config is missing 'weight'"),
-        ("seminorm", ["function", "weight"], "config has neither 'function' nor 'weight'"),
+    @pytest.mark.parametrize("command, missing", [
+        ("eigen", "weight"), ("hardy-norm", "weight"), ("concentration", "weight"),
+        ("seminorm", "function"),
     ], ids=["eigen", "hardy-norm", "concentration", "seminorm"])
-    def test_missing_weight_exits_65(self, tmp_path, capsys, command, missing, message):
+    def test_missing_weight_exits_65(self, tmp_path, capsys, command, missing):
         path = write_config(tmp_path)
         with open(path) as fh:
             cfg = json.load(fh)
-        for key in missing:
-            del cfg[key]
+        del cfg[missing]
         with open(path, "w") as fh:
             json.dump(cfg, fh)
         assert dispatch([command, "--config", path]) == 65
-        assert f"config error: {message}\n" == capsys.readouterr().err
+        assert f"config error: config is missing {missing!r}\n" == capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_weight_positive_nowhere_exits_1(self, tmp_path, capsys, monkeypatch):
