@@ -1,10 +1,9 @@
 """fracvar: fractional (s,p) energies, capacities, rearrangements, and
 weighted nonlocal eigenproblems on truncated uniform grids."""
 
-from .capacity import (BallScalingFit, CandidateFamily, CapacityOptions,
-                       CapacityResult, CellSet, CompactnessVerdict,
-                       ConcentrationProfile, HardyNormResult,
-                       capacity, capacity_ball_scaling,
+from .capacity import (BallScalingFit, CapacityOptions, CapacityResult,
+                       CellSet, CompactnessVerdict, ConcentrationProfile,
+                       HardyNormResult, capacity, capacity_ball_scaling,
                        compactness_diagnostic, concentration_at,
                        concentration_at_infinity, hardy_norm_estimate)
 from .eigen import (EigenOptions, EigenResult, PiconeResult, SimplicityReport,

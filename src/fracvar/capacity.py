@@ -44,17 +44,22 @@ The weight norm
 
     sup over compact F of  (integral of |w| over F) / capacity(F)
 
-is estimated from below by sweeping a finite candidate family: balls on a
-(center, radius) lattice plus super-level sets of |w| on a quantile ladder.
-Level sets are the natural extremizers of the truncation argument behind
-the capacitary characterization; balls cover localized behavior.  The sweep
-is a LOWER bound on the true supremum.
+is estimated from below by sweeping a finite candidate family, derived
+from the grid alone (``_family_candidates``; L is the box's half-width, h
+the cell width, n the cells per axis): balls of radius L/2^k, k = 0..3, at
+least 1.5 h, centred on every max(1, n // 4)-th cell of each axis, plus the
+super-level sets of |w| at 8 quantiles and its support.  Level sets are
+the natural extremizers of the truncation argument behind the capacitary
+characterization; balls cover localized behavior.  The sweep is a LOWER
+bound on the true supremum.
 
 Concentration profiles track the estimated norm of w restricted to
 shrinking balls around a point (or to the complements of growing balls),
 the computable stand-ins for the local and at-infinity concentration
 functions whose joint vanishing signals that the weighted p-mass is a
-compact perturbation of the energy.  ``compactness_diagnostic`` runs the
+compact perturbation of the energy.  Their radii, when not given, follow
+one rule (``_default_radii``): L/2^k, k = 1..6, at least h, around a point,
+and L/2 to 7L/8 at infinity.  ``compactness_diagnostic`` runs the
 weight-norm sweep and every profile against one capacity cache keyed by
 the candidate's orbit under the box's symmetries (reflections, and on the
 plane the transpose), each solved once on its least image, so a cell set
@@ -65,7 +70,7 @@ run serially.
 from __future__ import annotations
 
 import contextlib
-import numbers
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -329,38 +334,17 @@ def capacity_ball_scaling(radii, fp: FracParams, dim: int,
 # Weight-norm estimation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CandidateFamily:
-    """Finite family for the norm sweep: lattice balls + super-level sets."""
-
-    ball_radii: tuple = ()
-    center_stride: int = 8         # lattice stride, in cells, for ball centers
-    n_quantiles: int = 8
-
-    def __post_init__(self):
-        radii = self.ball_radii
-        if not all(isinstance(r, numbers.Real) and np.isfinite(r) and r > 0 for r in radii):
-            raise DomainError(f"ball radii must be finite positive numbers, got {radii}")
-        object.__setattr__(self, "ball_radii", tuple(float(r) for r in radii))
-        for name, least in (("center_stride", 1), ("n_quantiles", 0)):
-            object.__setattr__(self, name, whole_at_least(getattr(self, name), least, name))
-
-    @staticmethod
-    def default(grid: Grid) -> "CandidateFamily":
-        L = grid.half_width
-        radii = tuple(L / 2**k for k in range(0, 4) if L / 2**k >= 1.5 * grid.spacing)
-        stride = max(1, grid.cells_per_dim // 4)
-        return CandidateFamily(ball_radii=radii or (L,), center_stride=stride)
-
-
-def _family_candidates(grid: Grid, weights, family: CandidateFamily | None) -> list:
+def _family_candidates(grid: Grid, weights) -> list:
     """(label, CellSet) candidates for every |w| array in ``weights``.
 
-    The lattice balls come first, then each weight's super-level sets in
-    turn; a cell set already in the list is dropped, so the order is
-    deterministic and every set appears once.
+    The balls come first: radii L/2^k for k = 0..3 that are at least 1.5 h
+    (L alone when none is), around the centre of every max(1, n // 4)-th
+    cell of each axis.  Then come each weight's super-level sets at 8
+    quantiles from 0.05 to 0.95 and its support, weight by weight.  A cell
+    set already in the list is dropped, so the order is deterministic and
+    every set appears once.
     """
-    family = family or CandidateFamily.default(grid)
+    L, h, n = grid.half_width, grid.spacing, grid.cells_per_dim
     out = []
     seen = set()
 
@@ -373,21 +357,16 @@ def _family_candidates(grid: Grid, weights, family: CandidateFamily | None) -> l
         seen.add(key)
         out.append((label, cs))
 
-    axis_idx = np.arange(0, grid.cells_per_dim, family.center_stride)
-    axis = -grid.half_width + (axis_idx + 0.5) * grid.spacing
-    if grid.dim == 1:
-        centers = [(x,) for x in axis]
-    else:
-        centers = [(x, y) for x in axis for y in axis]
-    for ci, c in enumerate(centers):
-        for ri, r in enumerate(family.ball_radii):
+    radii = [L / 2**k for k in range(4) if L / 2**k >= 1.5 * h] or [L]
+    axis = -L + (np.arange(0, n, max(1, n // 4)) + 0.5) * h
+    for ci, c in enumerate(itertools.product(axis, repeat=grid.dim)):
+        for ri, r in enumerate(radii):
             push(f"ball[c{ci},r{ri}]", CellSet.ball(grid, c, r))
 
     for absw in weights:
         positive = absw[absw > 0]
-        if positive.size and family.n_quantiles > 0:
-            qs = np.linspace(0.05, 0.95, family.n_quantiles)
-            for qi, t in enumerate(np.quantile(positive, qs)):
+        if positive.size:
+            for qi, t in enumerate(np.quantile(positive, np.linspace(0.05, 0.95, 8))):
                 push(f"level[q{qi}]", CellSet(grid, absw > t))
             push("support", CellSet(grid, absw > 0))
     return out
@@ -458,8 +437,8 @@ def _best_ratio(absw: np.ndarray, m: float, candidates, caps) -> HardyNormResult
     return HardyNormResult(best_val, best_set, tuple(clean), tuple(skipped))
 
 
-def _sweep(w: GridFunction, masks, kt: KernelTable, family: CandidateFamily | None,
-           opts: CapacityOptions | None, cache: dict) -> list:
+def _sweep(w: GridFunction, masks, kt: KernelTable, opts: CapacityOptions | None,
+           cache: dict) -> list:
     """A norm estimate of w restricted to each mask (``True`` keeps all of w).
 
     All restrictions share one candidate family (the union of the families
@@ -473,9 +452,7 @@ def _sweep(w: GridFunction, masks, kt: KernelTable, family: CandidateFamily | No
     zero = HardyNormResult(0.0, CellSet.empty(w.grid), ())
     if not any(np.any(absw) for absw in restricted):
         return [zero] * len(restricted)
-    candidates = _family_candidates(w.grid, restricted, family)
-    if not candidates:
-        raise DomainError("candidate family is empty")
+    candidates = _family_candidates(w.grid, restricted)
     caps = _candidate_capacities(candidates, kt, opts, cache)
     m = w.grid.cell_measure
     return [_best_ratio(absw, m, candidates, caps) if np.any(absw) else zero
@@ -483,11 +460,10 @@ def _sweep(w: GridFunction, masks, kt: KernelTable, family: CandidateFamily | No
 
 
 def hardy_norm_estimate(w: GridFunction, kt: KernelTable,
-                        family: CandidateFamily | None = None,
                         opts: CapacityOptions | None = None) -> HardyNormResult:
     """Lower bound for the capacitary weight norm by a finite-family sweep."""
     same_grid(w, kt)
-    return _sweep(w, [True], kt, family, opts, {})[0]
+    return _sweep(w, [True], kt, opts, {})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +478,21 @@ class ConcentrationProfile:
 
 
 def _profile(w: GridFunction, radii, masks, kt: KernelTable,
-             family: CandidateFamily | None, opts: CapacityOptions | None,
-             cache: dict) -> ConcentrationProfile:
+             opts: CapacityOptions | None, cache: dict) -> ConcentrationProfile:
     """Norm estimates for a nested sequence of restrictions of w; the limit
     is the value at the last radius."""
-    estimates = tuple(res.value for res in _sweep(w, masks, kt, family, opts, cache))
+    estimates = tuple(res.value for res in _sweep(w, masks, kt, opts, cache))
     return ConcentrationProfile(tuple(radii), estimates, estimates[-1])
+
+
+def _default_radii(grid: Grid) -> tuple[list, list]:
+    """The profiles' radii when none are given: around a point, L/2^k for
+    k = 1..6 that are at least the cell width h (L/2 alone when none is,
+    below 4 cells per axis), so that each ball around a point of the box
+    holds a cell; at infinity, L/2, 5L/8, 3L/4 and 7L/8."""
+    L, h = grid.half_width, grid.spacing
+    local = [L / 2**k for k in range(1, 7) if L / 2**k >= h] or [L / 2]
+    return local, [L / 2, 5 * L / 8, 3 * L / 4, 7 * L / 8]
 
 
 def _ball_masks(grid: Grid, x, radii) -> tuple[list, list]:
@@ -536,7 +521,6 @@ def _exterior_masks(grid: Grid, radii) -> tuple[list, list]:
 
 
 def concentration_at(w: GridFunction, x, radii, kt: KernelTable,
-                     family: CandidateFamily | None = None,
                      opts: CapacityOptions | None = None) -> ConcentrationProfile:
     """Estimated weight norm of w restricted to shrinking balls around x.
 
@@ -545,16 +529,15 @@ def concentration_at(w: GridFunction, x, radii, kt: KernelTable,
     """
     same_grid(w, kt)
     radii, masks = _ball_masks(w.grid, x, radii)
-    return _profile(w, radii, masks, kt, family, opts, {})
+    return _profile(w, radii, masks, kt, opts, {})
 
 
 def concentration_at_infinity(w: GridFunction, radii, kt: KernelTable,
-                              family: CandidateFamily | None = None,
                               opts: CapacityOptions | None = None) -> ConcentrationProfile:
     """Estimated weight norm of w outside growing origin-centered balls."""
     same_grid(w, kt)
     radii, masks = _exterior_masks(w.grid, radii)
-    return _profile(w, radii, masks, kt, family, opts, {})
+    return _profile(w, radii, masks, kt, opts, {})
 
 
 @dataclass(frozen=True)
@@ -574,13 +557,8 @@ _MAX_MAXIMA = 8  # strongest local maxima of |w| among the candidate points
 
 def _candidate_points(w: GridFunction) -> list:
     grid = w.grid
-    pts = []
     L = grid.half_width
-    lattice = [-L / 2, 0.0, L / 2]
-    if grid.dim == 1:
-        pts.extend((x,) for x in lattice)
-    else:
-        pts.extend((x, y) for x in lattice for y in lattice)
+    pts = list(itertools.product([-L / 2, 0.0, L / 2], repeat=grid.dim))
 
     absw = np.abs(w.values)
     n = grid.cells_per_dim
@@ -605,7 +583,6 @@ def _candidate_points(w: GridFunction) -> list:
 
 
 def compactness_diagnostic(w: GridFunction, kt: KernelTable,
-                           family: CandidateFamily | None = None,
                            opts: CapacityOptions | None = None) -> CompactnessVerdict:
     """Joint local/at-infinity concentration check.
 
@@ -615,24 +592,20 @@ def compactness_diagnostic(w: GridFunction, kt: KernelTable,
     cell width h the profile of a genuinely compact-class weight is still of
     size O(h^sp), which an absolute cutoff on a coarse grid could never
     reach.  Candidate points combine a coarse lattice and the strongest
-    local maxima of |w|.  The local radii halve from L/2 to L/64 whatever
-    the cell width h, dropping those below h (L/2 alone when all are); the
-    radii at infinity run from L/2 to 7L/8.
+    local maxima of |w|.  The profiles run over ``_default_radii``.
     """
     same_grid(w, kt)
     grid = w.grid
-    L, h = grid.half_width, grid.spacing
-    radii = [L / 2**k for k in range(1, 7) if L / 2**k >= h] or [L / 2]
-    outer_radii = [L / 2, 5 * L / 8, 3 * L / 4, 7 * L / 8]
+    radii, outer_radii = _default_radii(grid)
 
     cache: dict = {}
-    weight_norm = _sweep(w, [True], kt, family, opts, cache)[0].value
+    weight_norm = _sweep(w, [True], kt, opts, cache)[0].value
     tol = 0.5 * weight_norm
     points = _candidate_points(w)
-    profiles = [_profile(w, *_ball_masks(grid, x, radii), kt, family, opts, cache)
+    profiles = [_profile(w, *_ball_masks(grid, x, radii), kt, opts, cache)
                 for x in points]
     c_star = max((pr.extrapolated_limit for pr in profiles), default=0.0)
-    inf_profile = _profile(w, *_exterior_masks(grid, outer_radii), kt, family, opts, cache)
+    inf_profile = _profile(w, *_exterior_masks(grid, outer_radii), kt, opts, cache)
     c_inf = inf_profile.extrapolated_limit
     return CompactnessVerdict(
         compact_indicating=bool(c_star <= tol and c_inf <= tol),

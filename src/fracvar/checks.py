@@ -503,7 +503,8 @@ def _validated(config: VerifyConfig | None) -> VerifyConfig:
     """The config (the default one for None), or a ConfigError when the
     seed is not a whole number >= 0, the thread count is neither None nor a
     whole number >= 1, a sample override names no registered check or a
-    sample count is not a whole number >= 1."""
+    sample count is not a whole number >= 1, or a DomainError when s*p
+    exceeds the dimension."""
     config = config or VerifyConfig()
     if not is_whole(config.seed) or config.seed < 0:
         raise ConfigError(f"seed must be a whole number at least 0, got {config.seed!r}")
@@ -517,6 +518,7 @@ def _validated(config: VerifyConfig | None) -> VerifyConfig:
     for name, count in config.samples.items():
         if not is_whole(count) or count < 1:
             raise ConfigError(f"check {name!r} needs a whole number of samples, at least 1")
+    FracParams(config.s, config.p).validate_for_dim(config.dim)
     return config
 
 
@@ -549,7 +551,6 @@ def run_suite(config: VerifyConfig | None = None) -> PropertyReport:
     records are merged in registration order.
     """
     config = _validated(config)
-    FracParams(config.s, config.p).validate_for_dim(config.dim)
     ctx = _Context(config)
     # solve the shared eigen results before the first check, so that no
     # check's time includes them; a failed solve is kept and fails each

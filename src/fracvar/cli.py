@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,9 +25,8 @@ from . import eigen as eig
 from . import energy as en
 from . import io as fio
 from . import rearrange as rr
-from .capacity import (CandidateFamily, CapacityOptions, CellSet,
-                       compactness_diagnostic, concentration_at,
-                       concentration_at_infinity, hardy_norm_estimate)
+from .capacity import (CapacityOptions, CellSet, _default_radii, compactness_diagnostic,
+                       concentration_at, concentration_at_infinity, hardy_norm_estimate)
 from .capacity import capacity as capacity_solve
 from .descent import is_whole
 from .errors import ConfigError, ConvergenceError, DomainError
@@ -53,13 +52,21 @@ The config file is JSON; see README for the schema.  The seed is required.
 """
 
 
+# the top-level keys that some command reads
+_SECTIONS = ("seed", "grid", "frac", "out_dir", "function", "weight", "solver", "capacity",
+             "lorentz", "concentration", "eigen", "verify")
+
+
 @contextmanager
 def _reading(section: str):
     """Report a missing key or a malformed raw value in a config section as
     a ConfigError; wraps only the code that reads raw config values, so the
-    program's own errors keep their traceback."""
+    program's own errors keep their traceback.  A ConfigError passes
+    unchanged, so a message gets one section prefix however deep the read."""
     try:
         yield
+    except ConfigError:
+        raise
     except KeyError as err:
         raise ConfigError(f"{section}: missing required key {err}") from err
     except (AttributeError, OverflowError, TypeError, ValueError) as err:
@@ -72,6 +79,15 @@ def _whole(value) -> int:
     if not is_whole(value):
         raise ValueError(f"expected a whole number, got {value!r}")
     return int(value)
+
+
+def _refuse_unknown(section: str, spec: dict, known) -> None:
+    """A ConfigError naming the keys of ``spec`` that are not in ``known``."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"expected an object, got {spec!r}")
+    unknown = sorted(set(spec) - set(known))
+    if unknown:
+        raise ConfigError(f"{section}: unknown keys {unknown}; known: {', '.join(known)}")
 
 
 def _flag(section: dict, key: str) -> bool:
@@ -90,7 +106,7 @@ def _region_from(d: dict):
     if kind == "halfspace":
         return HalfSpace(_whole(d.get("axis", 0)), float(d.get("threshold", 0.0)),
                          str(d.get("side", "right")))
-    raise ConfigError(f"unknown region kind {kind!r}")
+    raise ConfigError(f"region: unknown region kind {kind!r}")
 
 
 @_reading("weight spec")
@@ -108,7 +124,7 @@ def weight_spec_from(d: dict):
         return Difference(weight_spec_from(d["w1"]), weight_spec_from(d["w2"]))
     if kind == "from_file":
         return FromFile(str(d["path"]))
-    raise ConfigError(f"unknown weight kind {kind!r}")
+    raise ConfigError(f"weight spec: unknown weight kind {kind!r}")
 
 
 @dataclass
@@ -140,6 +156,7 @@ class RunConfig:
                 params.validate_for_dim(grid.dim)
                 ext_radius = float(gspec.get("ext_radius", 4.0 * grid.half_width))
                 out_dir = str(raw.get("out_dir", "."))
+                _refuse_unknown("config", raw, _SECTIONS)
         except DomainError as err:
             raise ConfigError(f"config is inconsistent: {err}") from err
         return RunConfig(seed=seed, grid=grid, params=params,
@@ -169,13 +186,6 @@ class RunConfig:
             max_iter=s.get("max_iter", 50000),  # a whole number, checked there
             seed=self.seed,
         )
-
-    @_reading("hardy")
-    def family(self) -> CandidateFamily:
-        h = self.raw.get("hardy", {})
-        casts = {"ball_radii": tuple, "center_stride": _whole, "n_quantiles": _whole}
-        return replace(CandidateFamily.default(self.grid),
-                       **{key: cast(h[key]) for key, cast in casts.items() if key in h})
 
 
 def _out_path(cfg: RunConfig, out_flag, name: str) -> str:
@@ -252,7 +262,7 @@ def _cmd_capacity(cfg: RunConfig, out, args) -> int:
 def _cmd_hardy_norm(cfg: RunConfig, out, args) -> int:
     kt = cfg.kernel_table()
     w = cfg.function("weight")
-    res = hardy_norm_estimate(w, kt, cfg.family(), cfg.capacity_options())
+    res = hardy_norm_estimate(w, kt, cfg.capacity_options())
     with open(_out_path(cfg, out, "hardy_sweep.csv"), "w") as fh:
         fh.write("candidate,ratio\n")
         for label, ratio in res.sweep:
@@ -269,20 +279,25 @@ def _cmd_hardy_norm(cfg: RunConfig, out, args) -> int:
 
 
 def _cmd_concentration(cfg: RunConfig, out, args) -> int:
-    kt = cfg.kernel_table()
-    w = cfg.function("weight")
-    family = cfg.family()
-    opts = cfg.capacity_options()
     with _reading("concentration"):
         spec = cfg.raw.get("concentration", {})
+        _refuse_unknown("concentration", spec, ("diagnostic", "at_infinity", "point", "radii"))
         diagnostic, at_infinity = _flag(spec, "diagnostic"), _flag(spec, "at_infinity")
+        # the diagnostic reads no other key, and the profile at infinity no point
+        unread = [key for key, given in (("at_infinity", diagnostic and at_infinity),
+                                         ("point", (diagnostic or at_infinity) and "point" in spec),
+                                         ("radii", diagnostic and "radii" in spec)) if given]
+        if unread:
+            mode = "diagnostic" if diagnostic else "at_infinity"
+            raise ConfigError(f"concentration: keys {unread} are not read when {mode} is true")
         point = tuple(float(c) for c in spec.get("point", (0.0,) * cfg.grid.dim))
-        default_radii = ([cfg.grid.half_width * f for f in (0.5, 0.75, 0.875)]
-                         if at_infinity else
-                         [cfg.grid.half_width / 2**k for k in range(1, 5)])
-        radii = [float(r) for r in spec.get("radii", default_radii)]
+        local, outer = _default_radii(cfg.grid)
+        radii = [float(r) for r in spec.get("radii", outer if at_infinity else local)]
+    kt = cfg.kernel_table()
+    w = cfg.function("weight")
+    opts = cfg.capacity_options()
     if diagnostic:
-        verdict = compactness_diagnostic(w, kt, family=family, opts=opts)
+        verdict = compactness_diagnostic(w, kt, opts=opts)
         fio.write_result_json({
             "compact_indicating": verdict.compact_indicating,
             "c_star": verdict.c_star,
@@ -293,10 +308,10 @@ def _cmd_concentration(cfg: RunConfig, out, args) -> int:
         }, _out_path(cfg, out, "compactness.json"))
         return 0
     if at_infinity:
-        prof = concentration_at_infinity(w, radii, kt, family, opts)
+        prof = concentration_at_infinity(w, radii, kt, opts)
         name = "concentration_infinity"
     else:
-        prof = concentration_at(w, point, radii, kt, family, opts)
+        prof = concentration_at(w, point, radii, kt, opts)
         name = "concentration"
     fio.emit_plot((np.asarray(prof.radii), np.asarray(prof.norm_estimates)),
                   _out_path(cfg, out, name + ".svg"))
@@ -337,9 +352,7 @@ def _cmd_eigen(cfg: RunConfig, out, args) -> int:
 def _cmd_verify(cfg: RunConfig, out, args) -> int:
     with _reading("verify"):
         spec = cfg.raw.get("verify", {})
-        unknown = sorted(set(spec) - {"samples", "threads"})
-        if unknown:
-            raise ConfigError(f"unknown keys {unknown}; known: samples, threads")
+        _refuse_unknown("verify", spec, ("samples", "threads"))
         threads = spec.get("threads")
         vconfig = verify_mod.VerifyConfig(
             seed=cfg.seed,

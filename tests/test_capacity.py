@@ -504,11 +504,12 @@ def no_capacity(monkeypatch):
     monkeypatch.setattr(capacity_mod, "capacity", solve)
 
 
-EMPTY_FAMILY_SWEEPS = {
-    "hardy": lambda w, kt, family: fv.hardy_norm_estimate(w, kt, family),
-    "at_point": lambda w, kt, family: fv.concentration_at(w, (0.0,), [0.5, 0.25], kt, family),
-    "at_infinity": lambda w, kt, family: fv.concentration_at_infinity(w, [0.25, 0.5], kt,
-                                                                      family),
+# the family of a PowerLaw(0.8) weight, as the grid derives it
+FAMILY_LABELS = {
+    (1, 64): [f"ball[c{c},r{r}]" for c in range(4) for r in range(4) if (c, r) != (1, 1)]
+    + [f"level[q{q}]" for q in range(8)],
+    (2, 12): [f"ball[c{c},r{r}]" for c in range(16) for r in range(3)]
+    + [f"level[q{q}]" for q in range(8)] + ["support"],
 }
 
 
@@ -521,28 +522,16 @@ class TestHardyNorm:
         assert res.argmax.size == 0
         assert res.sweep == ()
 
-    @pytest.mark.parametrize("sweep", EMPTY_FAMILY_SWEEPS.values(), ids=EMPTY_FAMILY_SWEEPS)
-    def test_empty_family_refused(self, monkeypatch, line_kt, line_grid, sweep):
-        no_capacity(monkeypatch)
-        w = fv.sample(line_grid, fv.PowerLaw(alpha=0.8))
-        empty = fv.CandidateFamily(ball_radii=(), n_quantiles=0)
-        with pytest.raises(DomainError, match="candidate family is empty"):
-            sweep(w, line_kt, empty)
-
-    # a fractional stride once put ball centres between cells, and True read as 1
-    @pytest.mark.parametrize("kwargs", [{"center_stride": 2.5}, {"center_stride": True},
-                                        {"center_stride": 0}, {"n_quantiles": 2.5},
-                                        {"n_quantiles": False}, {"n_quantiles": -1},
-                                        {"n_quantiles": float("nan")},
-                                        {"center_stride": float("inf")}])
-    def test_family_refuses_non_whole_counts(self, kwargs):
-        with pytest.raises(DomainError, match="whole number"):
-            fv.CandidateFamily(ball_radii=(0.5,), **kwargs)
-
-    def test_family_stores_whole_floats_as_ints(self):
-        family = fv.CandidateFamily(ball_radii=(0.5,), center_stride=2.0, n_quantiles=3.0)
-        assert (family.center_stride, family.n_quantiles) == (2, 3)
-        assert type(family.center_stride) is int and type(family.n_quantiles) is int
+    @pytest.mark.parametrize("dim, n", FAMILY_LABELS)
+    def test_family_labels_follow_the_grid(self, dim, n):
+        # balls of radius L/2^k >= 1.5 h (four on the line, three on the
+        # plane) around every (n // 4)-th cell of each axis, in row order,
+        # then the level sets; on the line ball[c1,r1] and the support
+        # repeat earlier sets
+        grid = fv.build_grid(dim, 1.0, n)
+        w = fv.sample(grid, fv.PowerLaw(alpha=0.8))
+        candidates = capacity_mod._family_candidates(grid, [np.abs(w.values)])
+        assert [label for label, _ in candidates] == FAMILY_LABELS[dim, n]
 
     def test_positively_homogeneous(self, line_kt, line_grid):
         w = fv.sample(line_grid, fv.PowerLaw(alpha=0.8))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fracvar.checks as chk
-from fracvar.errors import ConfigError, ConvergenceError
+from fracvar.errors import ConfigError, ConvergenceError, DomainError
 from fracvar.grid import build_grid, build_kernel_table
 
 # trimmed sample counts keep the suite fast while covering every check
@@ -226,6 +226,20 @@ class TestOverrides:
         monkeypatch.setattr(chk, "_run_one", no_check)
         cfg = chk.VerifyConfig(s=0.3, p=3.0, **overrides)
         with pytest.raises(ConfigError):
+            if entry == "run_check":
+                chk.run_check("homogeneity", cfg)
+            else:
+                chk.run_suite(cfg)
+
+    @pytest.mark.parametrize("entry", ["run_check", "run_suite"])
+    def test_exponents_beyond_the_dimension_refused(self, monkeypatch, entry):
+        # run_check once returned a FAIL record with margin +inf here
+        def no_check(*_args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(chk, "_run_one", no_check)
+        cfg = chk.VerifyConfig(s=0.9, p=2.5)
+        with pytest.raises(DomainError, match="exceeds the dimension 1"):
             if entry == "run_check":
                 chk.run_check("homogeneity", cfg)
             else:

@@ -256,16 +256,15 @@ class TestDispatch:
         ("verify", {"verify": {"threads": "2"}}),
         ("seminorm", {"function": {"kind": "gaussian"}}),
         ("eigen", {"solver": "fast"}),
-        ("hardy-norm", {"hardy": {"ball_radii": ["0.5"]}}),
-        ("hardy-norm", {"hardy": {"center_stride": 0}}),
-        ("hardy-norm", {"hardy": {"n_quantiles": -1}}),
-        ("hardy-norm", {"hardy": {"center_stride": -2}}),
         ("capacity", {"capacity": {"region": {"kind": "halfspace", "side": "up"}}}),
         # flags were once read by truthiness: "false" ran the diagnostic, and
         # operator.index took true for 1 thread
         ("concentration", {"concentration": {"diagnostic": "false"}}),
         ("concentration", {"concentration": {"at_infinity": "false"}}),
         ("concentration", {"concentration": {"diagnostic": 0}}),
+        # a section that is not a JSON object
+        ("concentration", {"concentration": "diagnostic"}),
+        ("verify", {"verify": ["threads"]}),
         ("verify", {"verify": {"threads": True}}),
         ("verify", {"verify": {"threads": 2.5}}),
         ("verify", {"verify": {"threads": 0}}),
@@ -324,8 +323,6 @@ class TestDispatch:
         ("capacity", {"capacity": {"region": {"kind": "halfspace", "axis": True}}}),
         ("eigen", {"eigen": {"levels": float("inf")}}),
         ("eigen", {"eigen": {"levels": 1.5}}),
-        ("hardy-norm", {"hardy": {"center_stride": float("inf")}}),
-        ("hardy-norm", {"hardy": {"n_quantiles": 2.5}}),
         ("verify", {"verify": {"samples": {"homogeneity": float("inf")}}}),
         ("verify", {"verify": {"samples": {"homogeneity": 2.5}}}),
         ("verify", {"verify": {"samples": {"homogeneity": True}}}),
@@ -374,6 +371,53 @@ class TestDispatch:
         assert err.startswith("config error") and repr(named) in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["eigen", "hardy-norm", "concentration"])
+    def test_hardy_section_exits_65(self, tmp_path, capsys, command):
+        # the candidate family comes from the grid alone; the section that
+        # once set it is refused, never silently dropped
+        cfg = write_config(tmp_path, hardy={"n_quantiles": 3})
+        assert dispatch([command, "--config", cfg]) == 65
+        assert capsys.readouterr().err.startswith("config error: config: unknown keys ['hardy']")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("eigen", {"weight": {"kind": "difference", "w1": {"kind": "difference", "w1": {},
+                                                           "w2": {"kind": "power_law"}},
+                              "w2": {"kind": "power_law"}}},
+         "weight spec: unknown weight kind None"),
+        ("verify", {"verify": {"tolerances": {"gateaux_fd": 1e9}}},
+         "verify: unknown keys ['tolerances']; known: samples, threads"),
+    ], ids=["nested_weight", "verify_key"])
+    def test_config_error_has_one_prefix(self, tmp_path, capsys, command, overrides,
+                                         message):
+        # each enclosing read once prefixed its section again
+        cfg = write_config(tmp_path, **overrides)
+        assert dispatch([command, "--config", cfg]) == 65
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("concentration, named", [
+        ({"radius": [0.5, 0.25]}, ["radius"]),
+        ({"diagnostic": True, "at_infinity": True}, ["at_infinity"]),
+        ({"diagnostic": True, "point": [0.3]}, ["point"]),
+        ({"diagnostic": True, "radii": [0.5, 0.1]}, ["radii"]),
+        ({"diagnostic": True, "at_infinity": True, "point": [0.3], "radii": [0.5, 0.1]},
+         ["at_infinity", "point", "radii"]),
+        ({"at_infinity": True, "point": [0.3]}, ["point"]),
+    ], ids=["unknown", "diagnostic_at_infinity", "diagnostic_point", "diagnostic_radii",
+            "diagnostic_all", "infinity_point"])
+    def test_concentration_key_its_mode_does_not_read_exits_65(
+            self, tmp_path, capsys, monkeypatch, concentration, named):
+        # these ran the diagnostic, or the profile at infinity, and dropped the keys
+        def no_table(*_args):
+            raise AssertionError("a kernel table was built")
+
+        monkeypatch.setattr(RunConfig, "kernel_table", no_table)
+        cfg = write_config(tmp_path, concentration=concentration)
+        assert dispatch(["concentration", "--config", cfg]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("config error: concentration: ") and repr(named) in err
+        assert not (tmp_path / "out").exists()
+
     def test_domain_error_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lorentz={"p": 0.5, "q": 2.0})
         assert dispatch(["lorentz", "--config", cfg]) == 1
@@ -414,10 +458,6 @@ class TestDispatch:
         assert "physical memory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, overrides", [
-        ("hardy-norm", {"hardy": {"ball_radii": [], "n_quantiles": 0}}),
-        ("concentration", {"hardy": {"ball_radii": [], "n_quantiles": 0}}),
-        ("concentration", {"hardy": {"ball_radii": [], "n_quantiles": 0},
-                           "concentration": {"at_infinity": True}}),
         ("concentration", {"grid": {"dim": 2, "half_width": 1.0, "cells_per_dim": 8},
                            "concentration": {"point": [0.125, 0.125, 0.0]}}),
         ("capacity", {"capacity": {"region": {"kind": "ball", "center": [0.0, 0.5],
@@ -429,8 +469,7 @@ class TestDispatch:
         ("concentration", {"concentration": {"at_infinity": True,
                                              "radii": [0.5, float("nan")]}}),
         ("concentration", {"concentration": {"at_infinity": True, "radii": [-0.5, 0.5]}}),
-    ], ids=["hardy_empty_family", "point_empty_family", "infinity_empty_family",
-            "point_of_3_coordinates", "ball_center_of_2", "halfspace_axis_1",
+    ], ids=["point_of_3_coordinates", "ball_center_of_2", "halfspace_axis_1",
             "gaussian_center_of_3", "nan_radius_at_infinity",
             "negative_radius_at_infinity"])
     def test_bad_sweep_or_region_exits_1(self, tmp_path, capsys, command, overrides):
@@ -483,14 +522,6 @@ class TestDispatch:
                                                "path": str(weight)})
         assert dispatch(["seminorm", "--config", cfg]) == 1
         assert "domain error" in capsys.readouterr().err
-
-    def test_family_keeps_the_defaults_of_unset_keys(self, tmp_path):
-        cfg = RunConfig.load(write_config(tmp_path, hardy={"n_quantiles": 3}))
-        default = fv.CandidateFamily.default(cfg.grid)
-        family = cfg.family()
-        assert family.n_quantiles == 3
-        assert family.ball_radii == default.ball_radii
-        assert family.center_stride == default.center_stride
 
     def test_seminorm_writes_result(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -575,6 +606,23 @@ class TestDispatch:
         prof = json.loads((out / "concentration.json").read_text())
         assert prof["extrapolated_limit"] > 0
 
+    @pytest.mark.parametrize("at_infinity", [False, True], ids=["at_point", "at_infinity"])
+    @pytest.mark.parametrize("dim, n", [(1, 8), (1, 10), (1, 12), (1, 14), (2, 6), (2, 16),
+                                        (2, 22)])
+    def test_default_radii_are_the_diagnostics(self, tmp_path, dim, n, at_infinity):
+        # the command's own default radii reached L/16, and around the
+        # default point the smallest ball held no cell on these grids
+        cfg = write_config(tmp_path, grid={"dim": dim, "half_width": 1.0, "cells_per_dim": n},
+                           concentration={"at_infinity": at_infinity})
+        assert dispatch(["concentration", "--config", cfg]) == 0
+        name = "concentration_infinity" if at_infinity else "concentration"
+        prof = json.loads((tmp_path / "out" / f"{name}.json").read_text())
+        assert np.all(np.isfinite(prof["estimates"]))
+        loaded = RunConfig.load(cfg)
+        verdict = fv.compactness_diagnostic(loaded.function("weight"), loaded.kernel_table())
+        diagnostic = verdict.infinity_profile if at_infinity else verdict.profiles[0]
+        assert prof["radii"] == list(diagnostic.radii)
+
     def test_hardy_norm_counts_skipped_candidates(self, tmp_path, monkeypatch):
         capacity_mod = importlib.import_module("fracvar.capacity")
         solve = capacity_mod.capacity
@@ -591,7 +639,7 @@ class TestDispatch:
         hardy = json.loads((tmp_path / "out" / "hardy_norm.json").read_text())
         sweep = (tmp_path / "out" / "hardy_sweep.csv").read_text().splitlines()[1:]
         w = fv.sample(fv.build_grid(1, 1.0, 32), fv.PowerLaw(alpha=0.8))
-        candidates = capacity_mod._family_candidates(w.grid, [np.abs(w.values)], None)
+        candidates = capacity_mod._family_candidates(w.grid, [np.abs(w.values)])
         assert hardy["skipped_candidates"] == len(candidates) - len(sweep) > 0
 
     def test_concentration_at_infinity_and_diagnostic(self, tmp_path):
