@@ -35,7 +35,7 @@ for tag, w in (
 ):
     print(f"--- {tag} ---")
     seq = fv.eigen_sequence(w, kt, 4, opts)
-    oracle = fv.oracle_levels(w, kt)
+    oracle = fv.oracle_levels(w, kt, 4)
     for k, (res, lam) in enumerate(zip(seq, oracle), start=1):
         print(f"  level {k}: lambda {res.lam:12.6f}  dense oracle {lam:12.6f}  "
               f"rel err {abs(res.lam / lam - 1):.1e}  sign: "

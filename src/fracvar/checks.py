@@ -147,6 +147,14 @@ class _Context:
             return w, eig.eigen_sequence(w, kt, 2, self.eigen_opts)
         return self.get(f"eigen_{tag}", build)
 
+    def oracle_levels(self):
+        """The dense oracle's first 4 levels for the flat weight, read by
+        both oracle checks."""
+        def build():
+            w, _ = self.eigen_results("flat")
+            return eig.oracle_levels(w, self.base_kt(), 4)
+        return self.get("oracle_levels", build)
+
 
 def _smooth_bump_field(grid, rng) -> np.ndarray:
     """A sum of 1-4 Gaussian bumps.  Each bump's centre, width and amplitude
@@ -331,9 +339,8 @@ def _chk_ds_decay(ctx, n, rng):
 
 
 def _chk_eigen_oracle_first(ctx, n, rng):
-    kt = ctx.base_kt()
-    w, seq = ctx.eigen_results("flat")
-    oracle = eig.oracle_levels(w, kt)[0]
+    _w, seq = ctx.eigen_results("flat")
+    oracle = ctx.oracle_levels()[0]
     return abs(seq[0].lam / oracle - 1.0), {"lam": seq[0].lam, "oracle": oracle}
 
 
@@ -341,7 +348,7 @@ def _chk_eigen_oracle_levels(ctx, n, rng):
     kt = ctx.base_kt()
     w, _ = ctx.eigen_results("flat")
     seq = eig.eigen_sequence(w, kt, 4, ctx.eigen_opts)
-    oracle = eig.oracle_levels(w, kt)[:4]
+    oracle = ctx.oracle_levels()
     margin = max(abs(r.lam / lam - 1.0) for r, lam in zip(seq, oracle))
     return margin, {"lams": [r.lam for r in seq], "oracle": oracle}
 

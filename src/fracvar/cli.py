@@ -323,12 +323,13 @@ def _cmd_concentration(cfg: RunConfig, out, args) -> int:
 
 
 def _cmd_eigen(cfg: RunConfig, out, args) -> int:
+    with _reading("eigen"):
+        spec = cfg.raw.get("eigen", {})
+        _refuse_unknown("eigen", spec, ("levels",))
+        levels = args.levels if args.levels is not None else _whole(spec.get("levels", 1))
     kt = cfg.kernel_table()
     w = cfg.function("weight")
     opts = cfg.eigen_options()
-    with _reading("eigen"):
-        levels = args.levels if args.levels is not None else _whole(
-            cfg.raw.get("eigen", {}).get("levels", 1))
     if args.oracle and kt.params.p != 2.0:
         raise DomainError("--oracle requires p = 2")
     seq = eig.eigen_sequence(w, kt, levels, opts)
@@ -340,8 +341,8 @@ def _cmd_eigen(cfg: RunConfig, out, args) -> int:
         "signs": [eig.sign_structure(r.u) for r in seq],
     }
     if args.oracle:
-        oracle = eig.oracle_levels(w, kt)
-        payload["oracle_lambdas"] = oracle[:levels]
+        oracle = eig.oracle_levels(w, kt, levels)
+        payload["oracle_lambdas"] = oracle
         payload["oracle_rel_err"] = [abs(r.lam / lam - 1.0) for r, lam in zip(seq, oracle)]
     fio.write_result_json(payload, _out_path(cfg, out, "eigen.json"))
     for idx, res in enumerate(seq, start=1):

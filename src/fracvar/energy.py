@@ -229,11 +229,6 @@ def weighted_mass(u: GridFunction, w: GridFunction, kt: KernelTable) -> float:
     return raw_weighted_mass(u.values, w.values, kt.params.p, kt.cell_measure)
 
 
-# Peak float64 M x M arrays of the dense p = 2 oracle, while eigh runs: L^-1,
-# C, eigh's copy of C, its eigenvectors and its 2 M^2 workspace.
-_ORACLE_SQUARES = 6
-
-
 class P2Operator:
     """The p = 2 energy matrix A = 2 m^2 (diag(r) - K) + 2 m diag(rho).
 
@@ -328,13 +323,13 @@ class P2Operator:
 def stiffness_matrix(kt: KernelTable) -> np.ndarray:
     """Dense symmetric matrix A with u^T A u = E(u) when p = 2.
 
-    Refused before any allocation when the dense oracle built on it would
-    not fit in physical memory.
+    Refused before any allocation when it would not fit in physical
+    memory; each dense oracle (``eigen._factor``) first checks all it holds.
     """
     if kt.params.p != 2.0:
         raise DomainError("the quadratic stiffness matrix exists only for p = 2")
     cells = kt.grid.n_cells
-    _check_fits(8 * _ORACLE_SQUARES * cells**2, f"a dense oracle for {cells} cells")
+    _check_fits(8 * cells**2, f"a stiffness matrix of {cells} cells")
     m = kt.cell_measure
     a = kt.dense_kernel()
     # the diagonal from this copy's own row sums keeps the oracle independent of the FFT path

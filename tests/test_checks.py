@@ -56,6 +56,22 @@ class TestRunSuite:
         assert chk.run_suite(cfg1).to_json_bytes() == \
             chk.run_suite(cfgN).to_json_bytes()
 
+    def test_one_oracle_per_suite(self, monkeypatch):
+        # both oracle checks read one memoized call for 4 levels
+        counts = []
+        oracle = chk.eig.oracle_levels
+
+        def counted(w, kt, count):
+            counts.append(count)
+            return oracle(w, kt, count)
+
+        monkeypatch.setattr(chk.eig, "oracle_levels", counted)
+        report = chk.run_suite(chk.VerifyConfig(seed=42, samples=dict(FAST)))
+        assert counts == [4]
+        records = {r.name: r for r in report.records}
+        assert records["eigen_oracle_first"].details["oracle"] == \
+            records["eigen_oracle_levels"].details["oracle"][0]
+
     def test_text_table_lists_every_check(self, fast_report):
         text = fast_report.to_text()
         for name in chk.CHECK_NAMES:

@@ -45,7 +45,7 @@ ENTRY_POINTS = pytest.mark.parametrize("solve", [
     lambda w, kt: fv.eigen_sequence(w, kt, 2),
     lambda w, kt: fv.simplicity_probe(w, kt, 2),
     fv.linear_oracle,
-    fv.oracle_levels,
+    lambda w, kt: fv.oracle_levels(w, kt, 2),
     lambda w, kt: fv.residual_check(1.0, bump(kt.grid), w, kt),
 ], ids=["first", "first_from_start", "sequence", "simplicity", "oracle", "oracle_levels",
         "residual"])
@@ -217,6 +217,10 @@ class TestStarts:
         assert np.all(start[wv <= 0] == 0.0)
 
 
+# both dense oracles as oracle(w, kt)
+ORACLES = [fv.linear_oracle, lambda w, kt: fv.oracle_levels(w, kt, 1)]
+
+
 class TestLinearOracle:
     def test_stiffness_symmetric_positive(self, flat_setup):
         _g, kt, _w = flat_setup
@@ -225,7 +229,7 @@ class TestLinearOracle:
         assert np.max(np.abs(a - a.T)) <= 1e-12 * np.max(np.abs(a))
         assert np.linalg.eigvalsh(a).min() > 0
 
-    @pytest.mark.parametrize("oracle", [fv.linear_oracle, fv.oracle_levels])
+    @pytest.mark.parametrize("oracle", ORACLES)
     def test_never_builds_the_fft_operator(self, monkeypatch, line_grid, oracle):
         # the oracle cross-checks the FFT path, so it must not go through it
         def no_operator(_kt):
@@ -236,34 +240,46 @@ class TestLinearOracle:
         assert oracle(flat_weight(line_grid), kt)
         assert "p2_operator" not in vars(kt)
 
-    @pytest.mark.parametrize("oracle", [fv.linear_oracle, fv.oracle_levels])
+    @pytest.mark.parametrize("oracle", ORACLES)
     def test_requires_p_two(self, line_grid, oracle):
         kt = fv.build_kernel_table(line_grid, fv.FracParams(0.3, 3.0), 4.0)
         with pytest.raises(DomainError):
             oracle(flat_weight(line_grid), kt)
 
-    def test_refuses_oracle_beyond_physical_memory(self, monkeypatch):
-        # the oracle's 6 M^2 doubles (12 MiB at M = 512) against 4 MiB of
-        # memory: refused before the first 2 MiB M x M array is allocated
+    @pytest.mark.parametrize("mib, refused", [
+        (1.9, ("stiffness", "pairs", "levels")),
+        (2.5, ("pairs", "levels")),
+        (11.9, ("pairs",)),
+        (12.1, ()),
+    ])
+    def test_refuses_oracle_beyond_physical_memory(self, monkeypatch, mib, refused):
+        # at M = 512 one M x M array is 2 MiB: A's copy alone; oracle_levels
+        # at count 2 holds it, its (512, 64) basis and the restart's Ritz
+        # vectors (0.5 MiB) and five 64 x 64 arrays (0.16 MiB), 2.66 MiB;
+        # linear_oracle 6 squares, 12 MiB.  A refusal comes before the
+        # first M x M array is allocated.
         g = fv.build_grid(1, 1.0, 512)
         kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
-        monkeypatch.setattr(grid_mod, "_physical_memory", lambda: 4 * 1024 * 1024)
+        w = flat_weight(g)
+        calls = {"stiffness": lambda: stiffness_matrix(kt),
+                 "pairs": lambda: fv.linear_oracle(w, kt),
+                 "levels": lambda: fv.oracle_levels(w, kt, 2)}
+        monkeypatch.setattr(grid_mod, "_physical_memory", lambda: int(mib * 1024 * 1024))
         tracemalloc.start()
         try:
-            with pytest.raises(DomainError, match="physical memory"):
-                stiffness_matrix(kt)
-            with pytest.raises(DomainError, match="physical memory"):
-                fv.linear_oracle(flat_weight(g), kt)
-            with pytest.raises(DomainError, match="physical memory"):
-                fv.oracle_levels(flat_weight(g), kt)
+            for name in refused:
+                with pytest.raises(DomainError, match="physical memory"):
+                    calls[name]()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1024 * 1024
+        for name in set(calls) - set(refused):
+            assert calls[name]() is not None
 
     def test_peak_memory_is_four_squares(self):
-        # tracemalloc sees numpy arrays only: L^-1, C, its eigenvectors and
-        # the triangular products' blocks; eigh's copy and workspace are not
+        # tracemalloc sees numpy arrays only: A's factor and L^-1, then L^-1,
+        # C and its eigenvectors; eigh's copy and workspace are not
         g = fv.build_grid(1, 1.0, 256)
         kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
         tracemalloc.start()
@@ -274,34 +290,84 @@ class TestLinearOracle:
             tracemalloc.stop()
         assert peak <= 4.1 * 8 * g.n_cells**2
 
-    def test_levels_alone_peak_at_three_squares(self):
-        # L^-1, M L^-T and C while C is formed; L^-1 is dropped before the
-        # eigensolve, whose copy of C tracemalloc does not see
-        g = fv.build_grid(1, 1.0, 256)
+    def test_levels_alone_peak_at_one_and_a_half_squares(self):
+        # A's one dense copy, factored in place, and the Krylov basis and
+        # its block temporaries, far below a square at M = 768
+        g = fv.build_grid(1, 1.0, 768)
         kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
         tracemalloc.start()
         try:
-            fv.oracle_levels(flat_weight(g), kt)
+            fv.oracle_levels(signed_weight(g), kt, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.1 * 8 * g.n_cells**2
+        assert peak <= 1.5 * 8 * g.n_cells**2
 
     @pytest.mark.parametrize("kind", ["flat", "signed", "swapped"])
     @pytest.mark.parametrize("dim, n", [(1, 257), (1, 300), (2, 8)])
     def test_levels_match_the_pairs(self, dim, n, kind):
-        # eigvalsh and eigh take different LAPACK paths, so the levels agree
-        # to roundoff, not bit for bit
+        # the Krylov solve and eigh agree to roundoff, not bit for bit
         g = fv.build_grid(dim, 1.0, n)
         kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
         w = flat_weight(g) if kind == "flat" else cosine_weight(g)
         w = -w if kind == "swapped" else w
-        levels = np.array(fv.oracle_levels(w, kt))
         lams = np.array([lam for lam, _u in fv.linear_oracle(w, kt)])
-        assert len(levels) == len(lams) > 4
-        rel = np.abs(levels / lams - 1.0)
-        assert rel[:4].max() <= 1e-13
-        assert rel.max() <= 1e-12
+        assert len(lams) > 6
+        for count in (1, 2, 4, 6):
+            levels = np.array(fv.oracle_levels(w, kt, count))
+            assert len(levels) == count
+            assert np.abs(levels / lams[:count] - 1.0).max() <= 1e-12
+
+    def test_levels_clamped_to_the_positive_cells(self):
+        # w > 0 on 3 cells: C is congruent to diag(w m), so it has 3
+        # positive mu (Sylvester's law of inertia), and 4 asked give 3
+        g = fv.build_grid(1, 1.0, 257)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
+        values = np.full(g.n_cells, -0.5)
+        values[[20, 128, 230]] = 1.0
+        w = fv.GridFunction(g, values)
+        levels = np.array(fv.oracle_levels(w, kt, 4))
+        lams = np.array([lam for lam, _u in fv.linear_oracle(w, kt)])
+        assert len(levels) == len(lams) == 3
+        assert np.abs(levels / lams - 1.0).max() <= 1e-12
+
+    def test_double_level_found_in_full(self):
+        # the flat weight on the plane is symmetric under the swap of the
+        # axes, so levels 2 and 3 are one double level
+        g = fv.build_grid(2, 1.0, 16)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
+        levels = fv.oracle_levels(flat_weight(g), kt, 4)
+        assert len(levels) == 4
+        assert levels[2] == pytest.approx(levels[1], rel=1e-12)
+        assert levels[3] > levels[2] * (1.0 + 1e-6)
+
+    def test_two_calls_are_bitwise_equal(self, signed_setup):
+        _g, kt, w = signed_setup
+        assert fv.oracle_levels(w, kt, 4) == fv.oracle_levels(w, kt, 4)
+
+    @pytest.mark.parametrize("count", [0, 1.5, True, "2"])
+    def test_count_must_be_a_whole_number_at_least_one(self, flat_setup, count):
+        _g, kt, w = flat_setup
+        with pytest.raises(DomainError, match="requested number of levels"):
+            fv.oracle_levels(w, kt, count)
+
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_factor_and_substitutions(self, n):
+        # one factor block, and three with a short last one
+        g = fv.build_grid(1, 1.0, n)
+        kt = fv.build_kernel_table(g, fv.FracParams(0.4, 2.0), 4.0)
+        a = stiffness_matrix(kt)
+        factor = eigen_mod._factor(flat_weight(g), kt, 0)
+        low = factor[0]
+        assert np.all(np.triu(low, 1) == 0.0)
+        assert np.abs(low @ low.T - a).max() <= 1e-13 * np.abs(a).max()
+        rhs = np.random.default_rng(0).standard_normal((n, 3))
+        for transposed, lhs in ((False, low), (True, low.T)):
+            for b in (rhs, rhs[:, 0]):
+                x = eigen_mod._solve(factor, b.copy(), transposed)
+                # backward error within n eps |L| |x|
+                bound = n * np.finfo(float).eps * np.abs(low).sum(axis=1).max()
+                assert np.abs(lhs @ x - b).max() <= bound * np.abs(x).max()
 
     @pytest.mark.parametrize("n", [257, 300])
     def test_every_pair_solves_the_pencil(self, n):

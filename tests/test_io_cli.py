@@ -395,6 +395,19 @@ class TestDispatch:
         assert dispatch([command, "--config", cfg]) == 65
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    def test_misspelt_eigen_key_exits_65(self, tmp_path, capsys, monkeypatch):
+        # "level" was dropped and one level solved; now refused before any
+        # kernel table is built
+        def no_table(*_args):
+            raise AssertionError("a kernel table was built")
+
+        monkeypatch.setattr(RunConfig, "kernel_table", no_table)
+        cfg = write_config(tmp_path, eigen={"level": 2})
+        assert dispatch(["eigen", "--config", cfg, "--oracle"]) == 65
+        assert capsys.readouterr().err == (
+            "config error: eigen: unknown keys ['level']; known: levels\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("concentration, named", [
         ({"radius": [0.5, 0.25]}, ["radius"]),
         ({"diagnostic": True, "at_infinity": True}, ["at_infinity"]),
